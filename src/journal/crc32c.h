@@ -1,6 +1,7 @@
-// CRC32C (Castagnoli polynomial), software table implementation — the
-// checksum guarding every journal record. Streaming interface so framed
-// fields can be folded in without materializing a contiguous buffer:
+// CRC32C (Castagnoli polynomial), portable slicing-by-8 table kernel (eight
+// table lookups per 8-byte word, bytewise for the tail) — the checksum
+// guarding every journal record. Streaming interface so framed fields can
+// be folded in without materializing a contiguous buffer:
 //
 //   Crc32c crc;
 //   crc.u32(len); crc.u64(lsn); crc.u8(type); crc.update(payload);

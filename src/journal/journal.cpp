@@ -127,7 +127,14 @@ void Journal::commit() {
 
 void Journal::maybe_compact() {
   if (!snapshot_writer_ || policy_.compact_threshold_bytes == 0) return;
-  if (storage_.durable_size(log_) < policy_.compact_threshold_bytes) return;
+  // Amortized trigger, max(floor, snapshot size): rewrite the snapshot only
+  // once the log has grown to at least the snapshot's own size, so every
+  // snapshot byte written is paid for by a log byte appended, and replay
+  // never exceeds one snapshot's worth of log. Reading the size from
+  // storage keeps the rule stateless across restarts.
+  const std::size_t log = storage_.durable_size(log_);
+  if (log < policy_.compact_threshold_bytes) return;
+  if (log < storage_.durable_size(snap_)) return;
   compact();
 }
 

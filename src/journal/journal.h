@@ -20,11 +20,15 @@
 //                     lsn says which log prefix it covers
 //   <name>.snap.tmp   compaction scratch; ignored and deleted by recovery
 //
-// Compaction: when the durable log crosses the policy threshold, the
-// owner's snapshot writer serializes full state into <name>.snap.tmp,
-// which is flushed, atomically renamed over <name>.snap, and only then is
-// the log truncated. A crash at ANY point in that sequence recovers: the
-// old snapshot + full log before the rename, the new snapshot + a log
+// Compaction: when the durable log reaches max(policy floor, size of the
+// current <name>.snap), the owner's snapshot writer serializes full state
+// into <name>.snap.tmp, which is flushed, atomically renamed over
+// <name>.snap, and only then is the log truncated. Because a rewrite waits
+// until the log has grown to the snapshot it replaces, re-copying old
+// state costs at most one snapshot byte per log byte appended, and replay
+// after a restart covers at most one snapshot's worth of log (or the
+// floor) plus one commit. A crash at ANY point in that sequence recovers:
+// the old snapshot + full log before the rename, the new snapshot + a log
 // whose records are all covered (and skipped by lsn) after it.
 //
 // Recovery: load the snapshot if its CRC holds, then scan the log for the
@@ -66,8 +70,9 @@ constexpr std::size_t record_wire_size(std::size_t payload) {
 }
 
 struct JournalPolicy {
-  /// Compact (snapshot + truncate) when the durable log crosses this.
-  /// 0 disables size-triggered compaction.
+  /// Floor of the compaction trigger: commit() compacts (snapshot +
+  /// truncate) once the durable log reaches max(this, current snapshot
+  /// size). 0 disables size-triggered compaction.
   std::size_t compact_threshold_bytes = 64 * 1024;
   /// Emit per-append / per-fsync spans. Off by default: one fsync per
   /// sim event would crowd useful history out of the bounded flight
@@ -150,7 +155,7 @@ class Journal {
   void set_clock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
 
   /// Force a snapshot + log truncation now (commit() auto-compacts when
-  /// the log crosses the policy threshold).
+  /// the log reaches max(policy floor, snapshot size)).
   void compact();
 
   /// Load snapshot (if valid), replay the longest valid log prefix,

@@ -1,6 +1,7 @@
 #include "sim/storage.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace gsalert::sim {
 
@@ -17,9 +18,15 @@ void Storage::flush(const std::string& file) {
   if (it == files_.end() || it->second.pending.empty()) return;
   File& f = it->second;
   f.last_flush_bytes = f.pending.size();
-  f.durable.insert(f.durable.end(), f.pending.begin(), f.pending.end());
   stats_.flushes += 1;
   stats_.bytes_flushed += f.pending.size();
+  if (f.durable.empty()) {
+    // First flush of a fresh file (a snapshot, or a log just truncated by
+    // compaction): hand over the buffer rather than holding it twice.
+    f.durable = std::move(f.pending);
+  } else {
+    f.durable.insert(f.durable.end(), f.pending.begin(), f.pending.end());
+  }
   f.pending.clear();
 }
 

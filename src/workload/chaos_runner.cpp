@@ -12,6 +12,7 @@
 
 #include "common/log.h"
 #include "common/rng.h"
+#include "journal/journal.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "workload/health.h"
@@ -845,12 +846,23 @@ ChaosReport run_protocol(const ChaosRunConfig& config,
   }
   report.schedule = harness.schedule();
   report.outcome = scenario.outcome();
+  const std::size_t compact_floor =
+      config.journal_compact_bytes != 0
+          ? config.journal_compact_bytes
+          : journal::JournalPolicy{}.compact_threshold_bytes;
   for (const auto& [node, storage] : scenario.net().storages()) {
     for (const std::string& file : storage->files()) {
       if (!file.ends_with(".log")) continue;
+      const std::uint64_t log = storage->durable_size(file);
+      const std::string snap = file.substr(0, file.size() - 4) + ".snap";
+      const std::uint64_t trigger =
+          std::max(compact_floor, storage->durable_size(snap));
       report.max_journal_log_bytes =
-          std::max<std::uint64_t>(report.max_journal_log_bytes,
-                                  storage->durable_size(file));
+          std::max(report.max_journal_log_bytes, log);
+      if (log > trigger) {
+        report.max_journal_log_over_trigger =
+            std::max(report.max_journal_log_over_trigger, log - trigger);
+      }
     }
   }
   std::ostringstream trace;

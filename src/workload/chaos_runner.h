@@ -145,7 +145,7 @@ struct ChaosRunConfig {
   /// Crash-time storage misbehavior (0 = honest fsync; the 300-seed
   /// sweep relies on honest fsync for its strict durability invariant).
   sim::StorageFaults storage_faults{};
-  /// Journal compaction threshold override for every node (0 = default).
+  /// Journal compaction floor override for every node (0 = default).
   std::size_t journal_compact_bytes = 0;
   /// WAN topology-zoo name (ScenarioConfig::sim_topology; "" = uniform).
   /// With a multi-region topology installed, fill_targets also derives
@@ -166,8 +166,12 @@ struct ChaosReport {
   Outcome outcome;
   sim::ChaosSchedule schedule;
   /// Largest durable journal log observed on any node at the end of the
-  /// run (soak tests assert compaction keeps this bounded).
+  /// run.
   std::uint64_t max_journal_log_bytes = 0;
+  /// Largest amount by which any node's durable log exceeded its
+  /// compaction trigger, max(threshold, that node's .snap size); 0 when
+  /// every log is within it (soak tests bound this by one commit's burst).
+  std::uint64_t max_journal_log_over_trigger = 0;
 
   bool ok() const { return violations.empty(); }
 };

@@ -69,9 +69,10 @@ struct ScenarioConfig {
   /// their proper ancestors and re-parent, with hysteresis, towards the
   /// closest one. Off = the classic fixed stratum tree.
   bool adaptive_tree = false;
-  /// Journal compaction threshold for every durable node (0 = library
-  /// default). Small values force frequent compactions mid-run — the
-  /// crash-adjacent-to-compaction chaos class.
+  /// Journal compaction floor (JournalPolicy::compact_threshold_bytes)
+  /// for every durable node (0 = library default). Small values force
+  /// frequent compactions mid-run — the crash-adjacent-to-compaction
+  /// chaos class.
   std::size_t journal_compact_bytes = 0;
   bool gds_dedup = true;            // ablation switch (E7); also B4 dedup
   bool b2_covering = false;         // ablation switch (E5): B2 merging

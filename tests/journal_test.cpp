@@ -1,18 +1,24 @@
 // Write-ahead journal unit tests: record round-trips, group commit and
-// crash visibility, snapshot + compaction equivalence, CRC rejection,
-// recovery idempotence — and the torn-write corpus: the durable log
-// truncated at EVERY byte offset and flipped at EVERY bit, with recovery
-// required to (a) never crash, (b) recover exactly the longest valid
-// record prefix, and (c) never resurrect records that were not durable.
+// crash visibility, snapshot + compaction equivalence, amortized
+// compaction (snapshot writes bounded by log appends, across restarts),
+// CRC rejection, CRC32C known answers, recovery idempotence — and the
+// torn-write corpus: the durable log truncated at EVERY byte offset and
+// flipped at EVERY bit, with recovery required to (a) never crash,
+// (b) recover exactly the longest valid record prefix, and (c) never
+// resurrect records that were not durable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
+#include "journal/crc32c.h"
 #include "journal/journal.h"
 #include "sim/storage.h"
 #include "wire/codec.h"
@@ -288,6 +294,140 @@ TEST(Journal, CorruptSnapshotFallsBackToLog) {
   // media corruption may lose it, but post-snapshot records still replay.
   EXPECT_EQ(reader.state.kv.count("b"), 1u);
   EXPECT_EQ(reader.state.kv.count("a"), 0u);
+}
+
+// --- amortized compaction ---------------------------------------------------
+
+// Live state that keeps growing must not be rewritten every floor's worth
+// of log: each snapshot waits for at least its own size in appended log,
+// so snapshot bytes written stay linear in log bytes appended (a fixed
+// trigger makes them quadratic in live state).
+TEST(JournalCompaction, SnapshotWritesAreAmortizedOverAppendedLog) {
+  sim::Storage storage;
+  Toy toy{storage};  // default policy: the 64 KiB floor
+  const std::size_t floor = toy.policy.compact_threshold_bytes;
+  std::uint64_t snapshot_bytes_written = 0;
+  toy.journal.set_snapshot_writer([&](wire::Writer& w) {
+    toy.state.snapshot(w);
+    snapshot_bytes_written += record_wire_size(w.size());
+  });
+  for (int i = 0; i < 100000; ++i) {
+    toy.set("key" + std::to_string(i), static_cast<std::uint64_t>(i));
+    const std::size_t one_commit = toy.journal.pending_bytes();
+    ASSERT_LE(toy.journal.log_bytes(),
+              std::max(floor, storage.durable_size("toy.snap")) + one_commit)
+        << "record " << i << ": the log outgrew max(floor, snapshot)";
+    toy.journal.commit();
+  }
+  const JournalStats& stats = toy.journal.stats();
+  EXPECT_GT(stats.compactions, 1u);
+  EXPECT_LE(snapshot_bytes_written, 2 * stats.bytes_appended + floor)
+      << stats.compactions << " compactions rewrote the snapshot";
+}
+
+// The trigger reads the snapshot already on storage, so it survives a
+// restart: a node recovering over a snapshot larger than the floor waits
+// for a snapshot-sized log before rewriting it.
+TEST(JournalCompaction, RecoveredSnapshotSizeSetsTheNextTrigger) {
+  sim::Storage storage;
+  std::map<std::string, std::uint64_t> acked;
+  {
+    Toy writer{storage};
+    for (int i = 0; i < 5000; ++i) {
+      writer.set("key" + std::to_string(i), static_cast<std::uint64_t>(i));
+    }
+    writer.journal.compact();
+    writer.set("tail", 1);
+    writer.journal.commit();
+    acked = writer.state.kv;
+  }
+  Rng rng{5};
+  storage.on_crash(rng, sim::StorageFaults{});
+  const std::size_t snap = storage.durable_size("toy.snap");
+  ASSERT_GT(snap, JournalPolicy{}.compact_threshold_bytes);
+
+  Toy toy{storage};
+  ASSERT_TRUE(toy.recover().snapshot_loaded);
+  EXPECT_EQ(toy.state.kv, acked);
+  std::size_t log_at_compaction = 0;
+  for (int i = 0; toy.journal.stats().compactions == 0; ++i) {
+    ASSERT_LT(storage.durable_size("toy.log"), snap)
+        << "the log outgrew the recovered snapshot without compacting";
+    toy.set("new" + std::to_string(i), static_cast<std::uint64_t>(i));
+    log_at_compaction = toy.journal.log_bytes();
+    toy.journal.commit();
+  }
+  EXPECT_GE(log_at_compaction, snap)
+      << "compacted before the log reached the recovered snapshot's size";
+}
+
+// --- CRC32C -----------------------------------------------------------------
+
+/// Bit-at-a-time CRC32C, independent of the library's lookup tables.
+std::uint32_t reference_crc32c(std::span<const std::byte> bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::byte b : bytes) {
+    crc ^= static_cast<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+// RFC 3720 §B.4 test vectors, plus the classic "123456789" check value.
+TEST(Crc32c, KnownAnswers) {
+  const auto ascii = [](std::string_view s) {
+    std::vector<std::byte> out;
+    for (const char c : s) out.push_back(static_cast<std::byte>(c));
+    return out;
+  };
+  std::vector<std::byte> ascending(32);
+  std::vector<std::byte> descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::byte>(i);
+    descending[i] = static_cast<std::byte>(31 - i);
+  }
+  const std::vector<std::pair<std::vector<std::byte>, std::uint32_t>> cases{
+      {ascii("123456789"), 0xE3069283u},
+      {std::vector<std::byte>(32, std::byte{0x00}), 0x8A9136AAu},
+      {std::vector<std::byte>(32, std::byte{0xFF}), 0x62A8AB43u},
+      {ascending, 0x46DD794Eu},
+      {descending, 0x113FDB5Cu},
+  };
+  for (const auto& [bytes, want] : cases) {
+    EXPECT_EQ(crc32c(bytes), want);
+    EXPECT_EQ(reference_crc32c(bytes), want);
+  }
+  // Integer fields fold little-endian, the bytes wire::Writer emits.
+  Crc32c fields;
+  fields.u32(0x34333231u);          // "1234"
+  fields.u64(0x0000003938373635u);  // "56789" then three zero bytes
+  Crc32c text;
+  text.update(ascii("123456789"));
+  text.update(std::vector<std::byte>(3, std::byte{0x00}));
+  EXPECT_EQ(fields.value(), text.value());
+}
+
+// Streaming updates over every alignment, length and split point agree
+// with the reference — the word-at-a-time kernel and its bytewise tail
+// must join seamlessly.
+TEST(Crc32c, StreamingUpdatesMatchReference) {
+  Rng rng{3720};
+  std::vector<std::byte> buffer(64 + 300);
+  for (auto& b : buffer) b = static_cast<std::byte>(rng.uniform_int(0, 255));
+  for (int trial = 0; trial < 5000; ++trial) {
+    const auto start = static_cast<std::size_t>(rng.uniform_int(0, 63));
+    const auto len = rng.uniform_int(0, 300);
+    const auto split = static_cast<std::size_t>(rng.uniform_int(0, len));
+    const std::span<const std::byte> data{buffer.data() + start,
+                                          static_cast<std::size_t>(len)};
+    Crc32c crc;
+    crc.update(data.first(split));
+    crc.update(data.subspan(split));
+    ASSERT_EQ(crc.value(), reference_crc32c(data))
+        << "start " << start << " len " << len << " split " << split;
+  }
 }
 
 // --- torn-write corpus ------------------------------------------------------

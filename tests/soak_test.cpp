@@ -66,11 +66,14 @@ TEST_P(ChurnSoak, InvariantsHoldUnderChurn) {
 }
 
 // Journal growth: compaction must keep every node's durable log bounded
-// across a long churn run — the log is truncated behind each snapshot,
-// so its size can only reach the compaction threshold plus whatever one
-// event's commit appends on top. 4x the threshold is generous slack for
-// the burstiest commit (a full event batch of channel-send records) and
-// still fails immediately if compaction stops firing.
+// across a long churn run — a log is truncated once it reaches
+// max(threshold, that node's snapshot size), so it can only exceed that
+// trigger by whatever one event's commit appends on top. 2 KiB is
+// generous slack for the burstiest commit (a full event batch of
+// channel-send records) and still fails at once if compaction stops
+// firing (the logs then overshoot by more than 4 KiB). The 1 KiB floor
+// sits below most nodes' snapshots, so the snapshot-sized part of the
+// trigger is what this run exercises.
 TEST(JournalGrowthSoak, CompactionBoundsLogSize) {
   ChaosRunConfig config;
   config.seed = 808;
@@ -85,16 +88,17 @@ TEST(JournalGrowthSoak, CompactionBoundsLogSize) {
   config.chaos.duration = SimTime::seconds(16);
   config.chaos.crashes = 3;
   config.chaos.blocks = 2;
-  config.journal_compact_bytes = 4096;
+  config.journal_compact_bytes = 1024;
 
   const ChaosReport report = run_chaos(config);
   EXPECT_TRUE(report.ok()) << sim::format_violations(report.violations)
                            << report.trace;
-  EXPECT_GT(report.max_journal_log_bytes, 0u)
-      << "no journal ever wrote a record — the soak idled";
-  EXPECT_LT(report.max_journal_log_bytes,
-            4u * config.journal_compact_bytes + 1024u)
-      << "journal logs grew past the compaction bound";
+  EXPECT_GT(report.max_journal_log_bytes, config.journal_compact_bytes)
+      << "no log outgrew the floor: the trigger is not following the "
+         "snapshot size (or the soak idled)";
+  EXPECT_LT(report.max_journal_log_over_trigger, 2048u)
+      << "a journal log grew past max(threshold, its snapshot) by more "
+         "than one commit";
 }
 
 INSTANTIATE_TEST_SUITE_P(
