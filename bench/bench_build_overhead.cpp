@@ -52,6 +52,10 @@ struct BuildWorld {
     server = net.make_node<gsnet::GreenstoneServer>("Hamilton");
     client = net.make_node<alerting::Client>("user");
     client->set_home(server->id());
+    // Stream notifications away instead of storing each one (an Event
+    // copy plus a dedup key) across every gbench iteration.
+    client->set_notification_sink(
+        [](SubscriptionId, const docmodel::Event&, SimTime) {});
     if (n_profiles >= 0) {
       auto ext = std::make_unique<alerting::AlertingService>();
       service = ext.get();

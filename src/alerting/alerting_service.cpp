@@ -118,14 +118,12 @@ void AlertingService::on_started() { ensure_channels(); }
 
 void AlertingService::on_recovered() {
   // A pending batch is in-memory build state and did not survive the
-  // crash; drop it on both the journaled and the legacy path.
-  batch_.clear();
-  build_depth_ = 0;
-  if (!server_ || !server_->durable()) return;
-  // Journaled: wipe everything the journal covers, then the server's
+  // crash. Everything else the journal covers is wiped, then the server's
   // recovery feeds the snapshot + records back in through
   // recover_durable / replay_journal. Channels must be attached before
   // replay restores their unacked entries.
+  batch_.clear();
+  build_depth_ = 0;
   subs_.clear();
   index_ = profiles::ProfileIndex{};
   aux_in_.clear();
@@ -139,8 +137,8 @@ void AlertingService::on_recovered() {
 }
 
 void AlertingService::on_restarted() {
-  // Rejoin phase: state is already recovered (journal replay, or kept in
-  // memory on the legacy path); only the retry timers need re-arming.
+  // Rejoin phase: state is already recovered from the journal; only the
+  // retry timers need re-arming.
   channels_.on_restart();
   delivery_.on_restart();
 }

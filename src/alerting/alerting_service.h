@@ -230,7 +230,7 @@ class AlertingService : public gsnet::ServerExtension {
   void sync_aux_profiles(const docmodel::Collection& coll);
 
   /// Append one record (types 64..74) to the owning server's journal.
-  /// No-op when the server is absent or non-durable; `payload_size`
+  /// No-op when the server is absent or not on a network; `payload_size`
   /// must upper-bound the encoded payload (exact reserves keep the
   /// Writer grow budget green).
   template <typename Fn>

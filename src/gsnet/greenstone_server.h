@@ -37,9 +37,7 @@ struct ServerConfig {
   /// Write-ahead journal for the server's extension state (profiles,
   /// aux registries, channel custody). Collections and the event/msg id
   /// counters are modeled durable-in-memory (real Greenstone keeps them
-  /// on disk) and only max-merged from snapshots. When false, restart
-  /// keeps the legacy keep-everything-in-memory semantics.
-  bool durable = true;
+  /// on disk) and only max-merged from snapshots.
   journal::JournalPolicy journal;
 };
 
@@ -107,11 +105,10 @@ class GreenstoneServer : public sim::Node {
   ServerExtension* extension() const { return extension_.get(); }
 
   /// The node's write-ahead journal, opened lazily over its sim storage.
-  /// Null when the server is non-durable or not yet on a network. The
-  /// extension appends records (types 64..254) here; the server group
-  /// commits once per sim event.
+  /// Null when the server is not yet on a network. The extension appends
+  /// records (types 64..254) here; the server group commits once per sim
+  /// event.
   journal::Journal* journal();
-  bool durable() const { return config_.durable; }
   /// Flush buffered journal records (one fsync). No-op when clean —
   /// extensions call this from their own public entry points.
   void commit_journal() {

@@ -1,68 +1,47 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 
 namespace gsalert::obs {
 
 namespace {
-// The serial simulation is single-threaded, but the sharded kernel runs
-// node callbacks on worker threads, so the trace state is partitioned:
-// the active context is thread-local (each shard worker propagates its
-// own event's context), the id counter is atomic (ids stay unique, and
-// single-threaded allocation order — the deterministic case — is
-// unchanged), and the sink list plus emission are serialized by a mutex
-// so sink implementations stay single-threaded.
-std::mutex& sink_mu() {
-  static std::mutex mu;
-  return mu;
-}
+// The simulation runs on one thread, so the trace state is plain
+// process-wide data.
 std::vector<SpanSink*>& sinks() {
   static std::vector<SpanSink*> s;
   return s;
 }
-std::atomic<bool> g_active_sinks{false};
-thread_local TraceContext g_active;
-std::atomic<std::uint64_t> g_next_id{1};
+TraceContext g_active;
+std::uint64_t g_next_id = 1;
 
 TraceContext emit(const TraceContext& parent, std::string_view name,
                   std::string_view node, SimTime at, SpanArgs args) {
-  if (!g_active_sinks.load(std::memory_order_relaxed)) return parent;
+  if (sinks().empty()) return parent;
   Span span;
-  span.trace_id = parent.traced()
-                      ? parent.trace_id
-                      : g_next_id.fetch_add(1, std::memory_order_relaxed);
-  span.span_id = g_next_id.fetch_add(1, std::memory_order_relaxed);
+  span.trace_id = parent.traced() ? parent.trace_id : g_next_id++;
+  span.span_id = g_next_id++;
   span.parent_span_id = parent.traced() ? parent.span_id : 0;
   span.hop = parent.hop;
   span.at = at;
   span.name = std::string{name};
   span.node = std::string{node};
   span.args = std::move(args);
-  std::lock_guard<std::mutex> lock(sink_mu());
   for (SpanSink* sink : sinks()) sink->on_span(span);
   return TraceContext{span.trace_id, span.span_id, span.hop};
 }
 }  // namespace
 
-void add_sink(SpanSink* sink) {
-  std::lock_guard<std::mutex> lock(sink_mu());
-  sinks().push_back(sink);
-  g_active_sinks.store(true, std::memory_order_relaxed);
-}
+void add_sink(SpanSink* sink) { sinks().push_back(sink); }
 
 void remove_sink(SpanSink* sink) {
-  std::lock_guard<std::mutex> lock(sink_mu());
   auto& s = sinks();
   s.erase(std::remove(s.begin(), s.end(), sink), s.end());
-  g_active_sinks.store(!s.empty(), std::memory_order_relaxed);
 }
 
-bool active() { return g_active_sinks.load(std::memory_order_relaxed); }
+bool active() { return !sinks().empty(); }
 
 void reset_ids() {
-  g_next_id.store(1, std::memory_order_relaxed);
+  g_next_id = 1;
   g_active = TraceContext{};
 }
 

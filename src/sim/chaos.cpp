@@ -226,10 +226,8 @@ ChaosSchedule ChaosSchedule::generate(const ChaosConfig& config,
 }
 
 void ChaosSchedule::apply(Network& net) const {
-  // Fault begin/end are control actions: in serial mode they land on the
-  // scheduler exactly as before (bit-identical replay); in sharded mode
-  // the kernel applies them at epoch barriers, where every shard is
-  // quiesced (see Network::schedule_control).
+  // Fault begin/end are control actions: plain scheduler events at their
+  // due times (see Network::schedule_control).
   for (const Fault& fault : faults_) {
     switch (fault.kind) {
       case FaultKind::kCrash:

@@ -2,17 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <condition_variable>
-#include <limits>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
-#include "common/log.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
-#include "sim/sharding.h"
 
 namespace gsalert::sim {
 
@@ -28,105 +21,12 @@ void trace_packet_fate(const char* what, const Packet& packet,
       obs::TraceContext{packet.trace_id, packet.span_id, packet.hop}, what,
       from, at, {{"to", to}});
 }
-
-std::optional<SimTime> min_time(std::optional<SimTime> a,
-                                std::optional<SimTime> b) {
-  if (!a) return b;
-  if (!b) return a;
-  return *a < *b ? a : b;
-}
 }  // namespace
 
-namespace {
-/// The shard whose worker thread is executing the current event, so
-/// Network::now()/rng() resolve to the right clock/stream from inside
-/// node callbacks. Null on the main thread and in serial mode.
-thread_local Network::Shard* t_shard = nullptr;
-}  // namespace
-
-/// Persistent worker pool: one thread per shard, woken per epoch. All
-/// shard state a worker touches is handed over through `mu`, so every
-/// epoch boundary is a full happens-before edge (TSan-visible).
-struct Network::Pool {
-  explicit Pool(Network& n) : net(n) {
-    workers.reserve(net.shards_.size());
-    for (std::size_t i = 0; i < net.shards_.size(); ++i) {
-      workers.emplace_back([this, i] { work(i); });
-    }
-  }
-
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      stop = true;
-    }
-    cv_work.notify_all();
-    for (auto& w : workers) w.join();
-  }
-
-  /// Run every shard up to `dl` and block until all have finished.
-  /// Returns the number of events executed across shards.
-  std::size_t run_epoch(SimTime dl) {
-    std::unique_lock<std::mutex> lock(mu);
-    deadline = dl;
-    pending = workers.size();
-    total = 0;
-    ++generation;
-    cv_work.notify_all();
-    cv_done.wait(lock, [this] { return pending == 0; });
-    return total;
-  }
-
-  void work(std::size_t i) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      SimTime dl = SimTime::zero();
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv_work.wait(lock, [&] { return stop || generation != seen; });
-        if (stop) return;
-        seen = generation;
-        dl = deadline;
-      }
-      Shard& shard = net.shards_[i];
-      t_shard = &shard;
-      const auto wall0 = std::chrono::steady_clock::now();
-      const std::size_t n = shard.scheduler.run_until(dl);
-      shard.busy_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wall0)
-              .count());
-      if (n == 0) shard.stalls += 1;
-      t_shard = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        total += n;
-        if (--pending == 0) cv_done.notify_one();
-      }
-    }
-  }
-
-  Network& net;
-  std::vector<std::thread> workers;
-  std::mutex mu;
-  std::condition_variable cv_work;
-  std::condition_variable cv_done;
-  std::uint64_t generation = 0;
-  SimTime deadline = SimTime::zero();
-  std::size_t pending = 0;
-  std::size_t total = 0;
-  bool stop = false;
-};
-
-Network::Network(std::uint64_t seed) : seed_(seed), rng_(seed) {}
-
-Network::~Network() = default;
+Network::Network(std::uint64_t seed) : rng_(seed) {}
 
 void Network::register_node(std::string name, std::unique_ptr<Node> node) {
   assert(node != nullptr);
-  if (sharded()) {
-    throw std::logic_error("Network: cannot add nodes after set_shards");
-  }
   const NodeId id{static_cast<std::uint32_t>(nodes_.size() + 1)};
   node->id_ = id;
   node->name_ = name;
@@ -141,156 +41,10 @@ void Network::register_node(std::string name, std::unique_ptr<Node> node) {
 
 void Network::start() {
   for (auto& node : nodes_) {
-    sched_for(node->id()).schedule_after(SimTime::zero(), [n = node.get()] {
+    scheduler_.schedule_after(SimTime::zero(), [n = node.get()] {
       n->on_start();
     });
   }
-}
-
-SimTime Network::now() const {
-  if (t_shard != nullptr) return t_shard->scheduler.now();
-  if (!shards_.empty()) return global_now_;
-  return scheduler_.now();
-}
-
-Rng& Network::rng() {
-  if (t_shard != nullptr) return t_shard->rng;
-  return rng_;
-}
-
-Scheduler& Network::sched_for(NodeId node) {
-  if (shards_.empty()) return scheduler_;
-  return shards_[shard_of(node)].scheduler;
-}
-
-Rng& Network::rng_for(NodeId node) {
-  if (shards_.empty()) return rng_;
-  return shards_[shard_of(node)].rng;
-}
-
-NetStats& Network::stats_for(NodeId node) {
-  if (shards_.empty()) return stats_;
-  return shards_[shard_of(node)].stats;
-}
-
-std::uint64_t& Network::inflight_for(NodeId node) {
-  if (shards_.empty()) return in_flight_;
-  return shards_[shard_of(node)].in_flight;
-}
-
-void Network::set_shards(std::size_t k, std::vector<std::uint32_t> assignment) {
-  if (k <= 1) return;  // serial kernel, untouched
-  if (sharded()) {
-    throw std::logic_error("Network::set_shards: already sharded");
-  }
-  if (!scheduler_.empty() || scheduler_.now() != SimTime::zero()) {
-    throw std::logic_error(
-        "Network::set_shards: serial events already queued; call set_shards "
-        "before start()/run()");
-  }
-  if (assignment.empty()) assignment = shard_contiguous(nodes_.size(), k);
-  if (assignment.size() != nodes_.size()) {
-    throw std::invalid_argument(
-        "Network::set_shards: assignment size != node count");
-  }
-  for (const std::uint32_t s : assignment) {
-    if (s >= k) {
-      throw std::invalid_argument("Network::set_shards: shard index out of "
-                                  "range");
-    }
-  }
-  shard_of_ = std::move(assignment);
-  shards_.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    shards_.emplace_back(static_cast<std::uint32_t>(i), k, seed_);
-  }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    shards_[shard_of_[i]].node_count += 1;
-  }
-  for (auto& s : shards_) {
-    s.scheduler.reserve(static_cast<std::size_t>(s.node_count) * 4 + 64);
-  }
-  // Pre-create every node's storage so worker threads never mutate the
-  // storage map, and force the logger's lazy GSALERT_LOG parse to happen
-  // here on the main thread rather than racing inside an epoch.
-  for (std::size_t i = 1; i <= nodes_.size(); ++i) {
-    storage(NodeId{static_cast<std::uint32_t>(i)});
-  }
-  log_enabled(LogLevel::kDebug, "sim");
-  recompute_lookahead();
-  check_lookahead();
-}
-
-void Network::recompute_lookahead() {
-  SimTime la;
-  if (topology_) {
-    // Matrix-derived: the minimum entry over region pairs that actually
-    // have nodes on different shards (path_for never falls back to the
-    // default once a topology is installed).
-    la = SimTime::micros(std::numeric_limits<std::int64_t>::max());
-    const std::size_t k = shard_count();
-    const std::size_t regions = topology_->regions;
-    std::vector<char> present(k * regions, 0);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const NodeId id{static_cast<std::uint32_t>(i + 1)};
-      present[shard_of(id) * regions + region_of(id)] = 1;
-    }
-    bool any_cross = false;
-    for (std::size_t si = 0; si < k; ++si) {
-      for (std::size_t sj = si + 1; sj < k; ++sj) {
-        for (std::size_t ra = 0; ra < regions; ++ra) {
-          if (!present[si * regions + ra]) continue;
-          for (std::size_t rb = 0; rb < regions; ++rb) {
-            if (!present[sj * regions + rb]) continue;
-            la = std::min(la, topology_->at(ra, rb).latency);
-            any_cross = true;
-          }
-        }
-      }
-    }
-    if (!any_cross) la = topology_->min_latency();
-  } else {
-    // Any pair may communicate over the default path, so it always
-    // bounds the lookahead.
-    la = default_path_.latency;
-  }
-  // Overrides tighten the bound only when they cross shards.
-  for (const auto& [key, cfg] : path_overrides_) {
-    const NodeId a{static_cast<std::uint32_t>(key & 0xffffffffu)};
-    const NodeId b{static_cast<std::uint32_t>(key >> 32)};
-    if (a.value() == 0 || a.value() > nodes_.size() ||
-        b.value() == 0 || b.value() > nodes_.size()) {
-      continue;
-    }
-    if (shard_of(a) == shard_of(b)) continue;
-    la = std::min(la, cfg.latency);
-  }
-  lookahead_ = la;
-}
-
-void Network::check_lookahead() const {
-  if (!sharded() || lookahead_ > SimTime::zero()) return;
-  // Name the offending pair so the misconfiguration is actionable at
-  // setup time instead of surfacing as a late run() failure.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const NodeId a{static_cast<std::uint32_t>(i + 1)};
-    for (std::size_t j = i + 1; j < nodes_.size(); ++j) {
-      const NodeId b{static_cast<std::uint32_t>(j + 1)};
-      if (shard_of(a) == shard_of(b)) continue;
-      if (path_for(a, b).latency > SimTime::zero()) continue;
-      throw std::invalid_argument(
-          "Network: zero-latency path between '" + nodes_[i]->name() +
-          "' (shard " + std::to_string(shard_of(a)) + ") and '" +
-          nodes_[j]->name() + "' (shard " + std::to_string(shard_of(b)) +
-          ") crosses shards — co-locate the pair via sharding affinity or "
-          "give the link a positive latency");
-    }
-  }
-  // No concrete pair resolves to zero latency: the default path is zero
-  // while un-overridden cross-shard pairs could still use it.
-  throw std::invalid_argument(
-      "Network: zero-latency default path while sharded — raise it or "
-      "install a topology");
 }
 
 std::uint64_t Network::pair_key(NodeId a, NodeId b) {
@@ -299,36 +53,10 @@ std::uint64_t Network::pair_key(NodeId a, NodeId b) {
   return (static_cast<std::uint64_t>(hi) << 32) | lo;
 }
 
-void Network::set_default_path(PathConfig config) {
-  const PathConfig prev = default_path_;
-  default_path_ = config;
-  if (sharded()) {
-    recompute_lookahead();
-    try {
-      check_lookahead();
-    } catch (...) {
-      default_path_ = prev;
-      recompute_lookahead();
-      throw;
-    }
-  }
-}
+void Network::set_default_path(PathConfig config) { default_path_ = config; }
 
 void Network::set_path(NodeId a, NodeId b, PathConfig config) {
-  if (sharded() && config.latency <= SimTime::zero() && a.valid() &&
-      b.valid() && a.value() <= nodes_.size() && b.value() <= nodes_.size() &&
-      shard_of(a) != shard_of(b)) {
-    throw std::invalid_argument(
-        "Network::set_path: zero-latency path between '" +
-        nodes_[a.value() - 1]->name() + "' (shard " +
-        std::to_string(shard_of(a)) + ") and '" +
-        nodes_[b.value() - 1]->name() + "' (shard " +
-        std::to_string(shard_of(b)) +
-        ") crosses shards — co-locate the pair via sharding affinity or "
-        "give the link a positive latency");
-  }
   path_overrides_[pair_key(a, b)] = config;
-  if (sharded()) recompute_lookahead();
 }
 
 void Network::set_topology(Topology topo) {
@@ -337,18 +65,7 @@ void Network::set_topology(Topology topo) {
         "Network::set_topology: mis-sized or asymmetric matrix for "
         "topology '" + topo.name + "'");
   }
-  std::optional<Topology> prev = std::move(topology_);
   topology_ = std::move(topo);
-  if (sharded()) {
-    recompute_lookahead();
-    try {
-      check_lookahead();
-    } catch (...) {
-      topology_ = std::move(prev);
-      recompute_lookahead();
-      throw;
-    }
-  }
 }
 
 std::size_t Network::region_of(NodeId node) const {
@@ -395,7 +112,6 @@ SimTime NetChaosKnobs::targeted_extra(NodeId from, NodeId to) const {
 
 void Network::crash(NodeId node) {
   assert(node.value() >= 1 && node.value() <= nodes_.size());
-  assert(t_shard == nullptr && "crash() must run at quiescence/barrier");
   if (crash_observer_) crash_observer_(node);
   up_[node.value() - 1] = false;
   const auto it = storages_.find(node.value());
@@ -413,10 +129,10 @@ void Network::restart(NodeId node) {
   assert(node.value() >= 1 && node.value() <= nodes_.size());
   if (up_[node.value() - 1]) return;
   up_[node.value() - 1] = true;
-  sched_for(node).schedule_after(SimTime::zero(),
-                                 [n = nodes_[node.value() - 1].get()] {
-                                   n->on_restart();
-                                 });
+  scheduler_.schedule_after(SimTime::zero(),
+                            [n = nodes_[node.value() - 1].get()] {
+                              n->on_restart();
+                            });
 }
 
 bool Network::is_up(NodeId node) const {
@@ -461,7 +177,7 @@ void Network::clear_partition() {
 
 bool Network::send(NodeId from, NodeId to, Packet packet) {
   if (!is_up(from)) return false;
-  NetStats& st = stats_for(from);
+  NetStats& st = stats_;
   st.sent += 1;
   st.bytes_sent += packet.size();
   st.bytes_copied += packet.header.size();
@@ -495,10 +211,9 @@ bool Network::send(NodeId from, NodeId to, Packet packet) {
     }
     return false;
   }
-  Rng& rng = rng_for(from);
   const PathConfig& path = path_for(from, to);
   const double loss = path.loss + chaos_.extra_loss;
-  if (loss > 0.0 && rng.chance(loss)) {
+  if (loss > 0.0 && rng_.chance(loss)) {
     st.dropped_loss += 1;
     if (obs::active()) {
       trace_packet_fate("net-drop-loss", packet, from_name, to_name, now());
@@ -511,14 +226,14 @@ bool Network::send(NodeId from, NodeId to, Packet packet) {
   }
   if (path.jitter > SimTime::zero()) {
     delay += SimTime::micros(
-        rng.uniform_int(0, path.jitter.as_micros()));
+        rng_.uniform_int(0, path.jitter.as_micros()));
   }
   if (chaos_.reorder > 0.0 && chaos_.reorder_span > SimTime::zero() &&
-      rng.chance(chaos_.reorder)) {
+      rng_.chance(chaos_.reorder)) {
     delay += SimTime::micros(
-        rng.uniform_int(0, chaos_.reorder_span.as_micros()));
+        rng_.uniform_int(0, chaos_.reorder_span.as_micros()));
   }
-  if (chaos_.duplication > 0.0 && rng.chance(chaos_.duplication)) {
+  if (chaos_.duplication > 0.0 && rng_.chance(chaos_.duplication)) {
     // The copy trails the original by up to one base latency, so the two
     // arrivals interleave with unrelated traffic. Copying the Packet
     // duplicates only the header; the body frame is aliased (immutable by
@@ -530,7 +245,7 @@ bool Network::send(NodeId from, NodeId to, Packet packet) {
       trace_packet_fate("net-duplicate", packet, from_name, to_name, now());
     }
     schedule_delivery(from, to, packet,
-                      delay + SimTime::micros(rng.uniform_int(
+                      delay + SimTime::micros(rng_.uniform_int(
                                   1, std::max<std::int64_t>(
                                          1, path.latency.as_micros()))));
   }
@@ -541,32 +256,6 @@ bool Network::send(NodeId from, NodeId to, Packet packet) {
 void Network::schedule_delivery(NodeId from, NodeId to, Packet packet,
                                 SimTime delay) {
   if (delay < SimTime::zero()) delay = SimTime::zero();
-  if (sharded()) {
-    Shard& src = shards_[shard_of(from)];
-    assert(t_shard == nullptr || t_shard == &src);
-    const SimTime base =
-        t_shard != nullptr ? t_shard->scheduler.now() : global_now_;
-    const SimTime when = base + delay;
-    const std::uint32_t dst = shard_of(to);
-    if (dst != src.index) {
-      src.cross_out += 1;
-      if (t_shard != nullptr) {
-        // Mid-epoch: buffer in the outbox; the barrier merge re-schedules
-        // it on the destination shard in canonical order. Conservative
-        // sync guarantees when >= barrier time (delay >= lookahead).
-        src.outbox[dst].push_back(Shard::CrossPacket{
-            when, src.index, src.out_seq++, from, to, std::move(packet)});
-      } else {
-        // Quiescent (driver-initiated): the destination shard is idle, so
-        // schedule directly.
-        queue_arrival(dst, when, from, to, std::move(packet));
-      }
-    } else {
-      src.local_out += 1;
-      queue_arrival(src.index, when, from, to, std::move(packet));
-    }
-    return;
-  }
   in_flight_ += 1;
   scheduler_.schedule_after(
       delay, [this, from, to, p = std::move(packet)]() mutable {
@@ -574,18 +263,9 @@ void Network::schedule_delivery(NodeId from, NodeId to, Packet packet,
       });
 }
 
-void Network::queue_arrival(std::size_t shard, SimTime when, NodeId from,
-                            NodeId to, Packet packet) {
-  shards_[shard].in_flight += 1;
-  shards_[shard].scheduler.schedule_at(
-      when, [this, from, to, p = std::move(packet)]() mutable {
-        deliver(from, to, std::move(p));
-      });
-}
-
 void Network::deliver(NodeId from, NodeId to, Packet p) {
-  inflight_for(to) -= 1;
-  NetStats& st = stats_for(to);
+  in_flight_ -= 1;
+  NetStats& st = stats_;
   // Re-check state at arrival: the destination may have crashed or a
   // partition formed while the packet was in flight.
   if (!is_up(to)) {
@@ -613,95 +293,14 @@ void Network::deliver(NodeId from, NodeId to, Packet p) {
 }
 
 void Network::set_timer(NodeId node, SimTime delay, std::uint64_t token) {
-  assert(t_shard == nullptr || t_shard->index == shard_of(node));
-  sched_for(node).schedule_after(delay, [this, node, token] {
+  scheduler_.schedule_after(delay, [this, node, token] {
     if (!is_up(node)) return;
     nodes_[node.value() - 1]->on_timer(token);
   });
 }
 
 void Network::schedule_control(SimTime delay, std::function<void()> action) {
-  if (delay < SimTime::zero()) delay = SimTime::zero();
-  if (!sharded()) {
-    // Serial mode: a plain event, exactly as chaos always scheduled its
-    // fault actions — bit-identical to the pre-sharding kernel.
-    scheduler_.schedule_after(delay, std::move(action));
-    return;
-  }
-  control_.schedule_at(global_now_ + delay, std::move(action));
-}
-
-std::size_t Network::run(std::size_t max_events) {
-  if (!sharded()) return scheduler_.run(max_events);
-  return run_sharded(SimTime::micros(std::numeric_limits<std::int64_t>::max()),
-                     max_events, /*advance_to_deadline=*/false);
-}
-
-std::size_t Network::run_until(SimTime deadline) {
-  if (!sharded()) return scheduler_.run_until(deadline);
-  return run_sharded(deadline, SIZE_MAX, /*advance_to_deadline=*/true);
-}
-
-std::size_t Network::run_sharded(SimTime deadline, std::size_t max_events,
-                                 bool advance_to_deadline) {
-  // Backstop only: every configuration path that can collapse the
-  // lookahead already calls check_lookahead() at setup time.
-  check_lookahead();
-  if (!pool_) pool_ = std::make_unique<Pool>(*this);
-  std::size_t executed = 0;
-  for (;;) {
-    std::optional<SimTime> next = control_.next_time();
-    for (const Shard& s : shards_) {
-      next = min_time(next, s.scheduler.next_time());
-    }
-    if (!next || *next > deadline) break;
-    if (executed >= max_events) break;
-    // Skip ahead to the earliest pending event: idle stretches cost one
-    // barrier instead of ceil(idle / lookahead) of them.
-    const SimTime t0 = std::max(global_now_, *next);
-    SimTime epoch_end = std::min(deadline, t0 + lookahead_);
-    if (const auto tc = control_.next_time(); tc && *tc < epoch_end) {
-      epoch_end = *tc;  // barriers land exactly on control due times
-    }
-    executed += pool_->run_epoch(epoch_end);
-    global_now_ = epoch_end;
-    merge_outboxes();
-    // Control actions (fault begin/end) apply at the barrier, quantized
-    // to epoch boundaries — error bounded by the lookahead.
-    executed += control_.run_until(epoch_end);
-    barriers_ += 1;
-    if (barrier_observer_) barrier_observer_(epoch_end);
-  }
-  if (advance_to_deadline) {
-    // Same clock contract as Scheduler::run_until: time reaches the
-    // deadline even with nothing left to run.
-    for (Shard& s : shards_) s.scheduler.run_until(deadline);
-    control_.run_until(deadline);
-    global_now_ = deadline;
-  }
-  return executed;
-}
-
-void Network::merge_outboxes() {
-  std::vector<Shard::CrossPacket> batch;
-  for (Shard& dst : shards_) {
-    batch.clear();
-    for (Shard& src : shards_) {
-      auto& box = src.outbox[dst.index];
-      batch.insert(batch.end(), std::make_move_iterator(box.begin()),
-                   std::make_move_iterator(box.end()));
-      box.clear();
-    }
-    std::sort(batch.begin(), batch.end(),
-              [](const Shard::CrossPacket& a, const Shard::CrossPacket& b) {
-                if (a.when != b.when) return a.when < b.when;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    for (Shard::CrossPacket& cp : batch) {
-      queue_arrival(dst.index, cp.when, cp.from, cp.to, std::move(cp.packet));
-    }
-  }
+  scheduler_.schedule_after(delay, std::move(action));
 }
 
 Node* Network::node(NodeId id) const {
@@ -714,42 +313,9 @@ NodeId Network::find_node(const std::string& name) const {
   return it == by_name_.end() ? NodeId::invalid() : it->second;
 }
 
-std::uint64_t Network::packets_in_flight() const {
-  if (!sharded()) return in_flight_;
-  std::uint64_t total = in_flight_;
-  for (const Shard& s : shards_) {
-    total += s.in_flight;
-    for (const auto& box : s.outbox) total += box.size();
-  }
-  return total;
-}
-
-const NetStats& Network::stats() const {
-  if (!sharded()) return stats_;
-  NetStats m = stats_;
-  for (const Shard& s : shards_) {
-    m.sent += s.stats.sent;
-    m.delivered += s.stats.delivered;
-    m.dropped_loss += s.stats.dropped_loss;
-    m.dropped_down += s.stats.dropped_down;
-    m.dropped_blocked += s.stats.dropped_blocked;
-    m.duplicated += s.stats.duplicated;
-    m.bytes_sent += s.stats.bytes_sent;
-    m.bytes_copied += s.stats.bytes_copied;
-    m.bytes_shared += s.stats.bytes_shared;
-  }
-  merged_stats_ = m;
-  return merged_stats_;
-}
-
 void Network::reset_stats() {
   stats_ = NetStats{};
   for (auto& s : node_stats_) s = NodeStats{};
-  for (Shard& s : shards_) {
-    s.stats = NetStats{};
-    s.cross_out = 0;
-    s.local_out = 0;
-  }
 }
 
 const NodeStats& Network::node_stats(NodeId id) const {
@@ -758,7 +324,7 @@ const NodeStats& Network::node_stats(NodeId id) const {
 }
 
 void Network::collect_metrics(obs::MetricsRegistry& registry) const {
-  const NetStats& st = stats();
+  const NetStats& st = stats_;
   registry.counter("net.sent") = st.sent;
   registry.counter("net.delivered") = st.delivered;
   registry.counter("net.dropped_loss") = st.dropped_loss;
@@ -776,45 +342,6 @@ void Network::collect_metrics(obs::MetricsRegistry& registry) const {
     registry.counter("net.node.received", labels) = ns.received;
     registry.counter("net.node.bytes_sent", labels) = ns.bytes_sent;
     registry.counter("net.node.bytes_received", labels) = ns.bytes_received;
-  }
-  // Serial runs export no kernel metrics, keeping their reports (and the
-  // bench baselines built from them) byte-identical to the old kernel.
-  if (sharded()) collect_kernel_metrics(registry);
-}
-
-void Network::collect_kernel_metrics(obs::MetricsRegistry& registry) const {
-  SchedulerStats sched = scheduler_.stats();
-  for (const Shard& s : shards_) {
-    const SchedulerStats& ss = s.scheduler.stats();
-    sched.scheduled += ss.scheduled;
-    sched.executed += ss.executed;
-    sched.heap_spills += ss.heap_spills;
-  }
-  sched.scheduled += control_.stats().scheduled;
-  sched.executed += control_.stats().executed;
-  sched.heap_spills += control_.stats().heap_spills;
-  registry.counter("sim.sched.scheduled") = sched.scheduled;
-  registry.counter("sim.sched.executed") = sched.executed;
-  registry.counter("sim.sched.heap_spills") = sched.heap_spills;
-  if (!sharded()) return;
-  registry.gauge("sim.shard.count") = static_cast<double>(shards_.size());
-  registry.gauge("sim.shard.lookahead_us") =
-      static_cast<double>(lookahead_.as_micros());
-  registry.counter("sim.shard.barriers") = barriers_;
-  std::uint64_t cross = 0, local = 0;
-  for (const Shard& s : shards_) {
-    cross += s.cross_out;
-    local += s.local_out;
-  }
-  registry.counter("sim.shard.cross_packets") = cross;
-  registry.counter("sim.shard.local_packets") = local;
-  for (const Shard& s : shards_) {
-    const obs::Labels labels{{"shard", std::to_string(s.index)}};
-    registry.gauge("sim.shard.nodes", labels) =
-        static_cast<double>(s.node_count);
-    registry.counter("sim.shard.events", labels) = s.scheduler.stats().executed;
-    registry.counter("sim.shard.stalls", labels) = s.stalls;
-    registry.counter("sim.shard.busy_us", labels) = s.busy_ns / 1000;
   }
 }
 

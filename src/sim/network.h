@@ -3,24 +3,9 @@
 // partitions). Connectivity is internet-like: any node may address any
 // other; failures subtract reachability.
 //
-// Execution has two modes:
-//  - Serial (default): one Scheduler drives every node, exactly as the
-//    original kernel did. Nothing in this mode changed — pop order, rng
-//    draw order, and every counter are bit-identical to the pre-sharding
-//    kernel, so seed replay and the chaos sweep hold.
-//  - Sharded (set_shards(k > 1)): nodes are partitioned across k shards,
-//    each with its own Scheduler, Rng stream, and counters, driven by k
-//    worker threads under conservative (LBTS-style) synchronization. The
-//    lookahead is the minimum latency of any cross-shard path: events a
-//    shard executes at time t can only create cross-shard arrivals at
-//    t + lookahead or later, so every shard may run an epoch
-//    [now, now + lookahead] without hearing from its peers. Cross-shard
-//    packets are buffered in per-(src,dst) outboxes owned by the sending
-//    shard's thread and merged at the epoch barrier in canonical
-//    (when, src_shard, seq) order — the merged schedule is a pure
-//    function of (seed, k), independent of thread timing.
-// See DESIGN.md "Sharded kernel" for the partitioning rule, the
-// lookahead math, and the determinism contract.
+// One Scheduler drives every node on one thread, so pop order, rng draw
+// order and every counter are a pure function of the seed: seed replay
+// and the chaos sweep depend on that.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +64,7 @@ struct NetChaosKnobs {
   /// unordered link (keyed by Network::pair_key) and per node (regional
   /// fault windows add every member of the region). A delivery pays the
   /// link entry for its pair plus the worse of its two endpoints' node
-  /// entries. Added delay only — the cross-shard lookahead stays valid.
+  /// entries.
   std::unordered_map<std::uint64_t, SimTime> link_latency;
   std::unordered_map<std::uint32_t, SimTime> node_latency;
 
@@ -96,46 +81,7 @@ struct NodeStats {
 
 class Network {
  public:
-  /// One partition of the node set: its own event queue, rng stream, and
-  /// counters, touched only by its worker thread during an epoch and
-  /// only by the main thread between epochs (the worker pool's mutex
-  /// orders the two). Public so the kernel internals are introspectable
-  /// from tests; not part of the driving API.
-  struct Shard {
-    /// One cross-shard packet, buffered until the epoch barrier. `seq`
-    /// is the sending shard's running counter: together with (when, src)
-    /// it gives the barrier merge a canonical total order that no thread
-    /// interleaving can perturb.
-    struct CrossPacket {
-      SimTime when;
-      std::uint32_t src;
-      std::uint64_t seq;
-      NodeId from;
-      NodeId to;
-      Packet packet;
-    };
-
-    Shard(std::uint32_t index_, std::size_t k, std::uint64_t seed)
-        : index(index_),
-          rng(seed ^ (0x9E3779B97F4A7C15ull * (index_ + 1))),
-          outbox(k) {}
-
-    std::uint32_t index;
-    Scheduler scheduler;
-    Rng rng;
-    NetStats stats;
-    std::uint64_t in_flight = 0;
-    std::uint64_t stalls = 0;     // epochs in which this shard ran nothing
-    std::uint64_t busy_ns = 0;    // wall time spent executing events
-    std::uint64_t cross_out = 0;  // deliveries that left this shard
-    std::uint64_t local_out = 0;  // deliveries that stayed intra-shard
-    std::uint64_t out_seq = 0;    // next CrossPacket seq
-    std::uint64_t node_count = 0;
-    std::vector<std::vector<CrossPacket>> outbox;  // index = dest shard
-  };
-
   explicit Network(std::uint64_t seed = 1);
-  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -159,64 +105,26 @@ class Network {
   /// Invoke on_start on every node (in id order). Call once after setup.
   void start();
 
-  /// The serial scheduler. Meaningful only in serial mode; sharded runs
-  /// keep their queues per shard and this one stays empty.
+  /// The event scheduler every node runs on.
   Scheduler& scheduler() { return scheduler_; }
 
-  /// Current virtual time for the calling context: a shard worker sees
-  /// its own shard clock, everyone else sees the global (barrier) clock —
-  /// which in serial mode is simply the scheduler clock.
-  SimTime now() const;
+  /// Current virtual time.
+  SimTime now() const { return scheduler_.now(); }
 
-  /// Deterministic random stream for the calling context (the shard's
-  /// stream on a worker thread, the base stream otherwise).
-  Rng& rng();
+  /// The network's deterministic random stream.
+  Rng& rng() { return rng_; }
 
-  /// --- Sharded execution --------------------------------------------------
-  /// Partition the nodes onto `k` shards and switch to parallel epoch
-  /// execution. `assignment[i]` is the shard of node value i+1 (see
-  /// sim/sharding.h for generators); empty means contiguous blocks.
-  /// Must be called before any event is queued (typically before
-  /// start()). k <= 1 is a no-op: the network stays on the serial,
-  /// bit-identical kernel.
-  void set_shards(std::size_t k, std::vector<std::uint32_t> assignment = {});
-
-  bool sharded() const { return !shards_.empty(); }
-  std::size_t shard_count() const { return sharded() ? shards_.size() : 1; }
-  /// Shard of a node (0 in serial mode).
-  std::uint32_t shard_of(NodeId node) const {
-    return sharded() ? shard_of_[node.value() - 1] : 0;
-  }
-  /// Conservative lookahead = min latency of any cross-shard path.
-  SimTime lookahead() const { return lookahead_; }
-
-  /// Schedule a control action (fault injection, probes) `delay` from the
-  /// current global time. Serial mode: a plain scheduler event, exactly
-  /// as chaos always scheduled faults. Sharded mode: queued on the
-  /// control timeline and applied at the first epoch barrier at or after
-  /// its due time — faults are quantized to barriers (error < lookahead),
-  /// which keeps them outside the parallel phase where they would race.
+  /// Schedule a control action (fault injection, probes) `delay` from
+  /// now: a plain scheduler event.
   void schedule_control(SimTime delay, std::function<void()> action);
-
-  /// Observer invoked at every epoch barrier with the barrier time, while
-  /// all shards are quiesced — the consistent global snapshot point where
-  /// invariant checkers may scan cross-shard state. One observer; empty
-  /// function detaches. Never invoked in serial mode.
-  void set_barrier_observer(std::function<void(SimTime)> fn) {
-    barrier_observer_ = std::move(fn);
-  }
 
   /// Default path characteristics for pairs without an override.
   void set_default_path(PathConfig config);
-  /// Override characteristics for a specific unordered pair. When
-  /// already sharded, a zero-latency config for a cross-shard pair is
-  /// rejected here (naming the pair) rather than failing later in run().
+  /// Override characteristics for a specific unordered pair.
   void set_path(NodeId a, NodeId b, PathConfig config);
 
   /// Install a WAN topology: path lookup becomes override -> region
-  /// matrix -> default, and the cross-shard lookahead derives from the
-  /// matrix (minimum entry over region pairs that actually span shards).
-  /// Legal before or after set_shards, but not mid-run.
+  /// matrix -> default. Not legal mid-run.
   void set_topology(Topology topo);
   const Topology* topology() const {
     return topology_ ? &*topology_ : nullptr;
@@ -237,8 +145,6 @@ class Network {
   /// --- Failure injection ------------------------------------------------
   /// Crash: node stops sending/receiving; in-flight packets to it drop,
   /// its storage (if any) loses pending writes per the fault knobs.
-  /// Sharded mode: only legal at quiescence / a barrier (route mid-run
-  /// faults through schedule_control).
   void crash(NodeId node);
   /// Restart a crashed node (on_restart is invoked).
   void restart(NodeId node);
@@ -247,8 +153,7 @@ class Network {
   /// --- Stable storage -----------------------------------------------------
   /// The node's simulated disk, created on first use. Survives crashes
   /// (minus whatever the crash semantics destroy) for the network's
-  /// lifetime. set_shards pre-creates every node's storage so worker
-  /// threads never mutate the map.
+  /// lifetime.
   Storage& storage(NodeId node);
   bool has_storage(NodeId node) const {
     return storages_.contains(node.value());
@@ -284,9 +189,8 @@ class Network {
   NetChaosKnobs& chaos() { return chaos_; }
   const NetChaosKnobs& chaos() const { return chaos_; }
 
-  /// Packets scheduled for delivery but not yet arrived (or dropped),
-  /// including cross-shard packets still waiting in outboxes.
-  std::uint64_t packets_in_flight() const;
+  /// Packets scheduled for delivery but not yet arrived (or dropped).
+  std::uint64_t packets_in_flight() const { return in_flight_; }
 
   /// --- Messaging ----------------------------------------------------------
   /// Send a packet; returns false if it was dropped at send time (sender or
@@ -303,59 +207,33 @@ class Network {
   NodeId find_node(const std::string& name) const;
   std::size_t node_count() const { return nodes_.size(); }
 
-  /// Aggregate counters; in sharded mode a merged view over all shards
-  /// (only valid at quiescence, like every other sharded-mode read).
-  const NetStats& stats() const;
+  /// Aggregate counters.
+  const NetStats& stats() const { return stats_; }
   void reset_stats();
   const NodeStats& node_stats(NodeId id) const;
 
   /// Export the aggregate and per-node counters into `registry` under
-  /// `net.*` / `net.node.*{node=...}`, plus `sim.shard.*` when sharded
-  /// (see docs/OBSERVABILITY.md).
+  /// `net.*` / `net.node.*{node=...}` (see docs/OBSERVABILITY.md).
   void collect_metrics(obs::MetricsRegistry& registry) const;
 
-  /// Export kernel counters (`sim.sched.*`, and `sim.shard.*` when
-  /// sharded) regardless of mode — bench harnesses call this to compare
-  /// serial and sharded rows side by side.
-  void collect_kernel_metrics(obs::MetricsRegistry& registry) const;
-
-  /// Run until the event queue drains or `max_events` executed. Sharded
-  /// mode checks `max_events` at epoch granularity.
-  std::size_t run(std::size_t max_events = SIZE_MAX);
+  /// Run until the event queue drains or `max_events` executed.
+  std::size_t run(std::size_t max_events = SIZE_MAX) {
+    return scheduler_.run(max_events);
+  }
   /// Run all events with timestamp <= deadline; the clock always advances
   /// to `deadline` (see Scheduler::run_until).
-  std::size_t run_until(SimTime deadline);
+  std::size_t run_until(SimTime deadline) {
+    return scheduler_.run_until(deadline);
+  }
 
  private:
-  struct Pool;
-
   void register_node(std::string name, std::unique_ptr<Node> node);
   const PathConfig& path_for(NodeId a, NodeId b) const;
-  /// Throw (naming the offending pair) if any cross-shard path has zero
-  /// latency — called from every config path that can collapse the
-  /// lookahead, so misconfiguration surfaces at setup time.
-  void check_lookahead() const;
   void schedule_delivery(NodeId from, NodeId to, Packet packet,
                          SimTime delay);
   /// Arrival-time half of a delivery (drop re-checks + on_packet).
   void deliver(NodeId from, NodeId to, Packet packet);
-  /// Queue the arrival on `shard`'s scheduler at absolute time `when`.
-  void queue_arrival(std::size_t shard, SimTime when, NodeId from, NodeId to,
-                     Packet packet);
 
-  Scheduler& sched_for(NodeId node);
-  Rng& rng_for(NodeId node);
-  NetStats& stats_for(NodeId node);
-  std::uint64_t& inflight_for(NodeId node);
-
-  void recompute_lookahead();
-  /// Drain every shard's outboxes into the destination schedulers in
-  /// canonical (when, src_shard, seq) order. Barrier-time only.
-  void merge_outboxes();
-  std::size_t run_sharded(SimTime deadline, std::size_t max_events,
-                          bool advance_to_deadline);
-
-  std::uint64_t seed_;
   Scheduler scheduler_;
   Rng rng_;
   std::vector<std::unique_ptr<Node>> nodes_;  // index = id - 1
@@ -374,17 +252,6 @@ class Network {
   NetChaosKnobs chaos_;
   std::uint64_t in_flight_ = 0;
   NetStats stats_;
-
-  // --- Sharded-mode state (empty / inert in serial mode) ---
-  std::vector<Shard> shards_;
-  std::vector<std::uint32_t> shard_of_;  // index = id - 1
-  SimTime lookahead_ = SimTime::zero();
-  SimTime global_now_ = SimTime::zero();
-  Scheduler control_;  // barrier-applied control actions (faults, probes)
-  std::function<void(SimTime)> barrier_observer_;
-  std::unique_ptr<Pool> pool_;
-  std::uint64_t barriers_ = 0;
-  mutable NetStats merged_stats_;  // scratch for stats() in sharded mode
 };
 
 }  // namespace gsalert::sim

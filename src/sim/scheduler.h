@@ -2,8 +2,8 @@
 // queue of callbacks. Ties at the same timestamp are broken by insertion
 // order, so runs are exactly reproducible.
 //
-// The queue is a binary heap over a reservable vector of move-only
-// entries (sim::SmallAction): scheduling a typical packet-delivery lambda
+// The queue is a binary heap over a vector of move-only entries
+// (sim::SmallAction): scheduling a typical packet-delivery lambda
 // allocates nothing, and popping an event moves it out instead of copying
 // the capture the way std::priority_queue + std::function did. The
 // (when, seq) comparator is a total order, so heap pop order — and with
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -20,7 +19,8 @@
 namespace gsalert::sim {
 
 /// Allocation/throughput counters for one scheduler instance. Free to
-/// bump (plain fields); exported by the sharded network as sim.shard.*.
+/// bump (plain fields); perf_smoke_test gates heap_spills and perfbench
+/// reads `executed` as its sim.events layer metric.
 struct SchedulerStats {
   std::uint64_t scheduled = 0;    // schedule_at/schedule_after calls
   std::uint64_t executed = 0;     // actions run
@@ -47,26 +47,16 @@ class Scheduler {
   /// Run all events with timestamp <= deadline (events scheduled during
   /// execution are included if they fall within the deadline).
   ///
-  /// Clock contract (the sharded kernel's barrier logic relies on it):
-  /// the clock ALWAYS advances to `deadline` on return, even when the
-  /// queue drains early or was empty to begin with — an epoch boundary
-  /// is a statement about time, not about pending work. Asserted by
+  /// Clock contract: the clock ALWAYS advances to `deadline` on return,
+  /// even when the queue drains early or was empty to begin with — a
+  /// deadline is a statement about time, not about pending work, so a
+  /// loop that runs in fixed slices (`while (now() < until)
+  /// run_until(now() + slice)`) always terminates. Asserted by
   /// SchedulerTest.RunUntilAdvancesClockOnEmptyQueue.
   std::size_t run_until(SimTime deadline);
 
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
-
-  /// Timestamp of the earliest pending event (nullopt when empty). The
-  /// sharded kernel's lower-bound-on-time-stamp computation peeks this.
-  std::optional<SimTime> next_time() const {
-    if (heap_.empty()) return std::nullopt;
-    return heap_.front().when;
-  }
-
-  /// Pre-size the event vector (the sharded kernel reserves per-shard
-  /// queues up front so epoch bursts do not reallocate mid-run).
-  void reserve(std::size_t n) { heap_.reserve(n); }
 
   const SchedulerStats& stats() const { return stats_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace gsalert::sim {
 
@@ -58,18 +57,6 @@ bool Topology::valid() const {
     }
   }
   return true;
-}
-
-SimTime Topology::min_latency() const {
-  SimTime m = SimTime::micros(std::numeric_limits<std::int64_t>::max());
-  for (const PathConfig& p : matrix) m = std::min(m, p.latency);
-  return matrix.empty() ? SimTime::zero() : m;
-}
-
-SimTime Topology::max_latency() const {
-  SimTime m = SimTime::zero();
-  for (const PathConfig& p : matrix) m = std::max(m, p.latency);
-  return m;
 }
 
 Topology Topology::uniform(PathConfig base) {

@@ -5,11 +5,9 @@
 // A Topology is declarative: it never touches a Network directly.
 // Network::set_topology installs one, after which path lookup resolves
 // explicit per-pair overrides first, then the matrix entry for the two
-// endpoints' regions, and the conservative cross-shard lookahead is
-// derived from the matrix (minimum entry over region pairs that actually
-// span shards) instead of the default path. Region membership is a pure
-// function of the node index, so the same Topology applies to any node
-// count and a fixed (seed, K) replay stays byte-identical.
+// endpoints' regions. Region membership is a pure function of the node
+// index, so the same Topology applies to any node count and a fixed-seed
+// replay stays byte-identical.
 //
 // The named generators below form the topology zoo used by the bench
 // sweep and the chaos sweep's every-Nth-seed WAN configurations (see
@@ -73,10 +71,6 @@ struct Topology {
 
   /// True when the matrix has regions^2 symmetric entries.
   bool valid() const;
-
-  /// Extremes over the whole matrix (lookahead / settle-time sizing).
-  SimTime min_latency() const;
-  SimTime max_latency() const;
 
   // --- the zoo -----------------------------------------------------------
   /// Single region, every path identical — the legacy model.

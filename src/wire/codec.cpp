@@ -1,6 +1,5 @@
 #include "wire/codec.h"
 
-#include <atomic>
 #include <bit>
 #include <cstring>
 
@@ -24,22 +23,14 @@ T read_le(const std::byte* p) {
   }
   return v;
 }
-// Writers run on sharded-kernel worker threads concurrently, so the
-// process-wide counters are bumped through relaxed atomic_refs; the
-// struct stays plain for single-threaded readers (benches, tests read it
-// at quiescence).
-WriterStats g_writer_stats;
 
-void bump(std::uint64_t& counter) {
-  std::atomic_ref<std::uint64_t>(counter).fetch_add(
-      1, std::memory_order_relaxed);
-}
+WriterStats g_writer_stats;
 }  // namespace
 
 WriterStats& writer_stats() { return g_writer_stats; }
 void reset_writer_stats() { g_writer_stats = WriterStats{}; }
 
-Writer::Writer() { bump(g_writer_stats.writers); }
+Writer::Writer() { g_writer_stats.writers += 1; }
 
 void Writer::reserve(std::size_t n) {
   buffer_.reserve(buffer_.size() + n);
@@ -48,9 +39,9 @@ void Writer::reserve(std::size_t n) {
 
 void Writer::note_growth(std::size_t extra) {
   if (buffer_.size() + extra <= buffer_.capacity()) return;
-  bump(g_writer_stats.grows);
+  g_writer_stats.grows += 1;
   if (reserved_) {
-    bump(g_writer_stats.reserve_shortfalls);
+    g_writer_stats.reserve_shortfalls += 1;
     shortfall_ = true;
   }
 }

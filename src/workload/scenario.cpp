@@ -7,7 +7,6 @@
 #include "obs/metrics_registry.h"
 #include "profiles/event_context.h"
 #include "profiles/parser.h"
-#include "sim/sharding.h"
 
 namespace gsalert::workload {
 
@@ -58,7 +57,6 @@ Scenario::Scenario(ScenarioConfig config)
     net_.set_topology(*std::move(topo));
   }
   build_world();
-  apply_sharding();
   net_.start();
   settle(SimTime::millis(200));
 }
@@ -158,36 +156,6 @@ void Scenario::build_world() {
     }
   }
   wire_links();
-}
-
-void Scenario::apply_sharding() {
-  if (config_.sim_shards <= 1) return;
-  const std::size_t n = net_.node_count();
-  const std::size_t k = static_cast<std::size_t>(config_.sim_shards);
-  if (config_.strategy != Strategy::kGsAlert) {
-    // Baselines have no stratum tree; contiguous blocks at least keep
-    // each server's clients adjacent (they are created together).
-    net_.set_shards(k, sim::shard_contiguous(n, k));
-    return;
-  }
-  // Shard along the GDS stratum tree: each subtree under a root child is
-  // one unit, GS servers ride with their attached GDS leaf, clients with
-  // their home server — so flood traffic stays intra-shard and only
-  // root<->stratum-2 edges cross.
-  std::vector<std::uint32_t> parent(n, 0);
-  const auto set_parent = [&parent](NodeId child, NodeId p) {
-    parent[child.value() - 1] = p.value();
-  };
-  for (const gds::GdsServer* g : gds_tree_.nodes) {
-    if (g->parent().valid()) set_parent(g->id(), g->parent());
-  }
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    set_parent(servers_[i]->id(), gds_tree_.leaf_for(i)->id());
-  }
-  for (const alerting::Client* c : clients_) {
-    set_parent(c->id(), c->home());
-  }
-  net_.set_shards(k, sim::shard_by_tree(n, parent, k));
 }
 
 void Scenario::wire_links() {

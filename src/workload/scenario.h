@@ -76,12 +76,6 @@ struct ScenarioConfig {
   std::size_t journal_compact_bytes = 0;
   bool gds_dedup = true;            // ablation switch (E7); also B4 dedup
   bool b2_covering = false;         // ablation switch (E5): B2 merging
-  /// Parallel-kernel width: > 1 partitions the world onto this many
-  /// shards (kGsAlert shards along the GDS stratum tree — servers stay
-  /// with their GDS leaf, clients with their server; other strategies
-  /// fall back to contiguous blocks). 1 = the serial, bit-identical
-  /// kernel. See DESIGN.md "Sharded kernel".
-  int sim_shards = 1;
 };
 
 class Scenario {
@@ -217,9 +211,6 @@ class Scenario {
 
   void build_world();
   void wire_links();
-  /// Partition the finished world onto config_.sim_shards shards (no-op
-  /// at 1). Must run after build_world and before net_.start().
-  void apply_sharding();
   std::string host_name(int i) const { return "Host" + std::to_string(i); }
 
   ScenarioConfig config_;

@@ -346,34 +346,6 @@ TEST(GdsFailureTest, GdsRestartRecoversRegistrationsFromJournal) {
   EXPECT_EQ(received, 3);
 }
 
-TEST(GdsFailureTest, NonDurableRestartRelearnsRegistrationsFromRefresh) {
-  GdsConfig config;
-  config.durable = false;  // legacy amnesia semantics (ablation)
-  World w;
-  w.build(2, 2, 4, config);
-
-  GdsServer* leaf = w.tree.nodes[1];
-  const std::size_t before = leaf->registered_count();
-  EXPECT_GT(before, 0u);
-  w.net.crash(leaf->id());
-  w.net.run_until(SimTime::seconds(1));
-  w.net.restart(leaf->id());
-  w.net.run_until(SimTime::millis(1100));  // let on_restart execute
-  EXPECT_EQ(leaf->registered_count(), 0u);  // volatile state lost
-  w.net.run_until(SimTime::seconds(6));     // refresh interval is 2s
-  EXPECT_EQ(leaf->registered_count(), before);
-
-  // And broadcasts flow again end-to-end.
-  for (auto* s : w.servers) s->deliveries.clear();
-  w.servers[0]->client().broadcast(kTestPayload, {});
-  w.net.run_until(SimTime::seconds(8));
-  int received = 0;
-  for (std::size_t i = 1; i < w.servers.size(); ++i) {
-    received += static_cast<int>(w.servers[i]->deliveries.size());
-  }
-  EXPECT_EQ(received, 3);
-}
-
 TEST(GdsFailureTest, SiblingRingSurvivesRootDeath) {
   GdsConfig config;
   config.heartbeat_interval = SimTime::millis(200);

@@ -790,19 +790,6 @@ TEST(MetricsNamingLintTest, EveryExportedMetricNameIsDocumented) {
   profiler.disable();
   profiler.export_to(reg);
 
-  // The sharded kernel exports sim.shard.* / sim.sched.* only when
-  // sim_shards > 1, so a second, sharded scenario covers that path.
-  workload::ScenarioConfig sharded_config;
-  sharded_config.n_servers = 4;
-  sharded_config.clients_per_server = 1;
-  sharded_config.seed = 23;
-  sharded_config.sim_shards = 2;
-  workload::Scenario sharded{sharded_config};
-  sharded.setup_collections();
-  sharded.setup_distributed(2);
-  sharded.settle(SimTime::seconds(2));
-  sharded.collect_metrics(reg);
-
   std::set<std::string> undocumented;
   std::istringstream snapshot{reg.text_snapshot()};
   std::string line;

@@ -126,13 +126,17 @@ TEST(PerfSmokeTest, BroadcastSendPathStaysWithinBudget) {
       ns.bytes_shared / static_cast<std::uint64_t>(events);
   const std::uint64_t grows_per_event =
       ws.grows / static_cast<std::uint64_t>(events);
+  const sim::SchedulerStats& sched = net.scheduler().stats();
   std::printf(
       "perf-smoke measured: bytes_copied/event=%llu bytes_shared/event=%llu "
-      "writer_grows/event=%llu reserve_shortfalls=%llu\n",
+      "writer_grows/event=%llu reserve_shortfalls=%llu sched_executed=%llu "
+      "sched_heap_spills=%llu\n",
       static_cast<unsigned long long>(copied_per_event),
       static_cast<unsigned long long>(shared_per_event),
       static_cast<unsigned long long>(grows_per_event),
-      static_cast<unsigned long long>(ws.reserve_shortfalls));
+      static_cast<unsigned long long>(ws.reserve_shortfalls),
+      static_cast<unsigned long long>(sched.executed),
+      static_cast<unsigned long long>(sched.heap_spills));
 
   EXPECT_LE(copied_per_event, budget.at("max_bytes_copied_per_event"))
       << "send path copies more bytes per event than budgeted — did a "
@@ -145,8 +149,7 @@ TEST(PerfSmokeTest, BroadcastSendPathStaysWithinBudget) {
   EXPECT_LE(ws.reserve_shortfalls, budget.at("max_reserve_shortfalls"))
       << "a Writer::reserve() estimate undershot; fix the wire_size "
          "estimate at the encode site";
-  EXPECT_LE(net.scheduler().stats().heap_spills,
-            budget.at("max_sched_heap_spills"))
+  EXPECT_LE(sched.heap_spills, budget.at("max_sched_heap_spills"))
       << "a scheduled closure outgrew SmallAction's inline buffer — the "
          "event loop is heap-allocating per event again; shrink the "
          "capture (or justify raising kInlineBytes in small_action.h)";

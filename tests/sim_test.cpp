@@ -80,9 +80,9 @@ TEST(SchedulerTest, NegativeDelayClampsToNow) {
 }
 
 TEST(SchedulerTest, RunUntilAdvancesClockOnEmptyQueue) {
-  // The clock contract the sharded kernel's epoch barriers rely on: a
-  // deadline is a statement about time, not pending work, so run_until
-  // advances the clock even when there is nothing (left) to run.
+  // A deadline is a statement about time, not pending work, so run_until
+  // advances the clock even when there is nothing (left) to run — the
+  // contract slice-by-slice run loops rely on to terminate.
   Scheduler s;
   s.run_until(SimTime::millis(40));
   EXPECT_EQ(s.now(), SimTime::millis(40));
@@ -92,17 +92,6 @@ TEST(SchedulerTest, RunUntilAdvancesClockOnEmptyQueue) {
   s.run_until(SimTime::millis(100));  // drains at t=41, clock reaches 100
   EXPECT_EQ(count, 1);
   EXPECT_EQ(s.now(), SimTime::millis(100));
-}
-
-TEST(SchedulerTest, NextTimePeeksEarliestPending) {
-  Scheduler s;
-  EXPECT_FALSE(s.next_time().has_value());
-  s.schedule_after(SimTime::millis(9), [] {});
-  s.schedule_after(SimTime::millis(3), [] {});
-  ASSERT_TRUE(s.next_time().has_value());
-  EXPECT_EQ(*s.next_time(), SimTime::millis(3));
-  s.run();
-  EXPECT_FALSE(s.next_time().has_value());
 }
 
 TEST(SchedulerTest, StatsCountScheduledExecutedAndSpills) {

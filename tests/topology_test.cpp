@@ -1,8 +1,7 @@
-// WAN topology zoo: catalog integrity, scenario integration, and the
-// sharded kernel's equivalence contract on region-matrix worlds — the
-// delivered set of a zoo run must not depend on K, and a fixed
-// (seed, K) replay stays byte-identical, adaptive re-parenting
-// included.
+// WAN topology zoo: catalog integrity, scenario integration, and zoo
+// worlds end to end — every zoo world delivers with no false negatives
+// (the adaptive multi-region tree included), and a fixed-seed replay is
+// byte-identical, adaptive re-parenting included.
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
@@ -26,9 +25,6 @@ TEST(TopologyZooTest, EveryZooEntryResolvesWithValidMatrix) {
     ASSERT_TRUE(topo.has_value()) << name;
     EXPECT_EQ(topo->name, name);
     EXPECT_TRUE(topo->valid()) << name;
-    // Lookahead safety: no zoo entry may carry a zero-latency path, or a
-    // sharded run on it would lose the conservative barrier bound.
-    EXPECT_GT(topo->min_latency(), SimTime::zero()) << name;
   }
 }
 
@@ -46,7 +42,7 @@ TEST(TopologyZooTest, ScenarioRejectsUnknownTopologyAtConstruction) {
 TEST(TopologyZooTest, RegionMatrixStretchesLatencyOverUniform) {
   // The same seed and workload on multi-region must see strictly slower
   // tails than the uniform mesh — proof the matrix actually drives
-  // per-pair path latency, not just the lookahead.
+  // per-pair path latency.
   const auto p99 = [](const std::string& topology) {
     workload::ScenarioConfig config;
     config.n_servers = 8;
@@ -66,18 +62,11 @@ TEST(TopologyZooTest, RegionMatrixStretchesLatencyOverUniform) {
   EXPECT_GT(p99("multi-region"), p99("uniform"));
 }
 
-// --- sharded equivalence on zoo worlds ----------------------------------
+// --- zoo worlds end to end -----------------------------------------------
 //
-// Every zoo matrix carries per-link jitter, and jitter draws come from
-// per-shard RNG streams — so cross-K byte-equality is out of scope by
-// the kernel's documented contract (shard_test: determinism across K is
-// promised only on loss-free, jitter-free, chaos-free configurations).
-// What the kernel MUST still preserve across shard counts is the
-// correctness outcome: the delivered set (who got which build of which
-// collection) and the false-negative count. Timing-sensitive fields
-// (delivery timestamps, control-message totals) are only required to be
-// byte-identical for a fixed (seed, K) replay; K=1 is the serial kernel
-// itself (Network::set_shards(1) is a no-op).
+// Every zoo matrix carries per-link jitter drawn from the network's seeded
+// stream, so a fixed seed fixes every delivery timestamp: the full
+// fingerprint and the metrics snapshot must replay exactly.
 
 struct Fingerprint {
   std::vector<std::string> delivered;      // client#collection#version
@@ -90,8 +79,8 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
-Fingerprint run_zoo_scenario(const std::string& topology, int shards,
-                             bool adaptive, std::uint64_t seed) {
+Fingerprint run_zoo_scenario(const std::string& topology, bool adaptive,
+                             std::uint64_t seed) {
   workload::ScenarioConfig config;
   config.strategy = workload::Strategy::kGsAlert;
   config.n_servers = 12;
@@ -100,7 +89,6 @@ Fingerprint run_zoo_scenario(const std::string& topology, int shards,
   config.seed = seed;
   config.sim_topology = topology;
   config.adaptive_tree = adaptive;
-  config.sim_shards = shards;
   workload::Scenario scenario{config};
   scenario.setup_collections();
   scenario.subscribe_all(2);
@@ -132,58 +120,37 @@ Fingerprint run_zoo_scenario(const std::string& topology, int shards,
   return fp;
 }
 
-TEST(ZooShardEquivalenceTest, DeliveredSetsMatchAcrossShardCountsOnZoo) {
+TEST(ZooWorldTest, EveryZooWorldDeliversWithoutFalseNegatives) {
   for (const std::string& topology : sim::topology_zoo()) {
-    if (topology == "uniform") continue;  // covered by shard_test
-    const Fingerprint k1 = run_zoo_scenario(topology, 1, false, 404);
-    ASSERT_GT(k1.delivered_matching, 0u) << topology;
-    EXPECT_EQ(k1.false_negatives, 0u) << topology;
-    const Fingerprint k4 = run_zoo_scenario(topology, 4, false, 404);
-    // Jitter timing differs per shard stream; the delivered set and the
-    // correctness counters may not.
-    EXPECT_EQ(k1.delivered, k4.delivered) << topology;
-    EXPECT_EQ(k1.delivered_matching, k4.delivered_matching) << topology;
-    EXPECT_EQ(k4.false_negatives, 0u) << topology;
+    const Fingerprint fp = run_zoo_scenario(topology, false, 404);
+    ASSERT_GT(fp.delivered_matching, 0u) << topology;
+    EXPECT_EQ(fp.false_negatives, 0u) << topology;
   }
 }
 
-TEST(ZooShardEquivalenceTest, AdaptiveTreeStaysEquivalentAcrossShards) {
-  // Jittered RTT samples differ per shard stream, so the adaptive tree
-  // may even converge to a different shape at each K — and the delivered
-  // set STILL must not change: re-parenting is not allowed to drop or
-  // duplicate a notification no matter how the world is partitioned.
-  const Fingerprint k1 = run_zoo_scenario("multi-region", 1, true, 515);
-  ASSERT_GT(k1.delivered_matching, 0u);
-  const Fingerprint k2 = run_zoo_scenario("multi-region", 2, true, 515);
-  const Fingerprint k4 = run_zoo_scenario("multi-region", 4, true, 515);
-  EXPECT_EQ(k1.delivered, k2.delivered);
-  EXPECT_EQ(k1.delivered, k4.delivered);
-  EXPECT_EQ(k1.delivered_matching, k2.delivered_matching);
-  EXPECT_EQ(k1.delivered_matching, k4.delivered_matching);
-  EXPECT_EQ(k2.false_negatives, 0u);
-  EXPECT_EQ(k4.false_negatives, 0u);
+TEST(ZooWorldTest, AdaptiveMultiRegionDeliversWithoutFalseNegatives) {
+  // Jittered RTT samples drive the adaptive tree's re-parenting, which
+  // is not allowed to drop a notification.
+  const Fingerprint fp = run_zoo_scenario("multi-region", true, 515);
+  ASSERT_GT(fp.delivered_matching, 0u);
+  EXPECT_EQ(fp.false_negatives, 0u);
 }
 
-TEST(ZooShardEquivalenceTest, FixedSeedAndKReplayMatchesFullFingerprint) {
-  // Within one (seed, K) the jitter streams are fixed, so the FULL
-  // fingerprint — timestamps and network totals included — must replay
-  // exactly, for both the serial kernel and a sharded run.
-  for (const int shards : {1, 4}) {
-    const Fingerprint a = run_zoo_scenario("mobile-churn", shards, true, 99);
-    const Fingerprint b = run_zoo_scenario("mobile-churn", shards, true, 99);
-    ASSERT_GT(a.delivered_matching, 0u) << shards;
-    EXPECT_EQ(a, b) << shards;
-  }
+TEST(ZooWorldTest, FixedSeedReplayMatchesFullFingerprint) {
+  // Timestamps and network totals included.
+  const Fingerprint a = run_zoo_scenario("mobile-churn", true, 99);
+  const Fingerprint b = run_zoo_scenario("mobile-churn", true, 99);
+  ASSERT_GT(a.delivered_matching, 0u);
+  EXPECT_EQ(a, b);
 }
 
-TEST(ZooShardEquivalenceTest, FixedSeedAndKReplayIsByteIdentical) {
+TEST(ZooWorldTest, FixedSeedReplayMetricsAreByteIdentical) {
   const auto snapshot = [] {
     workload::ScenarioConfig config;
     config.n_servers = 12;
     config.seed = 23;
     config.sim_topology = "mobile-churn";
     config.adaptive_tree = true;
-    config.sim_shards = 4;
     workload::Scenario scenario{config};
     scenario.setup_collections();
     scenario.subscribe_all(1);
@@ -192,15 +159,7 @@ TEST(ZooShardEquivalenceTest, FixedSeedAndKReplayIsByteIdentical) {
     scenario.settle(SimTime::seconds(3));
     obs::MetricsRegistry registry;
     scenario.collect_metrics(registry);
-    std::istringstream in{registry.text_snapshot()};
-    std::string line, filtered;
-    while (std::getline(in, line)) {
-      // Thread-clock series are documented nondeterministic.
-      if (line.find("busy_us") != std::string::npos) continue;
-      filtered += line;
-      filtered += '\n';
-    }
-    return filtered;
+    return registry.text_snapshot();
   };
   const std::string a = snapshot();
   const std::string b = snapshot();

@@ -19,9 +19,6 @@
 //   bench_sentinel --self-test            parser + rule engine + an
 //                                         injected 2x latency regression
 //                                         that MUST be caught
-//
-// Legacy *.before.json / *.after.json ablation pairs in the baseline
-// directory are not sentinel subjects and are skipped.
 #include <algorithm>
 #include <cctype>
 #include <cmath>
@@ -422,17 +419,12 @@ std::size_t compare_samples(const Samples& baseline, const Samples& current,
   return compared;
 }
 
-/// A canonical report file is BENCH_*.json but not a legacy ablation
-/// snapshot (*.before.json / *.after.json) and not a raw google-benchmark
-/// dump (GBENCH_*).
+/// A canonical report file is BENCH_*.json (not a raw google-benchmark
+/// dump, GBENCH_*).
 bool is_canonical_report(const std::string& filename) {
   if (filename.rfind("BENCH_", 0) != 0) return false;
-  if (filename.size() < 5 || filename.substr(filename.size() - 5) != ".json") {
-    return false;
-  }
-  if (filename.find(".before.json") != std::string::npos) return false;
-  if (filename.find(".after.json") != std::string::npos) return false;
-  return true;
+  return filename.size() >= 5 &&
+         filename.substr(filename.size() - 5) == ".json";
 }
 
 std::vector<std::filesystem::path> list_reports(
