@@ -67,7 +67,8 @@ struct BuildWorld {
     std::vector<CollectionRef> colls;
     std::vector<workload::MetadataSchema> schemas{gen.schema()};
     for (int c = 0; c < kLocalCollections; ++c) {
-      const std::string coll_name = "C" + std::to_string(c);
+      std::string coll_name = "C";
+      coll_name += std::to_string(c);
       server->add_collection(gen.make_config(coll_name),
                              gen.make_data_set(next_id, 50));
       next_id += 50;
@@ -77,8 +78,9 @@ struct BuildWorld {
       hosts.push_back("Remote" + std::to_string(h));
       schemas.push_back(workload::MetadataSchema::for_host(hosts.back(), 7));
       for (int c = 0; c < 9; ++c) {
-        colls.push_back(
-            CollectionRef{hosts.back(), "C" + std::to_string(c)});
+        std::string name = "C";
+        name += std::to_string(c);
+        colls.push_back(CollectionRef{hosts.back(), std::move(name)});
       }
     }
     // Zipf popularity is by list position; shuffle so Hamilton's own
@@ -96,8 +98,8 @@ struct BuildWorld {
   }
 
   void rebuild(int docs) {
-    const std::string coll =
-        "C" + std::to_string(rebuild_round_++ % kLocalCollections);
+    std::string coll = "C";
+    coll += std::to_string(rebuild_round_++ % kLocalCollections);
     const Status s =
         server->rebuild_collection(coll, gen.make_data_set(next_id, docs));
     next_id += static_cast<DocumentId>(docs);

@@ -109,7 +109,9 @@ int main() {
   std::vector<alerting::Client*> clients;
   clients.reserve(kClients);
   for (std::size_t i = 0; i < kClients; ++i) {
-    auto* client = net.make_node<alerting::Client>("c" + std::to_string(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    auto* client = net.make_node<alerting::Client>(std::move(name));
     client->set_home(server->id());
     client->set_notification_sink(
         [&](SubscriptionId sub, const docmodel::Event& event, SimTime at) {
@@ -131,7 +133,9 @@ int main() {
   std::vector<CollectionRef> collections;
   collections.reserve(kCollections);
   for (std::size_t i = 0; i < kCollections; ++i) {
-    collections.push_back({"hamilton", "c" + std::to_string(i)});
+    std::string name = "c";
+    name += std::to_string(i);
+    collections.push_back({"hamilton", std::move(name)});
   }
   const auto wall_t0 = std::chrono::steady_clock::now();
   const auto wall_secs = [&] {

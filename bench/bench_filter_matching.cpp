@@ -48,7 +48,9 @@ struct MatchWorld {
       hosts.push_back("Host" + std::to_string(h));
       schemas.push_back(workload::MetadataSchema::for_host(hosts.back(), 42));
       for (int c = 0; c < 10; ++c) {
-        colls.push_back(CollectionRef{hosts.back(), "C" + std::to_string(c)});
+        std::string name = "C";
+        name += std::to_string(c);
+        colls.push_back(CollectionRef{hosts.back(), std::move(name)});
       }
     }
     for (int i = 0; i < n_profiles; ++i) {
@@ -66,8 +68,9 @@ struct MatchWorld {
       docmodel::Event event;
       event.id = {hosts[h], static_cast<std::uint64_t>(e)};
       event.type = docmodel::EventType::kCollectionRebuilt;
-      event.collection =
-          CollectionRef{hosts[h], "C" + std::to_string(rng.uniform_int(0, 9))};
+      std::string coll = "C";
+      coll += std::to_string(rng.uniform_int(0, 9));
+      event.collection = CollectionRef{hosts[h], std::move(coll)};
       event.physical_origin = event.collection;
       event.build_version = 2;
       for (int d = 0; d < 3; ++d) {

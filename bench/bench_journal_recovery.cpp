@@ -41,21 +41,17 @@ struct ToyState {
       if (r.ok()) kv.erase(key);
     }
   }
-  void snapshot(wire::Writer& w) const {
-    w.u32(static_cast<std::uint32_t>(kv.size()));
-    for (const auto& [key, value] : kv) {
+  /// The one kSet encoder: live appends and snapshots both use it.
+  static void put_set(const journal::RecordSink& out, const std::string& key,
+                      std::uint64_t value) {
+    out.put(kSet, journal::str_wire(key) + 8, [&](wire::Writer& w) {
       w.str(key);
       w.u64(value);
-    }
+    });
   }
-  void load(wire::Reader& r) {
-    kv.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      std::string key = r.str();
-      const std::uint64_t value = r.u64();
-      if (r.ok()) kv[key] = value;
-    }
+  /// A snapshot is the kSet records that rebuild `kv`.
+  void snapshot(const journal::RecordSink& out) const {
+    for (const auto& [key, value] : kv) put_set(out, key, value);
   }
 };
 
@@ -65,17 +61,14 @@ void produce(journal::Journal& journal, ToyState& state, int records) {
   for (int i = 0; i < records; ++i) {
     const std::string key =
         "key" + std::to_string(rng.uniform_int(0, kKeySpace - 1));
-    wire::Writer w;
     if (rng.chance(0.2)) {
+      wire::Writer w;
       w.reserve(4 + key.size());
       w.str(key);
       journal.append(kErase, std::move(w));
       state.kv.erase(key);
     } else {
-      w.reserve(4 + key.size() + 8);
-      w.str(key);
-      w.u64(static_cast<std::uint64_t>(i));
-      journal.append(kSet, std::move(w));
+      ToyState::put_set(&journal, key, static_cast<std::uint64_t>(i));
       state.kv[key] = static_cast<std::uint64_t>(i);
     }
     if (i % 8 == 7) journal.commit();
@@ -104,7 +97,7 @@ Measurement measure(int records, std::size_t compact_threshold,
   {
     journal::Journal writer{storage, "bench", "bench-node", policy};
     writer.set_snapshot_writer(
-        [&](wire::Writer& w) { writer_state.snapshot(w); });
+        [&](const journal::RecordSink& out) { writer_state.snapshot(out); });
     produce(writer, writer_state, records);
     if (breakdown != nullptr) breakdown->fsync_us.merge(writer.fsync_us());
   }
@@ -118,7 +111,6 @@ Measurement measure(int records, std::size_t compact_threshold,
     journal::Journal reader{storage, "bench", "bench-node", policy};
     const auto t0 = std::chrono::steady_clock::now();
     const journal::RecoveryResult result = reader.recover(
-        [&](wire::Reader& r) { state.load(r); },
         [&](std::uint8_t type, wire::Reader& r, std::uint64_t /*lsn*/) {
           state.apply(type, r);
         });

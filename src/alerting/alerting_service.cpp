@@ -13,7 +13,8 @@ namespace gsalert::alerting {
 
 namespace {
 // Journal record types (64..254 are extension records; see
-// gsnet::ServerExtension and docs/DURABILITY.md).
+// gsnet::ServerExtension and docs/DURABILITY.md). Snapshots and
+// migration images are the same records.
 constexpr std::uint8_t kJSubAdd = 64;        // id u64, client u32, text str
 constexpr std::uint8_t kJSubCancel = 65;     // id u64
 constexpr std::uint8_t kJSubRequest = 66;    // client u32, msg_id u64, sub u64
@@ -22,11 +23,72 @@ constexpr std::uint8_t kJAuxInRemove = 68;   // sub str, super host+name str
 constexpr std::uint8_t kJAuxOutReplace = 69; // coll str, n u32, refs
 constexpr std::uint8_t kJEventSeen = 70;     // origin str, seq u64
 constexpr std::uint8_t kJForwardProcessed = 71;  // key str
-constexpr std::uint8_t kJChanSend = 72;      // peer str, seq u64, env bytes
-constexpr std::uint8_t kJChanAck = 73;       // peer str, seq u64
-constexpr std::uint8_t kJChanFloor = 74;     // peer str, floor u64
+constexpr std::uint8_t kJChanSend = 72;      // 72..74: channels_ send/ack/floor
+// 75..81 and 84..85 belong to the delivery stage.
+constexpr std::uint8_t kJNextSub = 82;       // next_sub u64 (snapshots)
+constexpr std::uint8_t kJChanPeer = 83;      // channels_ peer (snapshots)
 
-std::size_t str_wire(const std::string& s) { return 4 + s.size(); }
+using journal::str_wire;
+
+// One encoder per record shape; live appends, snapshots and migration
+// images share them.
+void put_sub(const journal::RecordSink& out, SubscriptionId id,
+             NodeId client, const std::string& text) {
+  out.put(kJSubAdd, 8 + 4 + str_wire(text), [&](wire::Writer& w) {
+    w.u64(id);
+    w.u32(client.value());
+    w.str(text);
+  });
+}
+
+void put_sub_request(const journal::RecordSink& out, std::uint32_t client,
+                     std::uint64_t msg_id, SubscriptionId sub) {
+  out.put(kJSubRequest, 4 + 8 + 8, [&](wire::Writer& w) {
+    w.u32(client);
+    w.u64(msg_id);
+    w.u64(sub);
+  });
+}
+
+void put_aux_in(const journal::RecordSink& out, std::uint8_t type,
+                const std::string& sub_name, const CollectionRef& super) {
+  const std::size_t size =
+      str_wire(sub_name) + str_wire(super.host) + str_wire(super.name);
+  out.put(type, size, [&](wire::Writer& w) {
+    w.str(sub_name);
+    w.str(super.host);
+    w.str(super.name);
+  });
+}
+
+void put_aux_out(const journal::RecordSink& out, const std::string& coll,
+                 const std::set<CollectionRef>& refs) {
+  std::size_t size = str_wire(coll) + 4;
+  for (const CollectionRef& ref : refs) {
+    size += str_wire(ref.host) + str_wire(ref.name);
+  }
+  out.put(kJAuxOutReplace, size, [&](wire::Writer& w) {
+    w.str(coll);
+    w.u32(static_cast<std::uint32_t>(refs.size()));
+    for (const CollectionRef& ref : refs) {
+      w.str(ref.host);
+      w.str(ref.name);
+    }
+  });
+}
+
+void put_event_seen(const journal::RecordSink& out,
+                    const docmodel::EventId& id) {
+  out.put(kJEventSeen, str_wire(id.origin) + 8, [&](wire::Writer& w) {
+    w.str(id.origin);
+    w.u64(id.seq);
+  });
+}
+
+void put_forward(const journal::RecordSink& out, const std::string& key) {
+  out.put(kJForwardProcessed, str_wire(key),
+          [&](wire::Writer& w) { w.str(key); });
+}
 
 std::string forward_key(const docmodel::EventId& id,
                         const CollectionRef& super) {
@@ -55,12 +117,7 @@ Result<SubscriptionId> AlertingService::subscribe_local(
     return s.error();
   }
   subs_[id] = Subscription{client, profile_text};
-  journal_append(kJSubAdd, 8 + 4 + str_wire(profile_text),
-                 [&](wire::Writer& w) {
-                   w.u64(id);
-                   w.u32(client.value());
-                   w.str(profile_text);
-                 });
+  put_sub(log(), id, client, profile_text);
   if (server_) server_->commit_journal();
   return id;
 }
@@ -74,7 +131,7 @@ Status AlertingService::cancel_local(SubscriptionId id) {
   // Queued-but-unsent notifications for the subscription die with it
   // (dangling-profile guarantee extends through the delivery queue).
   delivery_.drop_subscription(id);
-  journal_append(kJSubCancel, 8, [&](wire::Writer& w) { w.u64(id); });
+  log().put_u64(kJSubCancel, id);
   if (server_) server_->commit_journal();
   return index_.remove(id);
 }
@@ -119,9 +176,9 @@ void AlertingService::on_started() { ensure_channels(); }
 void AlertingService::on_recovered() {
   // A pending batch is in-memory build state and did not survive the
   // crash. Everything else the journal covers is wiped, then the server's
-  // recovery feeds the snapshot + records back in through
-  // recover_durable / replay_journal. Channels must be attached before
-  // replay restores their unacked entries.
+  // recovery feeds the snapshot's and the log's records back in through
+  // replay_journal. Channels must be attached before replay restores
+  // their unacked entries.
   batch_.clear();
   build_depth_ = 0;
   subs_.clear();
@@ -241,8 +298,7 @@ void AlertingService::publish(const docmodel::Event& event) {
   // Outside a build bracket the flush is immediate — semantics (and crash
   // behaviour) identical to the unbatched path. Inside a build, events
   // accumulate until build-complete or the batch fills.
-  if (!config_.batch_events || build_depth_ == 0 ||
-      batch_.size() >= config_.max_batch_events) {
+  if (build_depth_ == 0 || batch_.size() >= kMaxBatchEvents) {
     flush_batch();
   }
 }
@@ -295,11 +351,7 @@ void AlertingService::process_event(const docmodel::Event& event,
     }
     return;
   }
-  journal_append(kJEventSeen, str_wire(event.id.origin) + 8,
-                 [&](wire::Writer& w) {
-                   w.str(event.id.origin);
-                   w.u64(event.id.seq);
-                 });
+  put_event_seen(log(), event.id);
   stats_.events_received += 1;
   // Root of the event's trace for local builds; for renamed events the
   // rename span is already active and this nests beneath it.
@@ -383,11 +435,7 @@ void AlertingService::receive_flooded_event(const docmodel::Event& event) {
     }
     return;
   }
-  journal_append(kJEventSeen, str_wire(event.id.origin) + 8,
-                 [&](wire::Writer& w) {
-                   w.str(event.id.origin);
-                   w.u64(event.id.seq);
-                 });
+  put_event_seen(log(), event.id);
   stats_.events_received += 1;
   filter_and_notify(event);
 }
@@ -432,24 +480,11 @@ void AlertingService::sync_aux_profiles(const docmodel::Collection& coll) {
 
 void AlertingService::journal_aux_out(const std::string& coll) {
   const auto it = aux_out_.find(coll);
-  std::size_t payload = str_wire(coll) + 4;
-  if (it != aux_out_.end()) {
-    for (const CollectionRef& ref : it->second) {
-      payload += str_wire(ref.host) + str_wire(ref.name);
-    }
+  if (it == aux_out_.end()) {
+    put_aux_out(log(), coll, {});
+  } else {
+    put_aux_out(log(), coll, it->second);
   }
-  journal_append(kJAuxOutReplace, payload, [&](wire::Writer& w) {
-    w.str(coll);
-    if (it == aux_out_.end()) {
-      w.u32(0);
-    } else {
-      w.u32(static_cast<std::uint32_t>(it->second.size()));
-      for (const CollectionRef& ref : it->second) {
-        w.str(ref.host);
-        w.str(ref.name);
-      }
-    }
-  });
 }
 
 void AlertingService::on_collection_configured(
@@ -522,11 +557,7 @@ void AlertingService::handle_subscribe(NodeId from,
       ack.ok = true;
       ack.subscription_id = sub.value();
       sub_requests_[request] = sub.value();
-      journal_append(kJSubRequest, 4 + 8 + 8, [&](wire::Writer& w) {
-        w.u32(from.value());
-        w.u64(env.msg_id);
-        w.u64(sub.value());
-      });
+      put_sub_request(log(), from.value(), env.msg_id, sub.value());
     } else {
       ack.error = sub.error().str();
     }
@@ -593,14 +624,7 @@ void AlertingService::apply_aux_add(const wire::Envelope& env) {
   if (!body.ok()) return;
   const CollectionRef& super = body.value().super;
   if (aux_in_[body.value().sub.name].insert(super).second) {
-    journal_append(kJAuxInAdd,
-                   str_wire(body.value().sub.name) + str_wire(super.host) +
-                       str_wire(super.name),
-                   [&](wire::Writer& w) {
-                     w.str(body.value().sub.name);
-                     w.str(super.host);
-                     w.str(super.name);
-                   });
+    put_aux_in(log(), kJAuxInAdd, body.value().sub.name, super);
   }
 }
 
@@ -611,14 +635,7 @@ void AlertingService::apply_aux_remove(const wire::Envelope& env) {
   if (it != aux_in_.end()) {
     const CollectionRef& super = body.value().super;
     if (it->second.erase(super) > 0) {
-      journal_append(kJAuxInRemove,
-                     str_wire(body.value().sub.name) + str_wire(super.host) +
-                         str_wire(super.name),
-                     [&](wire::Writer& w) {
-                       w.str(body.value().sub.name);
-                       w.str(super.host);
-                       w.str(super.name);
-                     });
+      put_aux_in(log(), kJAuxInRemove, body.value().sub.name, super);
     }
     if (it->second.empty()) aux_in_.erase(it);
   }
@@ -640,8 +657,7 @@ void AlertingService::apply_event_forward(const wire::Envelope& env) {
     }
     return;  // duplicate retransmission
   }
-  journal_append(kJForwardProcessed, str_wire(fwd_key),
-                 [&](wire::Writer& w) { w.str(fwd_key); });
+  put_forward(log(), fwd_key);
   if (body.super.host != server_->name() ||
       server_->collection(body.super.name) == nullptr) {
     // Stale aux profile: the super-collection moved or vanished. Per §7
@@ -689,75 +705,53 @@ void AlertingService::handle_ack(const wire::Envelope& env) {
 
 // --- durability / migration -----------------------------------------------------------
 
+void AlertingService::put_profiles(const journal::RecordSink& out) const {
+  for (const auto& [id, sub] : subs_) {
+    put_sub(out, id, sub.client, sub.profile_text);
+  }
+  for (const auto& [sub_name, supers] : aux_in_) {
+    for (const CollectionRef& super : supers) {
+      put_aux_in(out, kJAuxInAdd, sub_name, super);
+    }
+  }
+  for (const auto& [coll, refs] : aux_out_) put_aux_out(out, coll, refs);
+  // The counter goes last: a migration image must end with it, so a
+  // truncated image is rejected.
+  out.put_u64(kJNextSub, next_sub_);
+}
+
 std::vector<std::byte> AlertingService::snapshot_state() const {
   wire::Writer w;
-  w.u64(next_sub_);
-  w.u32(static_cast<std::uint32_t>(subs_.size()));
-  for (const auto& [id, sub] : subs_) {
-    w.u64(id);
-    w.u32(sub.client.value());
-    w.str(sub.profile_text);
-  }
-  auto write_aux = [&w](const std::map<std::string,
-                                       std::set<CollectionRef>>& table) {
-    w.u32(static_cast<std::uint32_t>(table.size()));
-    for (const auto& [key, refs] : table) {
-      w.str(key);
-      w.u32(static_cast<std::uint32_t>(refs.size()));
-      for (const CollectionRef& ref : refs) {
-        w.str(ref.host);
-        w.str(ref.name);
-      }
-    }
-  };
-  write_aux(aux_in_);
-  write_aux(aux_out_);
+  put_profiles(journal::RecordSink{w});
   return std::move(w).take();
 }
 
 Status AlertingService::restore_state(
     const std::vector<std::byte>& snapshot) {
-  wire::Reader r{snapshot};
-  const std::uint64_t next_sub = r.u64();
-  std::map<SubscriptionId, Subscription> subs;
-  profiles::ProfileIndex index;
-  const std::uint32_t n_subs = r.u32();
-  for (std::uint32_t i = 0; i < n_subs && r.ok(); ++i) {
-    const SubscriptionId id = r.u64();
-    const NodeId client{r.u32()};
-    std::string text = r.str();
-    if (!r.ok()) break;
-    auto parsed = profiles::parse_profile(text);
-    if (!parsed.ok()) return Status{parsed.error()};
-    parsed.value().id = id;
-    if (Status s = index.add(std::move(parsed).take()); !s.is_ok()) return s;
-    subs[id] = Subscription{client, std::move(text)};
-  }
-  auto read_aux = [&r](std::map<std::string, std::set<CollectionRef>>& out) {
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      std::string key = r.str();
-      const std::uint32_t m = r.u32();
-      std::set<CollectionRef>& refs = out[key];
-      for (std::uint32_t j = 0; j < m && r.ok(); ++j) {
-        CollectionRef ref;
-        ref.host = r.str();
-        ref.name = r.str();
-        refs.insert(std::move(ref));
-      }
-    }
-  };
-  std::map<std::string, std::set<CollectionRef>> aux_in, aux_out;
-  read_aux(aux_in);
-  read_aux(aux_out);
-  if (!r.done()) {
+  // Replay the image through the one replay switch into a candidate
+  // service; adopt its profile database only if every entry is a profile
+  // record that applied in full (each profile parsed) and the image ends
+  // with its sub counter.
+  AlertingService candidate;
+  bool applied = true;
+  std::uint8_t last = 0;
+  const bool whole = journal::scan_entries(
+      snapshot, [&](std::uint8_t type, std::span<const std::byte> payload) {
+        wire::Reader r{payload};
+        const bool profile = type == kJSubAdd || type == kJAuxInAdd ||
+                             type == kJAuxOutReplace || type == kJNextSub;
+        applied = applied && profile && candidate.replay_journal(type, r) &&
+                  r.done();
+        last = type;
+      });
+  if (!whole || !applied || last != kJNextSub) {
     return Status{ErrorCode::kDecodeFailure, "malformed profile snapshot"};
   }
-  next_sub_ = std::max(next_sub_, next_sub);
-  subs_ = std::move(subs);
-  index_ = std::move(index);
-  aux_in_ = std::move(aux_in);
-  aux_out_ = std::move(aux_out);
+  next_sub_ = std::max(next_sub_, candidate.next_sub_);
+  subs_ = std::move(candidate.subs_);
+  index_ = std::move(candidate.index_);
+  aux_in_ = std::move(candidate.aux_in_);
+  aux_out_ = std::move(candidate.aux_out_);
   // Migration replaces the profile database wholesale; fold the new state
   // into a fresh journal snapshot so a crash right after the restore does
   // not resurrect the old profiles.
@@ -769,112 +763,33 @@ Status AlertingService::restore_state(
 
 // --- write-ahead journal (server-owned; see docs/DURABILITY.md) --------------
 
-void AlertingService::restore_subscription(SubscriptionId id, NodeId client,
+bool AlertingService::restore_subscription(SubscriptionId id, NodeId client,
                                            std::string text) {
   auto parsed = profiles::parse_profile(text);
-  if (!parsed.ok()) return;  // journal predates a grammar change; skip
+  if (!parsed.ok()) return false;  // journal predates a grammar change
   parsed.value().id = id;
-  if (!index_.add(std::move(parsed).take()).is_ok()) return;
+  if (!index_.add(std::move(parsed).take()).is_ok()) return false;
   subs_[id] = Subscription{client, std::move(text)};
   if (id >= next_sub_) next_sub_ = id + 1;
+  return true;
 }
 
-void AlertingService::encode_durable(wire::Writer& w) const {
-  w.u64(next_sub_);
-  w.u32(static_cast<std::uint32_t>(subs_.size()));
-  for (const auto& [id, sub] : subs_) {
-    w.u64(id);
-    w.u32(sub.client.value());
-    w.str(sub.profile_text);
-  }
-  const auto write_aux =
-      [&w](const std::map<std::string, std::set<CollectionRef>>& table) {
-        w.u32(static_cast<std::uint32_t>(table.size()));
-        for (const auto& [key, refs] : table) {
-          w.str(key);
-          w.u32(static_cast<std::uint32_t>(refs.size()));
-          for (const CollectionRef& ref : refs) {
-            w.str(ref.host);
-            w.str(ref.name);
-          }
-        }
-      };
-  write_aux(aux_in_);
-  write_aux(aux_out_);
+void AlertingService::encode_durable(const journal::RecordSink& out) const {
+  put_profiles(out);
   // Hash sets are sorted so equal state snapshots to equal bytes.
   std::vector<docmodel::EventId> seen(seen_events_.begin(),
                                       seen_events_.end());
   std::sort(seen.begin(), seen.end());
-  w.u32(static_cast<std::uint32_t>(seen.size()));
-  for (const docmodel::EventId& id : seen) {
-    w.str(id.origin);
-    w.u64(id.seq);
-  }
+  for (const docmodel::EventId& id : seen) put_event_seen(out, id);
   std::vector<std::string> forwards(processed_forwards_.begin(),
                                     processed_forwards_.end());
   std::sort(forwards.begin(), forwards.end());
-  w.u32(static_cast<std::uint32_t>(forwards.size()));
-  for (const std::string& key : forwards) w.str(key);
-  w.u32(static_cast<std::uint32_t>(sub_requests_.size()));
+  for (const std::string& key : forwards) put_forward(out, key);
   for (const auto& [request, sub] : sub_requests_) {
-    w.u32(request.first);
-    w.u64(request.second);
-    w.u64(sub);
+    put_sub_request(out, request.first, request.second, sub);
   }
-  channels_.encode_state(w);
-  delivery_.encode_state(w);
-}
-
-void AlertingService::recover_durable(wire::Reader& r) {
-  next_sub_ = std::max(next_sub_, r.u64());
-  const std::uint32_t n_subs = r.u32();
-  for (std::uint32_t i = 0; i < n_subs && r.ok(); ++i) {
-    const SubscriptionId id = r.u64();
-    const NodeId client{r.u32()};
-    std::string text = r.str();
-    if (!r.ok()) break;
-    restore_subscription(id, client, std::move(text));
-  }
-  const auto read_aux =
-      [&r](std::map<std::string, std::set<CollectionRef>>& out) {
-        const std::uint32_t n = r.u32();
-        for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-          std::string key = r.str();
-          const std::uint32_t m = r.u32();
-          if (!r.ok()) break;
-          std::set<CollectionRef>& refs = out[key];
-          for (std::uint32_t j = 0; j < m && r.ok(); ++j) {
-            CollectionRef ref;
-            ref.host = r.str();
-            ref.name = r.str();
-            if (r.ok()) refs.insert(std::move(ref));
-          }
-        }
-      };
-  read_aux(aux_in_);
-  read_aux(aux_out_);
-  const std::uint32_t n_seen = r.u32();
-  for (std::uint32_t i = 0; i < n_seen && r.ok(); ++i) {
-    docmodel::EventId id;
-    id.origin = r.str();
-    id.seq = r.u64();
-    if (r.ok()) seen_events_.insert(std::move(id));
-  }
-  const std::uint32_t n_forwards = r.u32();
-  for (std::uint32_t i = 0; i < n_forwards && r.ok(); ++i) {
-    std::string key = r.str();
-    if (r.ok()) processed_forwards_.insert(std::move(key));
-  }
-  const std::uint32_t n_requests = r.u32();
-  for (std::uint32_t i = 0; i < n_requests && r.ok(); ++i) {
-    const std::uint32_t client = r.u32();
-    const std::uint64_t msg_id = r.u64();
-    const std::uint64_t sub = r.u64();
-    if (r.ok()) sub_requests_[{client, msg_id}] = sub;
-  }
-  ensure_channels();
-  channels_.decode_state(r);
-  delivery_.decode_state(r);
+  channels_.snapshot(out);
+  delivery_.snapshot(out);
 }
 
 bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
@@ -885,12 +800,11 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
       const SubscriptionId id = r.u64();
       const NodeId client{r.u32()};
       std::string text = r.str();
-      if (r.ok()) restore_subscription(id, client, std::move(text));
-      return true;
+      return r.ok() && restore_subscription(id, client, std::move(text));
     }
     case kJSubCancel: {
       const SubscriptionId id = r.u64();
-      if (!r.ok()) return true;
+      if (!r.ok()) return false;
       if (subs_.erase(id) > 0) (void)index_.remove(id);
       // Enq records for the cancelled sub replay before this record;
       // re-dropping here keeps the recovered queues cancel-consistent.
@@ -901,7 +815,8 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
       const std::uint32_t client = r.u32();
       const std::uint64_t msg_id = r.u64();
       const std::uint64_t sub = r.u64();
-      if (r.ok()) sub_requests_[{client, msg_id}] = sub;
+      if (!r.ok()) return false;
+      sub_requests_[{client, msg_id}] = sub;
       return true;
     }
     case kJAuxInAdd:
@@ -910,7 +825,7 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
       CollectionRef super;
       super.host = r.str();
       super.name = r.str();
-      if (!r.ok()) return true;
+      if (!r.ok()) return false;
       if (type == kJAuxInAdd) {
         aux_in_[sub_name].insert(std::move(super));
       } else if (const auto it = aux_in_.find(sub_name);
@@ -930,7 +845,7 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
         ref.name = r.str();
         if (r.ok()) refs.insert(std::move(ref));
       }
-      if (!r.ok()) return true;
+      if (!r.ok()) return false;
       if (refs.empty()) {
         aux_out_.erase(coll);
       } else {
@@ -942,40 +857,25 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
       docmodel::EventId id;
       id.origin = r.str();
       id.seq = r.u64();
-      if (r.ok()) seen_events_.insert(std::move(id));
+      if (!r.ok()) return false;
+      seen_events_.insert(std::move(id));
       return true;
     }
     case kJForwardProcessed: {
       std::string key = r.str();
-      if (r.ok()) processed_forwards_.insert(std::move(key));
+      if (!r.ok()) return false;
+      processed_forwards_.insert(std::move(key));
       return true;
     }
-    case kJChanSend: {
-      const std::string peer = r.str();
-      const std::uint64_t seq = r.u64();
-      const std::vector<std::byte> flat = r.bytes();
-      if (!r.ok()) return true;
-      ensure_channels();
-      if (auto env = wire::unpack(flat)) {
-        channels_.restore_unacked(peer, seq, std::move(env).take());
-      }
-      return true;
-    }
-    case kJChanAck: {
-      const std::string peer = r.str();
-      const std::uint64_t seq = r.u64();
-      if (r.ok()) channels_.restore_ack(peer, seq);
-      return true;
-    }
-    case kJChanFloor: {
-      const std::string peer = r.str();
-      const std::uint64_t floor = r.u64();
-      if (r.ok()) channels_.restore_floor(peer, floor);
+    case kJNextSub: {
+      const SubscriptionId next = r.u64();
+      if (!r.ok()) return false;
+      next_sub_ = std::max(next_sub_, next);
       return true;
     }
     default:
-      // Types 75..81 belong to the delivery stage.
-      return delivery_.replay_journal(type, r);
+      // 72..74 and 83 belong to channels_; the delivery stage owns the rest.
+      return channels_.replay(type, r) || delivery_.replay_journal(type, r);
   }
 }
 
@@ -1008,34 +908,7 @@ void AlertingService::ensure_channels() {
       [this](const std::string&, const wire::Envelope&) {
         stats_.retries += 1;
       });
-  channels_.set_persist_hooks(transport::ChannelSet::PersistHooks{
-      .on_send =
-          [this](const std::string& peer, std::uint64_t seq,
-                 const wire::Envelope& env) {
-            const std::vector<std::byte> flat = env.flatten();
-            journal_append(kJChanSend, str_wire(peer) + 8 + 4 + flat.size(),
-                           [&](wire::Writer& w) {
-                             w.str(peer);
-                             w.u64(seq);
-                             w.bytes(flat);
-                           });
-          },
-      .on_acked =
-          [this](const std::string& peer, std::uint64_t seq) {
-            journal_append(kJChanAck, str_wire(peer) + 8,
-                           [&](wire::Writer& w) {
-                             w.str(peer);
-                             w.u64(seq);
-                           });
-          },
-      .on_floor =
-          [this](const std::string& peer, std::uint64_t floor) {
-            journal_append(kJChanFloor, str_wire(peer) + 8,
-                           [&](wire::Writer& w) {
-                             w.str(peer);
-                             w.u64(floor);
-                           });
-          }});
+  channels_.set_journal([this] { return log(); }, kJChanSend, kJChanPeer);
   channels_.attach(
       &server_->net(), server_->id(), server_->name(),
       [this](const std::string& host, const wire::Envelope& env) {

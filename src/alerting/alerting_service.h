@@ -44,13 +44,6 @@ struct AlertingConfig {
   /// capped at 1.5× this value) with deterministic downward jitter so
   /// co-parked senders desynchronize after a partition heals.
   SimTime retry_interval = SimTime::seconds(1);
-  /// Coalesce events raised by one collection (re)build into a single
-  /// kEventBatch flood instead of one kEventAnnounce per event. Flushing
-  /// is synchronous (at build completion or when the batch fills), so
-  /// crash semantics match the unbatched path — no timer, no loss window.
-  bool batch_events = true;
-  /// Flush the pending batch once it holds this many events.
-  std::size_t max_batch_events = 16;
   /// Per-subscriber delivery stage between match and wire (credits,
   /// coalescing, digests — see src/alerting/delivery.h). The default is
   /// unmanaged immediate delivery: the pre-delivery-stage packet flow.
@@ -75,6 +68,13 @@ struct AlertingStats {
 
 class AlertingService : public gsnet::ServerExtension {
  public:
+  /// Events raised by one collection (re)build are coalesced into a
+  /// single kEventBatch flood instead of one kEventAnnounce per event.
+  /// Flushing is synchronous (at build completion or once the batch holds
+  /// this many events), so crash semantics match an unbatched flood — no
+  /// timer, no loss window.
+  static constexpr std::size_t kMaxBatchEvents = 16;
+
   explicit AlertingService(AlertingConfig config = {}) : config_(config) {
     delivery_.configure(config_.delivery);
   }
@@ -148,10 +148,12 @@ class AlertingService : public gsnet::ServerExtension {
 
   // --- durability / migration -------------------------------------------------
   /// Serialize the profile database (subscriptions + auxiliary-profile
-  /// registries) — what real Greenstone keeps on disk. Restoring the
-  /// snapshot into a service on another server migrates the users'
-  /// profiles there, supporting the paper's "unified single access point"
-  /// requirement (challenge 3) when users move between installations.
+  /// registries) — what real Greenstone keeps on disk — as the service's
+  /// own journal records. Restoring the image into a service on another
+  /// server migrates the users' profiles there, supporting the paper's
+  /// "unified single access point" requirement (challenge 3) when users
+  /// move between installations. A malformed, truncated or unparsable
+  /// image is rejected with the service unchanged.
   std::vector<std::byte> snapshot_state() const;
   Status restore_state(const std::vector<std::byte>& snapshot);
 
@@ -170,8 +172,7 @@ class AlertingService : public gsnet::ServerExtension {
   void on_restarted() override;
   void on_timer_token(std::uint64_t token) override;
   void on_recovered() override;
-  void encode_durable(wire::Writer& w) const override;
-  void recover_durable(wire::Reader& r) override;
+  void encode_durable(const journal::RecordSink& out) const override;
   bool replay_journal(std::uint8_t type, wire::Reader& r) override;
 
  private:
@@ -229,24 +230,19 @@ class AlertingService : public gsnet::ServerExtension {
   /// Sync aux_out_ for one collection against its current remote subs.
   void sync_aux_profiles(const docmodel::Collection& coll);
 
-  /// Append one record (types 64..74) to the owning server's journal.
-  /// No-op when the server is absent or not on a network; `payload_size`
-  /// must upper-bound the encoded payload (exact reserves keep the
-  /// Writer grow budget green).
-  template <typename Fn>
-  void journal_append(std::uint8_t type, std::size_t payload_size,
-                      Fn&& encode) {
-    journal::Journal* j = server_ ? server_->journal() : nullptr;
-    if (!j) return;
-    wire::Writer w;
-    w.reserve(payload_size);
-    encode(w);
-    j->append(type, std::move(w));
+  /// The owning server's journal (records are dropped while the server
+  /// is absent or not on a network).
+  journal::RecordSink log() const {
+    return server_ ? server_->journal() : nullptr;
   }
   /// Journal the full replacement value of aux_out_[coll].
   void journal_aux_out(const std::string& coll);
-  /// Install or re-parse one subscription during recovery/replay.
-  void restore_subscription(SubscriptionId id, NodeId client,
+  /// The profile database as records (subscriptions, aux registries, then
+  /// the sub counter): a migration image and the head of every snapshot.
+  void put_profiles(const journal::RecordSink& out) const;
+  /// Install one subscription during replay; false when the profile does
+  /// not parse or the id is taken.
+  bool restore_subscription(SubscriptionId id, NodeId client,
                             std::string text);
 
   AlertingConfig config_;

@@ -19,9 +19,10 @@
 //                 dropping the oldest coalescible entry first.
 //
 // Durability mirrors the channel outbox: queued entries journal
-// enq/done records (types 75..81), snapshots carry the live queues and
-// the digest channel, and pending_keys() exposes everything accepted
-// but not yet on a client for the chaos crash-durability superset check.
+// enq/done records (types 75..81), snapshots write the live queues and
+// the digest channel as the same records (plus 84..85 for the counters
+// and channel peers), and pending_keys() exposes everything accepted but
+// not yet on a client for the chaos crash-durability superset check.
 #pragma once
 
 #include <cstdint>
@@ -141,8 +142,9 @@ class DeliveryStage {
 
   // --- durability (driven by AlertingService's extension hooks) ---------
   void clear();
-  void encode_state(wire::Writer& w) const;
-  void decode_state(wire::Reader& r);
+  /// Full state as records: counters, policies, queue entries, channel.
+  void snapshot(const journal::RecordSink& out) const;
+  /// Apply one of the stage's records; false when not ours or malformed.
   bool replay_journal(std::uint8_t type, wire::Reader& r);
 
  private:
@@ -183,10 +185,8 @@ class DeliveryStage {
   void arm_timer(SimTime due);
   SimTime earliest_flush() const;
   std::uint64_t alloc_digest_seq();
-  void journal_enqueued(const ClientQueue& q, const QueueEntry& entry);
-  void journal_done(std::uint64_t entry_seq);
   void note_sent(const ClientQueue& q, const QueueEntry& entry);
-  void restore_entry(NodeId node, const std::string& name,
+  bool restore_entry(NodeId node, const std::string& name,
                      std::uint64_t entry_seq, SubscriptionId sub,
                      std::vector<std::byte> event_bytes);
 

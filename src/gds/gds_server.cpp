@@ -13,7 +13,8 @@ namespace gsalert::gds {
 namespace {
 constexpr std::uint64_t kHeartbeatTimer = 1;
 
-// Journal record types (payloads in the comments; snapshot is type 255).
+// Journal record types (payloads in the comments). Snapshots are the
+// same records; types 12 and 13 appear only there.
 constexpr std::uint8_t kJRegister = 1;     // server str, node u32
 constexpr std::uint8_t kJUnregister = 2;   // server str
 constexpr std::uint8_t kJRouteAdd = 3;     // name str, via u32
@@ -25,18 +26,97 @@ constexpr std::uint8_t kJSeen = 8;         // origin str, seq u64
 constexpr std::uint8_t kJPark = 9;         // order u64, key str, expires i64, env bytes
 constexpr std::uint8_t kJUnpark = 10;      // order u64
 constexpr std::uint8_t kJParentSelect = 11;  // parent u32 (failover/adaptive)
-constexpr std::uint8_t kSnapshotVersion = 2;
+constexpr std::uint8_t kJMsgId = 12;       // next_msg_id u64
+constexpr std::uint8_t kJAncestors = 13;   // ring u32 seq, proper u32 seq,
+                                           // parent index u32
 // Envelope msg-ids restart past a generous gap after recovery so ids
 // minted before the crash are never reused (snapshots lag the live
 // counter by up to one compaction interval).
 constexpr std::uint64_t kMsgIdStride = 1ULL << 20;
 
-std::size_t str_wire(const std::string& s) { return 4 + s.size(); }
+// Adaptive parent selection (one ancestor probed per heartbeat tick) and
+// store-and-forward tuning.
+constexpr double kRttEwmaAlpha = 0.3;        // weight of each new RTT sample
+constexpr std::uint64_t kRttMinSamples = 3;  // before an estimate counts
+// Hysteresis: a candidate must beat the parent's smoothed RTT by this
+// fraction, and adaptive re-parents are spaced at least this far apart.
+constexpr double kReparentImprovement = 0.25;
+constexpr SimTime kReparentMinInterval = SimTime::seconds(5);
+// Parked relays held at once; beyond it the oldest is evicted.
+constexpr std::size_t kParkCapacity = 128;
+
+using journal::str_wire;
+
+// One encoder per record shape; live appends and snapshots share them.
+void put_name_node(const journal::RecordSink& out, std::uint8_t type,
+                   const std::string& name, NodeId node) {
+  out.put(type, str_wire(name) + 4, [&](wire::Writer& w) {
+    w.str(name);
+    w.u32(node.value());
+  });
+}
+
+void put_name(const journal::RecordSink& out, std::uint8_t type,
+              const std::string& name) {
+  out.put(type, str_wire(name), [&](wire::Writer& w) { w.str(name); });
+}
+
+void put_node(const journal::RecordSink& out, std::uint8_t type,
+              NodeId node) {
+  out.put(type, 4, [&](wire::Writer& w) { w.u32(node.value()); });
+}
+
+void put_seen(const journal::RecordSink& out, const std::string& origin,
+              std::uint64_t seq) {
+  out.put(kJSeen, str_wire(origin) + 8, [&](wire::Writer& w) {
+    w.str(origin);
+    w.u64(seq);
+  });
+}
+
+void put_park(const journal::RecordSink& out, std::uint64_t order,
+              const std::string& key, SimTime expires_at,
+              const std::vector<std::byte>& flat) {
+  out.put(kJPark, 8 + str_wire(key) + 8 + 4 + flat.size(),
+          [&](wire::Writer& w) {
+            w.u64(order);
+            w.str(key);
+            w.i64(expires_at.as_micros());
+            w.bytes(flat);
+          });
+}
+
+void put_ancestors(const journal::RecordSink& out,
+                   const std::vector<NodeId>& ring,
+                   const std::vector<NodeId>& proper, std::size_t index) {
+  out.put(kJAncestors, 4 + 4 * ring.size() + 4 + 4 * proper.size() + 4,
+          [&](wire::Writer& w) {
+            for (const auto* list : {&ring, &proper}) {
+              w.u32(static_cast<std::uint32_t>(list->size()));
+              for (const NodeId a : *list) w.u32(a.value());
+            }
+            w.u32(static_cast<std::uint32_t>(index));
+          });
+}
+
+std::vector<NodeId> read_nodes(wire::Reader& r) {
+  std::vector<NodeId> nodes;
+  const std::uint32_t n = r.u32();
+  if (n > r.remaining() / 4) r.fail();
+  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+    nodes.push_back(NodeId{r.u32()});
+  }
+  return nodes;
+}
 
 std::string resolve_key(const std::string& origin, std::uint64_t query_id) {
   return origin + "#" + std::to_string(query_id);
 }
 }  // namespace
+
+GdsServer::GdsServer(GdsConfig config) : config_(config) {
+  parked_.set_policy({config_.park_ttl, kParkCapacity});
+}
 
 void GdsServer::set_ancestors(std::vector<NodeId> ancestors,
                               std::size_t proper_count) {
@@ -79,8 +159,7 @@ void GdsServer::apply_parent_select(NodeId new_parent) {
 
 void GdsServer::adopt_parent(NodeId new_parent) {
   apply_adopt_ancestors(new_parent);
-  journal_append(kJAdopt, 4,
-                 [&](wire::Writer& w) { w.u32(new_parent.value()); });
+  put_node(log(), kJAdopt, new_parent);
   send_child_hello(/*full=*/true, subtree_names(), {});
   flush_all_parked();
   commit_journal();
@@ -232,12 +311,7 @@ void GdsServer::handle_register(NodeId from, const wire::Envelope& env) {
   const bool changed = is_new || existing->second != from;
   local_servers_[server] = from;
   name_routes_[server] = Route{.local = true, .via = NodeId::invalid()};
-  if (changed) {
-    journal_append(kJRegister, str_wire(server) + 4, [&](wire::Writer& w) {
-      w.str(server);
-      w.u32(from.value());
-    });
-  }
+  if (changed) put_name_node(log(), kJRegister, server, from);
   if (is_new) advertise_up({server}, {});
   wire::Envelope ack = wire::make_envelope(
       wire::MessageType::kGdsRegisterAck, name(), server, env.msg_id,
@@ -253,8 +327,7 @@ void GdsServer::handle_unregister(const wire::Envelope& env) {
   const std::string& server = body.value().server_name;
   if (local_servers_.erase(server) > 0) {
     name_routes_.erase(server);
-    journal_append(kJUnregister, str_wire(server),
-                   [&](wire::Writer& w) { w.str(server); });
+    put_name(log(), kJUnregister, server);
     advertise_up({}, {server});
   }
 }
@@ -266,10 +339,7 @@ void GdsServer::handle_child_hello(NodeId from, const wire::Envelope& env) {
   const auto [child_it, child_new] =
       children_.insert_or_assign(from, network().now());
   (void)child_it;
-  if (child_new) {
-    journal_append(kJChildUp, 4,
-                   [&](wire::Writer& w) { w.u32(from.value()); });
-  }
+  if (child_new) put_node(log(), kJChildUp, from);
 
   std::vector<std::string> new_adds;
   std::vector<std::string> new_removes;
@@ -277,8 +347,7 @@ void GdsServer::handle_child_hello(NodeId from, const wire::Envelope& env) {
     // Drop everything previously routed via this child, then re-learn.
     for (auto it = name_routes_.begin(); it != name_routes_.end();) {
       if (!it->second.local && it->second.via == from) {
-        journal_append(kJRouteRemove, str_wire(it->first),
-                       [&](wire::Writer& w) { w.str(it->first); });
+        put_name(log(), kJRouteRemove, it->first);
         new_removes.push_back(it->first);
         it = name_routes_.erase(it);
       } else {
@@ -300,13 +369,7 @@ void GdsServer::handle_child_hello(NodeId from, const wire::Envelope& env) {
     } else {
       new_adds.push_back(name_added);
     }
-    if (route_set) {
-      journal_append(kJRouteAdd, str_wire(name_added) + 4,
-                     [&](wire::Writer& w) {
-                       w.str(name_added);
-                       w.u32(from.value());
-                     });
-    }
+    if (route_set) put_name_node(log(), kJRouteAdd, name_added, from);
     // If this name was just re-added after a full reset, cancel the remove.
     std::erase(new_removes, name_added);
   }
@@ -315,8 +378,7 @@ void GdsServer::handle_child_hello(NodeId from, const wire::Envelope& env) {
     if (it != name_routes_.end() && !it->second.local &&
         it->second.via == from) {
       name_routes_.erase(it);
-      journal_append(kJRouteRemove, str_wire(name_removed),
-                     [&](wire::Writer& w) { w.str(name_removed); });
+      put_name(log(), kJRouteRemove, name_removed);
       new_removes.push_back(name_removed);
     }
   }
@@ -333,10 +395,7 @@ void GdsServer::handle_heartbeat(NodeId from, const wire::Envelope& env) {
   // stale entry from a child that re-parented away ages out in the prune.
   const auto [hb_it, hb_new] = children_.insert_or_assign(from, network().now());
   (void)hb_it;
-  if (hb_new) {
-    journal_append(kJChildUp, 4,
-                   [&](wire::Writer& w) { w.u32(from.value()); });
-  }
+  if (hb_new) put_node(log(), kJChildUp, from);
   wire::Envelope ack = wire::make_envelope(
       wire::MessageType::kGdsHeartbeatAck, name(), env.src, env.msg_id,
       wire::Writer{});
@@ -375,8 +434,7 @@ void GdsServer::record_rtt_sample(NodeId from, std::uint64_t msg_id) {
   est.ewma_micros =
       est.samples == 0
           ? sample
-          : config_.rtt_ewma_alpha * sample +
-                (1.0 - config_.rtt_ewma_alpha) * est.ewma_micros;
+          : kRttEwmaAlpha * sample + (1.0 - kRttEwmaAlpha) * est.ewma_micros;
   est.samples += 1;
   stats_.rtt_samples += 1;
 }
@@ -387,12 +445,6 @@ double GdsServer::rtt_ewma_micros(NodeId node) const {
 }
 
 void GdsServer::probe_ancestor_rtt() {
-  if (config_.rtt_probe_every <= 0) return;
-  if (++rtt_probe_tick_ %
-          static_cast<std::uint64_t>(config_.rtt_probe_every) !=
-      0) {
-    return;
-  }
   std::vector<NodeId> candidates;
   for (const NodeId a : proper_ancestors_) {
     if (a != parent_) candidates.push_back(a);
@@ -411,16 +463,14 @@ void GdsServer::probe_ancestor_rtt() {
 void GdsServer::maybe_adaptive_reparent() {
   if (!parent_.valid() || proper_ancestors_.size() < 2) return;
   const SimTime now = network().now();
-  if (now - last_adaptive_reparent_ < config_.reparent_min_interval) return;
+  if (now - last_adaptive_reparent_ < kReparentMinInterval) return;
   const auto parent_est = rtt_.find(parent_);
-  if (parent_est == rtt_.end() ||
-      parent_est->second.samples <
-          static_cast<std::uint64_t>(config_.rtt_min_samples)) {
+  if (parent_est == rtt_.end() || parent_est->second.samples < kRttMinSamples) {
     return;
   }
   const double parent_ewma = parent_est->second.ewma_micros;
   NodeId best = NodeId::invalid();
-  double best_ewma = parent_ewma * (1.0 - config_.reparent_improvement);
+  double best_ewma = parent_ewma * (1.0 - kReparentImprovement);
   for (const NodeId cand : proper_ancestors_) {
     if (cand == parent_) continue;
     if (std::find(ancestors_.begin(), ancestors_.end(), cand) ==
@@ -428,11 +478,7 @@ void GdsServer::maybe_adaptive_reparent() {
       continue;  // not currently in the failover ring (defensive)
     }
     const auto est = rtt_.find(cand);
-    if (est == rtt_.end() ||
-        est->second.samples <
-            static_cast<std::uint64_t>(config_.rtt_min_samples)) {
-      continue;
-    }
+    if (est == rtt_.end() || est->second.samples < kRttMinSamples) continue;
     if (est->second.ewma_micros < best_ewma) {
       best_ewma = est->second.ewma_micros;
       best = cand;
@@ -442,8 +488,7 @@ void GdsServer::maybe_adaptive_reparent() {
   apply_parent_select(best);
   last_adaptive_reparent_ = now;
   stats_.adaptive_reparents += 1;
-  journal_append(kJParentSelect, 4,
-                 [&](wire::Writer& w) { w.u32(best.value()); });
+  put_node(log(), kJParentSelect, best);
   logf(LogLevel::kInfo, network().now(), name(),
        "adaptive re-parent to node ", best.value(), " (rtt ",
        static_cast<std::uint64_t>(best_ewma), "us vs ",
@@ -464,8 +509,7 @@ void GdsServer::reparent() {
   heartbeat_misses_ = 0;
   heartbeat_outstanding_ = false;
   stats_.reparents += 1;
-  journal_append(kJParentSelect, 4,
-                 [&](wire::Writer& w) { w.u32(parent_.value()); });
+  put_node(log(), kJParentSelect, parent_);
   logf(LogLevel::kInfo, network().now(), name(), "re-parenting to node ",
        parent_.value());
   send_child_hello(/*full=*/true, subtree_names(), {});
@@ -483,16 +527,14 @@ void GdsServer::prune_dead_children() {
       const NodeId dead = it->first;
       for (auto rit = name_routes_.begin(); rit != name_routes_.end();) {
         if (!rit->second.local && rit->second.via == dead) {
-          journal_append(kJRouteRemove, str_wire(rit->first),
-                         [&](wire::Writer& w) { w.str(rit->first); });
+          put_name(log(), kJRouteRemove, rit->first);
           removed_names.push_back(rit->first);
           rit = name_routes_.erase(rit);
         } else {
           ++rit;
         }
       }
-      journal_append(kJChildDown, 4,
-                     [&](wire::Writer& w) { w.u32(dead.value()); });
+      put_node(log(), kJChildDown, dead);
       it = children_.erase(it);
     } else {
       ++it;
@@ -534,12 +576,7 @@ void GdsServer::advertise_up(std::vector<std::string> adds,
 bool GdsServer::is_duplicate(const std::string& origin, std::uint64_t seq) {
   if (!config_.dedup_enabled) return false;
   const bool fresh = seen_[origin].insert(seq).second;
-  if (fresh) {
-    journal_append(kJSeen, str_wire(origin) + 8, [&](wire::Writer& w) {
-      w.str(origin);
-      w.u64(seq);
-    });
-  }
+  if (fresh) put_seen(log(), origin, seq);
   return !fresh;
 }
 
@@ -700,27 +737,17 @@ void GdsServer::route_relay(NodeId from, wire::Envelope env, RelayBody body,
     // eviction hook may journal unparks inside park_until, so append the
     // park record after it to keep the log causally ordered.
     std::vector<std::byte> flat;
-    if (journal_ && config_.park_capacity > 0) flat = env.flatten();
+    if (journal_) flat = env.flatten();
     const std::uint64_t order = parked_.park_until(
         body.dst_server, std::move(env), park_expiry, network().now());
-    if (journal_ && config_.park_capacity > 0) {
-      journal_append(
-          kJPark, 8 + str_wire(body.dst_server) + 8 + 4 + flat.size(),
-          [&](wire::Writer& w) {
-            w.u64(order);
-            w.str(body.dst_server);
-            w.i64(park_expiry.as_micros());
-            w.bytes(flat);
-          });
-    }
+    put_park(log(), order, body.dst_server, park_expiry, flat);
   }
 }
 
 void GdsServer::flush_parked(const std::string& dst) {
   if (!parked_.has(dst)) return;
   for (auto& entry : parked_.take(dst, network().now())) {
-    journal_append(kJUnpark, 8,
-                   [&](wire::Writer& w) { w.u64(entry.order); });
+    log().put_u64(kJUnpark, entry.order);
     auto decoded = RelayBody::decode(entry.env.body);
     if (!decoded.ok()) continue;
     // Re-enter routing under a flush span chained to the parked
@@ -744,8 +771,7 @@ void GdsServer::flush_parked(const std::string& dst) {
 
 void GdsServer::flush_all_parked() {
   for (auto& entry : parked_.take_all(network().now())) {
-    journal_append(kJUnpark, 8,
-                   [&](wire::Writer& w) { w.u64(entry.order); });
+    log().put_u64(kJUnpark, entry.order);
     auto decoded = RelayBody::decode(entry.env.body);
     if (!decoded.ok()) continue;
     RelayBody body = std::move(decoded).take();
@@ -919,9 +945,8 @@ void GdsServer::ensure_journal() {
       network().storage(id()), "gds", name(), config_.journal);
   journal_->set_clock([this] { return network().now(); });
   journal_->set_snapshot_writer(
-      [this](wire::Writer& w) { encode_snapshot(w); });
+      [this](const journal::RecordSink& out) { encode_snapshot(out); });
   journal_->recover(
-      [this](wire::Reader& r) { load_snapshot(r); },
       [this](std::uint8_t type, wire::Reader& r, std::uint64_t /*lsn*/) {
         replay_record(type, r);
       });
@@ -929,148 +954,42 @@ void GdsServer::ensure_journal() {
   // Custody the lot drops on its own (TTL expiry, capacity eviction) is
   // journaled here; entries handed back by take()/take_all() are
   // journaled by the flush paths, which see their custody ids.
-  parked_.set_removal_hook([this](std::uint64_t order) {
-    journal_append(kJUnpark, 8, [&](wire::Writer& w) { w.u64(order); });
-  });
+  parked_.set_removal_hook(
+      [this](std::uint64_t order) { log().put_u64(kJUnpark, order); });
 }
 
-void GdsServer::encode_snapshot(wire::Writer& w) const {
+void GdsServer::encode_snapshot(const journal::RecordSink& out) const {
   // Containers are hash maps: sort every section so identical state
-  // always snapshots to identical bytes (recovery-idempotence tests
-  // compare snapshots directly).
-  w.u8(kSnapshotVersion);
-  w.u64(next_msg_id_);
-  w.u32(static_cast<std::uint32_t>(ancestors_.size()));
-  for (const NodeId a : ancestors_) w.u32(a.value());
-  // v2: which ancestor is the live parent (failover rotation or adaptive
-  // selection survives a crash; RTT estimates themselves are soft state).
-  w.u32(static_cast<std::uint32_t>(ancestor_index_));
-
-  std::vector<std::string> names = registered_names();
-  w.u32(static_cast<std::uint32_t>(names.size()));
-  for (const auto& server : names) {
-    w.str(server);
-    w.u32(local_servers_.at(server).value());
+  // always snapshots to identical bytes (recovery-equivalence tests
+  // compare snapshots directly). Registrations precede routes so the
+  // never-clobber-local guard sees them, as in the log.
+  out.put_u64(kJMsgId, next_msg_id_);
+  put_ancestors(out, ancestors_, proper_ancestors_, ancestor_index_);
+  for (const auto& server : registered_names()) {
+    put_name_node(out, kJRegister, server, local_servers_.at(server));
   }
-
   std::vector<std::string> routed;
   for (const auto& [route_name, route] : name_routes_) {
     if (!route.local) routed.push_back(route_name);
   }
   std::sort(routed.begin(), routed.end());
-  w.u32(static_cast<std::uint32_t>(routed.size()));
   for (const auto& route_name : routed) {
-    w.str(route_name);
-    w.u32(name_routes_.at(route_name).via.value());
+    put_name_node(out, kJRouteAdd, route_name, name_routes_.at(route_name).via);
   }
-
-  std::vector<std::uint32_t> child_ids;
-  for (const auto& [child, last_seen] : children_) {
-    child_ids.push_back(child.value());
+  std::vector<NodeId> children;
+  for (const auto& [child, last_seen] : children_) children.push_back(child);
+  std::sort(children.begin(), children.end());
+  for (const NodeId child : children) put_node(out, kJChildUp, child);
+  std::vector<std::pair<std::string, std::uint64_t>> seen;
+  for (const auto& [origin, seqs] : seen_) {
+    for (const std::uint64_t seq : seqs) seen.emplace_back(origin, seq);
   }
-  std::sort(child_ids.begin(), child_ids.end());
-  w.u32(static_cast<std::uint32_t>(child_ids.size()));
-  for (const std::uint32_t child : child_ids) w.u32(child);
-
-  std::vector<std::string> origins;
-  for (const auto& [origin, seqs] : seen_) origins.push_back(origin);
-  std::sort(origins.begin(), origins.end());
-  w.u32(static_cast<std::uint32_t>(origins.size()));
-  for (const auto& origin : origins) {
-    w.str(origin);
-    std::vector<std::uint64_t> seqs(seen_.at(origin).begin(),
-                                    seen_.at(origin).end());
-    std::sort(seqs.begin(), seqs.end());
-    w.u32(static_cast<std::uint32_t>(seqs.size()));
-    for (const std::uint64_t seq : seqs) w.u64(seq);
-  }
-
-  struct ParkRow {
-    std::string key;
-    SimTime expires_at;
-    std::uint64_t order;
-    std::vector<std::byte> flat;
-  };
-  std::vector<ParkRow> rows;
+  std::sort(seen.begin(), seen.end());
+  for (const auto& [origin, seq] : seen) put_seen(out, origin, seq);
   parked_.for_each([&](const std::string& key,
                        const transport::ParkingLot::Entry& entry) {
-    rows.push_back(
-        ParkRow{key, entry.expires_at, entry.order, entry.env.flatten()});
+    put_park(out, entry.order, key, entry.expires_at, entry.env.flatten());
   });
-  std::sort(rows.begin(), rows.end(),
-            [](const ParkRow& a, const ParkRow& b) { return a.order < b.order; });
-  w.u32(static_cast<std::uint32_t>(rows.size()));
-  for (const ParkRow& row : rows) {
-    w.u64(row.order);
-    w.str(row.key);
-    w.i64(row.expires_at.as_micros());
-    w.bytes(row.flat);
-  }
-}
-
-void GdsServer::load_snapshot(wire::Reader& r) {
-  if (r.u8() != kSnapshotVersion) {
-    r.fail();
-    return;
-  }
-  next_msg_id_ = std::max(next_msg_id_, r.u64());
-  const std::uint32_t n_ancestors = r.u32();
-  if (!r.ok()) return;
-  std::vector<NodeId> ancestors;
-  for (std::uint32_t i = 0; i < n_ancestors && r.ok(); ++i) {
-    ancestors.push_back(NodeId{r.u32()});
-  }
-  const std::uint32_t anc_index = r.u32();
-  if (!r.ok()) return;
-  if (!ancestors.empty()) {
-    ancestors_ = std::move(ancestors);
-    ancestor_index_ =
-        std::min<std::size_t>(anc_index, ancestors_.size() - 1);
-    parent_ = ancestors_[ancestor_index_];
-  }
-  const std::uint32_t n_local = r.u32();
-  for (std::uint32_t i = 0; i < n_local && r.ok(); ++i) {
-    const std::string server = r.str();
-    const NodeId node{r.u32()};
-    if (!r.ok()) break;
-    local_servers_[server] = node;
-    name_routes_[server] = Route{.local = true, .via = NodeId::invalid()};
-  }
-  const std::uint32_t n_routes = r.u32();
-  for (std::uint32_t i = 0; i < n_routes && r.ok(); ++i) {
-    const std::string route_name = r.str();
-    const NodeId via{r.u32()};
-    if (!r.ok()) break;
-    if (const auto it = name_routes_.find(route_name);
-        it == name_routes_.end() || !it->second.local) {
-      name_routes_[route_name] = Route{.local = false, .via = via};
-    }
-  }
-  const std::uint32_t n_children = r.u32();
-  for (std::uint32_t i = 0; i < n_children && r.ok(); ++i) {
-    // Liveness timestamps are not durable state: a recovered child gets a
-    // fresh lease and must heartbeat again before the next prune cutoff.
-    children_[NodeId{r.u32()}] = network().now();
-  }
-  const std::uint32_t n_origins = r.u32();
-  for (std::uint32_t i = 0; i < n_origins && r.ok(); ++i) {
-    const std::string origin = r.str();
-    const std::uint32_t n_seqs = r.u32();
-    if (!r.ok()) break;
-    auto& seqs = seen_[origin];
-    for (std::uint32_t j = 0; j < n_seqs && r.ok(); ++j) seqs.insert(r.u64());
-  }
-  const std::uint32_t n_parked = r.u32();
-  for (std::uint32_t i = 0; i < n_parked && r.ok(); ++i) {
-    const std::uint64_t order = r.u64();
-    const std::string key = r.str();
-    const SimTime expires_at = SimTime::micros(r.i64());
-    const std::vector<std::byte> flat = r.bytes();
-    if (!r.ok()) break;
-    if (auto env = wire::unpack(flat)) {
-      parked_.restore(key, std::move(env).take(), expires_at, order);
-    }
-  }
 }
 
 void GdsServer::replay_record(std::uint8_t type, wire::Reader& r) {
@@ -1158,6 +1077,22 @@ void GdsServer::replay_record(std::uint8_t type, wire::Reader& r) {
       const std::uint64_t order = r.u64();
       if (!r.ok()) return;
       parked_.remove_order(order);
+      break;
+    }
+    case kJMsgId: {
+      const std::uint64_t next = r.u64();
+      if (r.ok()) next_msg_id_ = std::max(next_msg_id_, next);
+      break;
+    }
+    case kJAncestors: {
+      std::vector<NodeId> ring = read_nodes(r);
+      std::vector<NodeId> proper = read_nodes(r);
+      const std::uint32_t index = r.u32();
+      if (!r.ok() || index >= std::max<std::size_t>(ring.size(), 1)) return;
+      ancestors_ = std::move(ring);
+      proper_ancestors_ = std::move(proper);
+      ancestor_index_ = index;
+      parent_ = ancestors_.empty() ? NodeId::invalid() : ancestors_[index];
       break;
     }
     default:

@@ -51,27 +51,18 @@ struct GdsConfig {
   journal::JournalPolicy journal;
   /// Store-and-forward custody for relays whose target is unknown here
   /// (paper §4.1): parked messages wait up to `park_ttl` for the name to
-  /// register (or a parent to appear) before expiring; `park_capacity`
-  /// bounds memory, evicting oldest-first.
+  /// register (or a parent to appear) before expiring; a fixed capacity
+  /// (128) bounds memory, evicting oldest-first.
   SimTime park_ttl = SimTime::seconds(10);
-  std::size_t park_capacity = 128;
   /// Latency-aware parent selection: measure RTT to proper ancestors
   /// (passively via heartbeat acks for the current parent, with active
   /// kGdsRttProbe round trips for the rest) and re-parent to a markedly
   /// closer ancestor. Off by default so the classic fixed tree — and all
   /// its deterministic message streams — is unchanged unless asked for.
+  /// Tuning (docs/TOPOLOGY.md): one probe per heartbeat tick, EWMA alpha
+  /// 0.3, 3 samples before an estimate counts, and hysteresis of a 25%
+  /// improvement with re-parents at least 5 s apart.
   bool adaptive_parent = false;
-  /// Probe one non-parent proper ancestor every Nth heartbeat tick.
-  int rtt_probe_every = 1;
-  /// EWMA smoothing factor applied to each new RTT sample.
-  double rtt_ewma_alpha = 0.3;
-  /// Samples required per candidate before its estimate is trusted.
-  int rtt_min_samples = 3;
-  /// Hysteresis: a candidate must beat the parent's smoothed RTT by this
-  /// fraction before an adaptive re-parent fires (jitter never flaps).
-  double reparent_improvement = 0.25;
-  /// Hysteresis: minimum spacing between adaptive re-parents.
-  SimTime reparent_min_interval = SimTime::seconds(5);
 };
 
 /// Counters exposed for benches and tests.
@@ -92,9 +83,7 @@ struct GdsNodeStats {
 
 class GdsServer : public sim::Node {
  public:
-  explicit GdsServer(GdsConfig config) : config_(config) {
-    parked_.set_policy({config_.park_ttl, config_.park_capacity});
-  }
+  explicit GdsServer(GdsConfig config);
 
   /// Wire the tree (done by the builder before Network::start). The
   /// ancestor list is ordered: [parent, grandparent, ..., root]; on parent
@@ -147,6 +136,7 @@ class GdsServer : public sim::Node {
   std::vector<std::string> broadcast_seen_keys() const;
   /// The node's journal, once started (tests, metrics).
   const journal::Journal* journal() const { return journal_.get(); }
+  journal::Journal* journal() { return journal_.get(); }
   /// Smoothed RTT towards `node` in microseconds, or -1 before the first
   /// sample (tests and benches assert adaptation against this).
   double rtt_ewma_micros(NodeId node) const;
@@ -201,7 +191,7 @@ class GdsServer : public sim::Node {
                     std::vector<std::string> removes);
   void reparent();
   /// Send one kGdsRttProbe round-robin over the non-parent proper
-  /// ancestors (adaptive mode, every Nth heartbeat tick).
+  /// ancestors (adaptive mode, once per heartbeat tick).
   void probe_ancestor_rtt();
   /// Fold a completed round trip into the per-node EWMA.
   void record_rtt_sample(NodeId from, std::uint64_t msg_id);
@@ -216,22 +206,14 @@ class GdsServer : public sim::Node {
   /// Open the journal over the node's storage and replay it (no-op when
   /// already open).
   void ensure_journal();
-  /// Frame-and-append helper; `payload_size` must be an upper bound on
-  /// the encoded payload (exact reserves keep Writer grow budgets green).
-  template <typename Fn>
-  void journal_append(std::uint8_t type, std::size_t payload_size,
-                      Fn&& encode) {
-    if (!journal_) return;
-    wire::Writer w;
-    w.reserve(payload_size);
-    encode(w);
-    journal_->append(type, std::move(w));
-  }
+  /// The live log (records are dropped until the journal is open).
+  journal::RecordSink log() const { return journal_.get(); }
   void commit_journal() {
     if (journal_) journal_->commit();
   }
-  void encode_snapshot(wire::Writer& w) const;
-  void load_snapshot(wire::Reader& r);
+  /// Full state as the same records the log holds, sorted.
+  void encode_snapshot(const journal::RecordSink& out) const;
+  /// The one decoder for log and snapshot records.
   void replay_record(std::uint8_t type, wire::Reader& r);
   /// Ancestor-list mutation shared by adopt_parent and its replay.
   void apply_adopt_ancestors(NodeId new_parent);
@@ -268,7 +250,6 @@ class GdsServer : public sim::Node {
   };
   std::unordered_map<NodeId, RttProbe> rtt_outstanding_;
   std::unordered_map<NodeId, RttEstimate> rtt_;
-  std::uint64_t rtt_probe_tick_ = 0;
   std::size_t rtt_probe_rr_ = 0;
   SimTime last_adaptive_reparent_{};
   bool adaptive_frozen_ = false;

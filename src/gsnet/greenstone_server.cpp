@@ -9,6 +9,13 @@
 
 namespace gsalert::gsnet {
 
+namespace {
+// Server-core journal records take types below 64 (the extension owns
+// 64..254). The id counters are modeled durable-in-memory, so only
+// snapshots carry them.
+constexpr std::uint8_t kJIdCounters = 1;  // event_seq u64, msg_id u64
+}  // namespace
+
 // --- administration ----------------------------------------------------
 
 Status GreenstoneServer::add_collection(docmodel::CollectionConfig config,
@@ -232,27 +239,26 @@ void GreenstoneServer::ensure_journal() {
   journal_ = std::make_unique<journal::Journal>(
       network().storage(id()), "node", name(), config_.journal);
   journal_->set_clock([this] { return network().now(); });
-  journal_->set_snapshot_writer([this](wire::Writer& w) {
-    w.u64(event_seq_);
-    w.u64(msg_id_);
-    wire::Writer ext;
-    if (extension_) extension_->encode_durable(ext);
-    w.bytes(ext.buffer());
+  journal_->set_snapshot_writer([this](const journal::RecordSink& out) {
+    out.put(kJIdCounters, 8 + 8, [&](wire::Writer& w) {
+      w.u64(event_seq_);
+      w.u64(msg_id_);
+    });
+    if (extension_) extension_->encode_durable(out);
   });
   journal_->recover(
-      [this](wire::Reader& r) {
-        // The id counters are modeled durable-in-memory; max-merge so a
-        // snapshot that lags the live counters never winds them back.
-        event_seq_ = std::max(event_seq_, r.u64());
-        msg_id_ = std::max(msg_id_, r.u64());
-        const std::vector<std::byte> blob = r.bytes();
-        if (r.ok() && extension_) {
-          wire::Reader ext{blob};
-          extension_->recover_durable(ext);
-        }
-      },
       [this](std::uint8_t type, wire::Reader& r, std::uint64_t /*lsn*/) {
-        if (type >= 64 && extension_) extension_->replay_journal(type, r);
+        if (type == kJIdCounters) {
+          // Max-merge: a snapshot that lags the live counters never winds
+          // them back.
+          const std::uint64_t event_seq = r.u64();
+          const std::uint64_t msg_id = r.u64();
+          if (!r.ok()) return;
+          event_seq_ = std::max(event_seq_, event_seq);
+          msg_id_ = std::max(msg_id_, msg_id);
+        } else if (type >= 64 && extension_) {
+          extension_->replay_journal(type, r);
+        }
       });
 }
 

@@ -37,7 +37,7 @@ struct ServerConfig {
   /// Write-ahead journal for the server's extension state (profiles,
   /// aux registries, channel custody). Collections and the event/msg id
   /// counters are modeled durable-in-memory (real Greenstone keeps them
-  /// on disk) and only max-merged from snapshots.
+  /// on disk); snapshots carry the counters, max-merged on recovery.
   journal::JournalPolicy journal;
 };
 

@@ -13,6 +13,10 @@
 #include "wire/codec.h"
 #include "wire/envelope.h"
 
+namespace gsalert::journal {
+class RecordSink;
+}  // namespace gsalert::journal
+
 namespace gsalert::gsnet {
 
 class GreenstoneServer;
@@ -63,15 +67,15 @@ class ServerExtension {
   /// GreenstoneServer::journal(); the server owns the file, the group
   /// commit and the snapshot cadence. Restart phase 1 calls on_recovered
   /// (wipe journaled state, re-attach channels) before the server replays
-  /// the journal back through recover_durable / replay_journal; phase 2
+  /// the snapshot's and the log's records through replay_journal; phase 2
   /// still calls on_restarted to re-announce and re-arm timers.
   virtual void on_recovered() {}
-  /// Serialize full durable state into a journal snapshot.
-  virtual void encode_durable(wire::Writer&) const {}
-  /// Load state from a snapshot written by encode_durable.
-  virtual void recover_durable(wire::Reader&) {}
-  /// Replay one journal record (types 64..254). Return false for unknown
-  /// types (ignored — forward compatibility).
+  /// Emit full durable state into a journal snapshot, as the same records
+  /// the extension appends live.
+  virtual void encode_durable(const journal::RecordSink&) const {}
+  /// Apply one record (types 64..254) from the log or a snapshot. Return
+  /// false when the type is not the extension's or the record does not
+  /// apply (unknown types are ignored — forward compatibility).
   virtual bool replay_journal(std::uint8_t /*type*/, wire::Reader&) {
     return false;
   }

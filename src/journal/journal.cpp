@@ -25,6 +25,23 @@ std::uint64_t read_u64(std::span<const std::byte> bytes, std::size_t at) {
   return v;
 }
 
+/// Start a record in `frame`: the header, with the payload length left
+/// zero. The payload follows, then seal_record().
+void begin_record(wire::Writer& frame, std::uint8_t type, std::uint64_t lsn) {
+  frame.u32(kMagic);
+  frame.u32(0);
+  frame.u64(lsn);
+  frame.u8(type);
+}
+
+/// Patch the payload length into a begun record and append its CRC, which
+/// covers the contiguous (payload_len, lsn, type, payload) bytes.
+std::vector<std::byte> seal_record(wire::Writer frame) {
+  frame.patch_u32(4, static_cast<std::uint32_t>(frame.size() - kHeaderBytes));
+  frame.u32(crc32c(std::span<const std::byte>{frame.buffer()}.subspan(4)));
+  return std::move(frame).take();
+}
+
 }  // namespace
 
 ScanResult scan_records(
@@ -62,6 +79,22 @@ ScanResult scan_records(
   return result;
 }
 
+bool scan_entries(
+    std::span<const std::byte> bytes,
+    const std::function<void(std::uint8_t, std::span<const std::byte>)>& fn) {
+  std::size_t pos = 0;
+  while (bytes.size() - pos >= kEntryHeaderBytes) {
+    const std::uint32_t len = read_u32(bytes, pos + 1);
+    if (len > bytes.size() - pos - kEntryHeaderBytes) return false;
+    if (fn) {
+      fn(static_cast<std::uint8_t>(bytes[pos]),
+         bytes.subspan(pos + kEntryHeaderBytes, len));
+    }
+    pos += kEntryHeaderBytes + len;
+  }
+  return pos == bytes.size();
+}
+
 Journal::Journal(sim::Storage& storage, std::string name, std::string node,
                  JournalPolicy policy)
     : storage_(storage),
@@ -72,38 +105,16 @@ Journal::Journal(sim::Storage& storage, std::string name, std::string node,
       snap_(name_ + ".snap"),
       tmp_(name_ + ".snap.tmp") {}
 
-void Journal::append_record_to(const std::string& file, std::uint8_t type,
-                               std::uint64_t lsn,
-                               std::span<const std::byte> payload) {
-  wire::Writer frame;
-  frame.reserve(record_wire_size(payload.size()));
-  frame.u32(kMagic);
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u64(lsn);
-  frame.u8(type);
-  frame.raw(payload);
-  Crc32c crc;
-  crc.u32(static_cast<std::uint32_t>(payload.size()));
-  crc.u64(lsn);
-  crc.u8(type);
-  crc.update(payload);
-  frame.u32(crc.value());
-  const std::vector<std::byte> bytes = std::move(frame).take();
-  storage_.append(file, bytes);
-}
-
 void Journal::append(std::uint8_t type, wire::Writer payload) {
   const std::vector<std::byte> bytes = std::move(payload).take();
-  const std::uint64_t lsn = next_lsn_++;
-  append_record_to(log_, type, lsn, bytes);
+  wire::Writer frame;
+  frame.reserve(record_wire_size(bytes.size()));
+  begin_record(frame, type, next_lsn_++);
+  frame.raw(bytes);
+  storage_.append(log_, seal_record(std::move(frame)));
   dirty_ = true;
   stats_.appends += 1;
   stats_.bytes_appended += record_wire_size(bytes.size());
-  if (policy_.trace_io && obs::active()) {
-    obs::emit_span("journal-append", node_, now(),
-                   {{"lsn", std::to_string(lsn)},
-                    {"type", std::to_string(type)}});
-  }
 }
 
 void Journal::commit() {
@@ -118,10 +129,6 @@ void Journal::commit() {
       1000.0);
   dirty_ = false;
   stats_.commits += 1;
-  if (policy_.trace_io && obs::active()) {
-    obs::emit_span("journal-fsync", node_, now(),
-                   {{"log_bytes", std::to_string(storage_.durable_size(log_))}});
-  }
   maybe_compact();
 }
 
@@ -147,30 +154,33 @@ void Journal::compact() {
     stats_.commits += 1;
   }
   const std::uint64_t covered = next_lsn_ - 1;
-  // Snapshot payloads are owner-sized and rare; encode without a reserve
-  // (growing an unreserved Writer is counted but cheap at this rate).
-  wire::Writer payload;
-  snapshot_writer_(payload);
-  const std::vector<std::byte> bytes = std::move(payload).take();
+  // The owner's records are written straight into the framed snapshot
+  // record, so the image exists once before storage copies it. Snapshot
+  // payloads are owner-sized and rare; encode without a reserve (growing
+  // an unreserved Writer is counted but cheap at this rate).
+  wire::Writer frame;
+  begin_record(frame, kSnapshotType, covered);
+  snapshot_writer_(RecordSink{frame});
+  const std::vector<std::byte> bytes = seal_record(std::move(frame));
   // Scratch -> fsync -> atomic rename -> truncate. Any crash point leaves
   // a recoverable pair (see header comment).
   storage_.remove(tmp_);
-  append_record_to(tmp_, kSnapshotType, covered, bytes);
+  storage_.append(tmp_, bytes);
   storage_.flush(tmp_);
   storage_.rename(tmp_, snap_);
   storage_.truncate(log_, 0);
   snapshot_lsn_ = covered;
   stats_.compactions += 1;
-  stats_.snapshot_bytes = record_wire_size(bytes.size());
+  stats_.snapshot_bytes = bytes.size();
   if (obs::active()) {
     obs::emit_span("journal-compact", node_, now(),
                    {{"covered_lsn", std::to_string(covered)},
-                    {"snapshot_bytes", std::to_string(bytes.size())}});
+                    {"snapshot_bytes",
+                     std::to_string(bytes.size() - record_wire_size(0))}});
   }
 }
 
-RecoveryResult Journal::recover(const SnapshotLoader& load,
-                                const ReplayFn& replay) {
+RecoveryResult Journal::recover(const ReplayFn& replay) {
   GSALERT_PROFILE("journal.recover");
   RecoveryResult result;
   stats_.recoveries += 1;
@@ -179,15 +189,22 @@ RecoveryResult Journal::recover(const SnapshotLoader& load,
   // rename; the snapshot it was building never took effect.
   storage_.remove(tmp_);
 
-  // Snapshot: a single framed record; loaded only if it validates.
+  // Snapshot: a single framed record whose payload is the owner's records;
+  // replayed only if its CRC holds and its entries cover it exactly.
   if (storage_.exists(snap_)) {
     const auto snap_bytes = storage_.read(snap_);
     scan_records(snap_bytes, [&](std::uint8_t type,
                                  std::span<const std::byte> payload,
                                  std::uint64_t lsn) {
-      if (type != kSnapshotType || result.snapshot_loaded) return;
-      wire::Reader reader(payload);
-      load(reader);
+      if (type != kSnapshotType || result.snapshot_loaded ||
+          !scan_entries(payload)) {
+        return;
+      }
+      scan_entries(payload, [&](std::uint8_t entry_type,
+                                std::span<const std::byte> entry) {
+        wire::Reader reader(entry);
+        replay(entry_type, reader, lsn);
+      });
       result.snapshot_loaded = true;
       result.snapshot_lsn = lsn;
     });

@@ -17,13 +17,15 @@
 //                     (group commit — one durable write per sim event,
 //                     however many records the handler produced)
 //   <name>.snap       one snapshot record (same framing, type 255) whose
-//                     lsn says which log prefix it covers
+//                     lsn says which log prefix it covers; its payload is
+//                     a stream of the owner's own records, each framed
+//                     u8 type | u32 len | payload (see RecordSink)
 //   <name>.snap.tmp   compaction scratch; ignored and deleted by recovery
 //
 // Compaction: when the durable log reaches max(policy floor, size of the
-// current <name>.snap), the owner's snapshot writer serializes full state
-// into <name>.snap.tmp, which is flushed, atomically renamed over
-// <name>.snap, and only then is the log truncated. Because a rewrite waits
+// current <name>.snap), the owner's snapshot writer emits its full state
+// as records into <name>.snap.tmp, which is flushed, atomically renamed
+// over <name>.snap, and only then is the log truncated. Because a rewrite waits
 // until the log has grown to the snapshot it replaces, re-copying old
 // state costs at most one snapshot byte per log byte appended, and replay
 // after a restart covers at most one snapshot's worth of log (or the
@@ -31,13 +33,14 @@
 // the old snapshot + full log before the rename, the new snapshot + a log
 // whose records are all covered (and skipped by lsn) after it.
 //
-// Recovery: load the snapshot if its CRC holds, then scan the log for the
-// longest valid record prefix — stopping at the first bad magic, bad
-// length, CRC mismatch, or non-increasing lsn — replaying records whose
-// lsn exceeds the snapshot's. The invalid tail is truncated so future
-// appends never interleave with garbage. Recovery is idempotent: running
-// it twice over the same storage yields the same state and the same
-// RecoveryResult.
+// Recovery: replay the snapshot's records if its CRC holds, then scan the
+// log for the longest valid record prefix — stopping at the first bad
+// magic, bad length, CRC mismatch, or non-increasing lsn — replaying
+// records whose lsn exceeds the snapshot's. Both go through the owner's
+// one replay callback, so each owner has a single decoder for its state.
+// The invalid tail is truncated so future appends never interleave with
+// garbage. Recovery is idempotent: running it twice over the same storage
+// yields the same state and the same RecoveryResult.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +48,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 #include "obs/latency.h"
@@ -61,6 +65,11 @@ inline constexpr std::uint32_t kMagic = 0x4C4A5347u;  // "GSJL"
 inline constexpr std::uint8_t kSnapshotType = 255;
 inline constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 1;
 inline constexpr std::size_t kTrailerBytes = 4;
+/// Snapshot entry header: u8 type | u32 payload_len.
+inline constexpr std::size_t kEntryHeaderBytes = 1 + 4;
+
+/// Encoded size of a length-prefixed string inside a record payload.
+constexpr std::size_t str_wire(std::string_view s) { return 4 + s.size(); }
 
 /// Total framed size of a record with `payload` payload bytes — callers
 /// reserve this (plus their payload) so journal writes never reallocate
@@ -74,10 +83,6 @@ struct JournalPolicy {
   /// truncate) once the durable log reaches max(this, current snapshot
   /// size). 0 disables size-triggered compaction.
   std::size_t compact_threshold_bytes = 64 * 1024;
-  /// Emit per-append / per-fsync spans. Off by default: one fsync per
-  /// sim event would crowd useful history out of the bounded flight
-  /// recorder. Replay and compaction always get spans (they are rare).
-  bool trace_io = false;
 };
 
 struct JournalStats {
@@ -118,12 +123,25 @@ ScanResult scan_records(
                              std::span<const std::byte> payload,
                              std::uint64_t lsn)>& fn = nullptr);
 
+/// Walk `bytes` as snapshot entries (u8 type | u32 len | payload),
+/// invoking `fn` for each whole one. Returns true only when the entries
+/// cover the buffer exactly. Total on arbitrary input.
+bool scan_entries(
+    std::span<const std::byte> bytes,
+    const std::function<void(std::uint8_t type,
+                             std::span<const std::byte> payload)>& fn =
+        nullptr);
+
+class RecordSink;
+
 class Journal {
  public:
+  /// Applies one record, from the log or from the snapshot (whose
+  /// records all carry the snapshot's lsn).
   using ReplayFn = std::function<void(std::uint8_t type, wire::Reader& payload,
                                       std::uint64_t lsn)>;
-  using SnapshotWriter = std::function<void(wire::Writer&)>;
-  using SnapshotLoader = std::function<void(wire::Reader&)>;
+  /// Emits the owner's full durable state as records.
+  using SnapshotWriter = std::function<void(const RecordSink&)>;
 
   /// `name` prefixes the storage file names; `node` labels spans and
   /// metrics with the owning node.
@@ -144,7 +162,7 @@ class Journal {
 
   bool dirty() const { return dirty_; }
 
-  /// Owner callback that serializes full durable state for compaction.
+  /// Owner callback that emits full durable state for compaction.
   /// Compaction is skipped (the log grows without bound) until this set.
   void set_snapshot_writer(SnapshotWriter fn) {
     snapshot_writer_ = std::move(fn);
@@ -158,10 +176,10 @@ class Journal {
   /// the log reaches max(policy floor, snapshot size)).
   void compact();
 
-  /// Load snapshot (if valid), replay the longest valid log prefix,
-  /// truncate any invalid tail. Replay calls `replay` only for records
-  /// past the snapshot's lsn; `load` sees the snapshot payload.
-  RecoveryResult recover(const SnapshotLoader& load, const ReplayFn& replay);
+  /// Replay the snapshot's records (if it is valid), then the longest
+  /// valid log prefix past the snapshot's lsn; truncate any invalid tail.
+  /// RecoveryResult::records_applied counts log records only.
+  RecoveryResult recover(const ReplayFn& replay);
 
   std::uint64_t next_lsn() const { return next_lsn_; }
   std::uint64_t snapshot_lsn() const { return snapshot_lsn_; }
@@ -183,9 +201,6 @@ class Journal {
   void collect_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  void append_record_to(const std::string& file, std::uint8_t type,
-                        std::uint64_t lsn,
-                        std::span<const std::byte> payload);
   void maybe_compact();
   SimTime now() const { return clock_ ? clock_() : SimTime::zero(); }
 
@@ -203,6 +218,50 @@ class Journal {
   std::function<SimTime()> clock_;
   JournalStats stats_;
   obs::LatencyHistogram fsync_us_;
+};
+
+/// Where an owner's records go: appended to the live log, or written as
+/// entries of a snapshot (or profile-migration) image. Each record type
+/// has one encoder that writes through a RecordSink, so the log and the
+/// snapshot carry the same record bytes and one replay switch decodes
+/// both.
+class RecordSink {
+ public:
+  /// The live log; a null journal drops records (owner not yet on a
+  /// network).
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  RecordSink(Journal* log) : log_(log) {}
+  /// An image: each record becomes one u8 type | u32 len | payload entry.
+  explicit RecordSink(wire::Writer& image) : image_(&image) {}
+
+  /// Emit one record; `encode(wire::Writer&)` writes its payload.
+  /// `payload_size` is the payload's exact size, which the log reserves
+  /// so the hot path never grows a Writer.
+  template <typename Fn>
+  void put(std::uint8_t type, std::size_t payload_size, Fn&& encode) const {
+    if (image_ != nullptr) {
+      image_->u8(type);
+      const std::size_t len_at = image_->size();
+      image_->u32(0);
+      encode(*image_);
+      image_->patch_u32(len_at, static_cast<std::uint32_t>(
+                                    image_->size() - len_at - 4));
+      return;
+    }
+    if (log_ == nullptr) return;
+    wire::Writer w;
+    w.reserve(payload_size);
+    encode(w);
+    log_->append(type, std::move(w));
+  }
+  /// A record whose payload is one u64 (counters, ids, sequence numbers).
+  void put_u64(std::uint8_t type, std::uint64_t value) const {
+    put(type, 8, [&](wire::Writer& w) { w.u64(value); });
+  }
+
+ private:
+  Journal* log_ = nullptr;
+  wire::Writer* image_ = nullptr;
 };
 
 }  // namespace gsalert::journal

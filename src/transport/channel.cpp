@@ -8,6 +8,42 @@
 
 namespace gsalert::transport {
 
+namespace {
+
+using journal::str_wire;
+
+// One encoder per record shape; live appends and snapshots share them.
+void put_send(const journal::RecordSink& out, std::uint8_t type,
+              const std::string& peer, std::uint64_t seq,
+              const wire::Envelope& env) {
+  const std::vector<std::byte> flat = env.flatten();
+  out.put(type, str_wire(peer) + 8 + 4 + flat.size(), [&](wire::Writer& w) {
+    w.str(peer);
+    w.u64(seq);
+    w.bytes(flat);
+  });
+}
+
+void put_peer_u64(const journal::RecordSink& out, std::uint8_t type,
+                  const std::string& peer, std::uint64_t value) {
+  out.put(type, str_wire(peer) + 8, [&](wire::Writer& w) {
+    w.str(peer);
+    w.u64(value);
+  });
+}
+
+void put_peer(const journal::RecordSink& out, std::uint8_t type,
+              const std::string& peer, std::uint64_t next_seq,
+              std::uint64_t floor) {
+  out.put(type, str_wire(peer) + 8 + 8, [&](wire::Writer& w) {
+    w.str(peer);
+    w.u64(next_seq);
+    w.u64(floor);
+  });
+}
+
+}  // namespace
+
 void ChannelSet::attach(sim::Network* net, NodeId self,
                         std::string self_name, TransmitFn transmit,
                         std::uint64_t jitter_seed) {
@@ -64,7 +100,7 @@ std::uint64_t ChannelSet::send(const std::string& peer, wire::Envelope env) {
   auto [it, inserted] = state.unacked.emplace(seq, std::move(entry));
   (void)inserted;
   stamp_and_transmit(peer, state, seq, it->second);
-  if (persist_.on_send) persist_.on_send(peer, seq, it->second.env);
+  if (log_) put_send(log(), first_type_, peer, seq, it->second.env);
   arm(it->second.due);
   return seq;
 }
@@ -74,7 +110,7 @@ bool ChannelSet::on_ack(const std::string& peer, std::uint64_t seq) {
   if (peer_it == peers_.end()) return false;
   if (peer_it->second.unacked.erase(seq) == 0) return false;
   stats_.acked += 1;
-  if (persist_.on_acked) persist_.on_acked(peer, seq);
+  put_peer_u64(log(), first_type_ + 1, peer, seq);
   return true;
 }
 
@@ -82,8 +118,8 @@ ChannelSet::Incoming ChannelSet::on_data(const wire::Envelope& env) {
   PeerState& state = peers_[env.src];
   const std::uint64_t floor_before = state.floor;
   Incoming incoming = on_data_apply(state, env);
-  if (persist_.on_floor && state.floor > floor_before) {
-    persist_.on_floor(env.src, state.floor);
+  if (state.floor > floor_before) {
+    put_peer_u64(log(), first_type_ + 2, env.src, state.floor);
   }
   return incoming;
 }
@@ -172,63 +208,66 @@ bool ChannelSet::on_timer(std::uint64_t token) {
   return true;
 }
 
-void ChannelSet::restore_unacked(const std::string& peer, std::uint64_t seq,
-                                 wire::Envelope env) {
-  PeerState& state = peers_[peer];
-  Unacked entry;
-  entry.env = std::move(env);
-  entry.rto = policy_.initial_rto;
-  entry.first_sent = net_ ? net_->now() : SimTime::zero();
-  entry.due = (net_ ? net_->now() : SimTime::zero()) +
-              jittered(entry.rto, policy_.jitter, rng_);
-  state.unacked.insert_or_assign(seq, std::move(entry));
-  if (seq >= state.next_seq) state.next_seq = seq + 1;
+void ChannelSet::set_journal(std::function<journal::RecordSink()> log,
+                             std::uint8_t first, std::uint8_t peer_type) {
+  log_ = std::move(log);
+  first_type_ = first;
+  peer_type_ = peer_type;
 }
 
-void ChannelSet::restore_ack(const std::string& peer, std::uint64_t seq) {
-  const auto it = peers_.find(peer);
-  if (it != peers_.end()) it->second.unacked.erase(seq);
-}
-
-void ChannelSet::restore_floor(const std::string& peer, std::uint64_t floor) {
-  PeerState& state = peers_[peer];
-  if (floor > state.floor) state.floor = floor;
-}
-
-void ChannelSet::encode_state(wire::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(peers_.size()));
+void ChannelSet::snapshot(const journal::RecordSink& out) const {
+  // A peer that never sent and never advanced its floor holds no durable
+  // state; skipping it keeps snapshot and log recovery identical.
   for (const auto& [peer, state] : peers_) {
-    w.str(peer);
-    w.u64(state.next_seq);
-    w.u64(state.floor);
-    w.u32(static_cast<std::uint32_t>(state.unacked.size()));
+    if (state.next_seq > 1 || state.floor > 0) {
+      put_peer(out, peer_type_, peer, state.next_seq, state.floor);
+    }
+  }
+  for (const auto& [peer, state] : peers_) {
     for (const auto& [seq, entry] : state.unacked) {
-      w.u64(seq);
-      w.bytes(entry.env.flatten());
+      put_send(out, first_type_, peer, seq, entry.env);
     }
   }
 }
 
-void ChannelSet::decode_state(wire::Reader& r) {
-  const std::uint32_t n_peers = r.u32();
-  for (std::uint32_t i = 0; i < n_peers && r.ok(); ++i) {
-    const std::string peer = r.str();
-    const std::uint64_t next_seq = r.u64();
-    const std::uint64_t floor = r.u64();
-    const std::uint32_t n_unacked = r.u32();
-    if (!r.ok()) break;
+bool ChannelSet::replay(std::uint8_t type, wire::Reader& r) {
+  const bool send = type == first_type_;
+  const bool ack = type == first_type_ + 1;
+  const bool floor = type == first_type_ + 2;
+  if (!send && !ack && !floor && type != peer_type_) return false;
+  // Every record starts with (peer str, u64).
+  const std::string peer = r.str();
+  const std::uint64_t value = r.u64();
+  if (send) {
+    const std::vector<std::byte> flat = r.bytes();
+    auto env = wire::unpack(flat);
+    if (!r.ok() || !env.ok()) return false;
+    // Back in the retransmit set under its original seq; due/rto restart
+    // at the policy's initial values.
     PeerState& state = peers_[peer];
-    state.next_seq = std::max(state.next_seq, next_seq);
-    state.floor = std::max(state.floor, floor);
-    for (std::uint32_t j = 0; j < n_unacked && r.ok(); ++j) {
-      const std::uint64_t seq = r.u64();
-      const std::vector<std::byte> flat = r.bytes();
-      if (!r.ok()) break;
-      if (auto env = wire::unpack(flat)) {
-        restore_unacked(peer, seq, std::move(env).take());
-      }
-    }
+    Unacked entry;
+    entry.env = std::move(env).take();
+    entry.rto = policy_.initial_rto;
+    entry.first_sent = net_ ? net_->now() : SimTime::zero();
+    entry.due = entry.first_sent + jittered(entry.rto, policy_.jitter, rng_);
+    state.unacked.insert_or_assign(value, std::move(entry));
+    state.next_seq = std::max(state.next_seq, value + 1);
+    return true;
   }
+  if (ack) {
+    if (!r.ok()) return false;
+    if (const auto it = peers_.find(peer); it != peers_.end()) {
+      it->second.unacked.erase(value);
+    }
+    return true;
+  }
+  // A floor record carries the floor; a peer record next_seq, then floor.
+  const std::uint64_t new_floor = floor ? value : r.u64();
+  if (!r.ok()) return false;
+  PeerState& state = peers_[peer];
+  if (!floor) state.next_seq = std::max(state.next_seq, value);
+  state.floor = std::max(state.floor, new_floor);
+  return true;
 }
 
 void ChannelSet::on_restart() {

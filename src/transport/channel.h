@@ -12,14 +12,13 @@
 // (peer name, seq). Retransmits re-stamp headers only; the body frame
 // is aliased across attempts (zero-copy).
 //
-// Durability: channel state mirrors the outbox it replaces. Durable
-// owners journal it through the persist hooks (one record per send /
-// ack / floor advance, full state in snapshots via encode_state) and
-// rebuild it on recovery with clear_peers() + the restore_* calls;
-// non-durable owners keep the ChannelSet member across restarts and
-// only re-arm the retry timer. The receiver-side reorder buffer is
-// deliberately volatile: a crash drops it, the sender's retransmits
-// re-fill it, and the floor keeps redelivery duplicate-free.
+// Durability: channel state mirrors the outbox it replaces. The set
+// journals its own records (one per send / ack / floor advance, at type
+// numbers its owner assigns), writes its full state as the same records
+// into snapshots, and rebuilds itself on recovery from clear_peers() +
+// replay(). The receiver-side reorder buffer is deliberately volatile: a
+// crash drops it, the sender's retransmits re-fill it, and the floor
+// keeps redelivery duplicate-free.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "journal/journal.h"
 #include "sim/network.h"
 #include "transport/policy.h"
 #include "wire/envelope.h"
@@ -77,32 +77,24 @@ class ChannelSet {
     retransmit_hook_ = std::move(hook);
   }
 
-  /// Durability taps: fired at every durable-state mutation so the owner
-  /// can journal it. on_send sees the envelope with its seq stamped;
-  /// on_floor fires once per on_data() that advanced the floor.
-  struct PersistHooks {
-    std::function<void(const std::string& peer, std::uint64_t seq,
-                       const wire::Envelope& env)>
-        on_send;
-    std::function<void(const std::string& peer, std::uint64_t seq)> on_acked;
-    std::function<void(const std::string& peer, std::uint64_t floor)> on_floor;
-  };
-  void set_persist_hooks(PersistHooks hooks) { persist_ = std::move(hooks); }
-
-  /// --- Recovery (journal replay) ---------------------------------------
-  /// Drop all per-peer state; replay rebuilds it from the records below.
+  /// --- Durability ---------------------------------------------------------
+  /// Journal every durable-state mutation through `log` as records of
+  /// type `first` (send: peer str, seq u64, envelope bytes), first + 1
+  /// (ack: peer str, seq u64) and first + 2 (floor: peer str, floor u64).
+  /// Snapshots add `peer_type` (peer str, next_seq u64, floor u64).
+  void set_journal(std::function<journal::RecordSink()> log,
+                   std::uint8_t first, std::uint8_t peer_type);
+  /// Full durable state (sender seqs, receiver floors, unacked envelopes;
+  /// no reorder buffer) as records: every peer record, then the unacked
+  /// sends in (peer, seq) order — the order replay draws retransmit
+  /// jitter in.
+  void snapshot(const journal::RecordSink& out) const;
+  /// Apply one of this set's records (call after attach(): restored sends
+  /// get fresh retransmit deadlines). False when `type` is not ours or
+  /// the payload does not decode.
+  bool replay(std::uint8_t type, wire::Reader& r);
+  /// Drop all per-peer state; replay rebuilds it.
   void clear_peers() { peers_.clear(); }
-  /// Re-insert an unacked send with its original seq (due/rto reset to
-  /// the policy's initial values; call after attach()).
-  void restore_unacked(const std::string& peer, std::uint64_t seq,
-                       wire::Envelope env);
-  /// Re-apply an ack / raise a receiver floor from the journal.
-  void restore_ack(const std::string& peer, std::uint64_t seq);
-  void restore_floor(const std::string& peer, std::uint64_t floor);
-  /// Full durable state (sender seqs + unacked envelopes + receiver
-  /// floors; no reorder buffer) for journal snapshots.
-  void encode_state(wire::Writer& w) const;
-  void decode_state(wire::Reader& r);
 
   /// Stamp (seq, chan_base) onto `env`, store it for retransmission and
   /// transmit. Returns the assigned sequence number.
@@ -156,6 +148,8 @@ class ChannelSet {
   };
 
   Incoming on_data_apply(PeerState& state, const wire::Envelope& env);
+  /// The live log (a dropping sink when the set is not journaled).
+  journal::RecordSink log() const { return log_ ? log_() : nullptr; }
   void stamp_and_transmit(const std::string& peer, PeerState& state,
                           std::uint64_t seq, Unacked& entry);
   void arm(SimTime due);
@@ -166,7 +160,9 @@ class ChannelSet {
   std::string self_name_;
   TransmitFn transmit_;
   RetransmitHook retransmit_hook_;
-  PersistHooks persist_;
+  std::function<journal::RecordSink()> log_;
+  std::uint8_t first_type_ = 0;
+  std::uint8_t peer_type_ = 0;
   ChannelPolicy policy_;
   Rng rng_{0};
   std::map<std::string, PeerState> peers_;

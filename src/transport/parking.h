@@ -49,7 +49,8 @@ class ParkingLot {
                            SimTime expires_at, SimTime parked_at);
 
   /// Re-insert an entry with its original custody id (journal replay).
-  /// Caller replays in order-id order; capacity is not re-enforced here
+  /// Each key's entries arrive in order-id order (the log's order, and
+  /// for_each's within a key); capacity is not re-enforced here
   /// (the journal never holds more live parks than capacity allowed).
   /// The journal record does not carry parked_at (format is frozen), so
   /// custody start is approximated as expires_at - policy ttl — exact

@@ -90,6 +90,12 @@ void Writer::raw(std::span<const std::byte> v) {
   buffer_.insert(buffer_.end(), v.begin(), v.end());
 }
 
+void Writer::patch_u32(std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < sizeof(v); ++i) {
+    buffer_[at + i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+  }
+}
+
 bool Reader::take(std::size_t n, const std::byte** out) {
   if (!ok_ || data_.size() - pos_ < n) {
     ok_ = false;

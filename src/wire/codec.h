@@ -50,6 +50,9 @@ class Writer {
   /// Append raw bytes without a length prefix (flattening pre-encoded
   /// regions that already carry their own framing).
   void raw(std::span<const std::byte> v);
+  /// Overwrite the u32 written at offset `at` (a length emitted as a
+  /// placeholder before the bytes it counts were encoded).
+  void patch_u32(std::size_t at, std::uint32_t v);
 
   /// Write a length-prefixed sequence using a per-element callback.
   template <typename Range, typename Fn>

@@ -435,7 +435,9 @@ class DurabilityChecker : public sim::InvariantChecker {
       }
       std::vector<std::string> have;
       for (const SubscriptionId id : services[i]->subscription_ids()) {
-        have.push_back("#" + std::to_string(id));
+        std::string key = "#";
+        key += std::to_string(id);
+        have.push_back(std::move(key));
       }
       require_superset(out, servers[i]->name() + " subscription", want, have);
       require_superset(out, servers[i]->name() + " seen-event",

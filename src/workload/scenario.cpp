@@ -182,7 +182,8 @@ void Scenario::wire_links() {
 void Scenario::setup_collections() {
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     for (int c = 0; c < config_.collections_per_server; ++c) {
-      const std::string name = "C" + std::to_string(c);
+      std::string name = "C";
+      name += std::to_string(c);
       docmodel::CollectionConfig cfg = collgens_[s]->make_config(name);
       docmodel::DataSet data =
           collgens_[s]->make_data_set(next_doc_id_, config_.collection.docs);

@@ -245,16 +245,15 @@ TEST(BatchingTest, RebuildWithThreeEventsCoalescesIntoOneFlood) {
 }
 
 TEST(BatchingTest, BatchFlushesAtMaxAndCarriesRemainder) {
-  AlertingConfig cfg;
-  cfg.max_batch_events = 2;
-  World w{4, cfg};
+  constexpr std::size_t kMax = AlertingService::kMaxBatchEvents;
+  World w{4};
   w.clients[2]->subscribe("host = hamilton");
   w.settle();
   ASSERT_TRUE(w.servers[0]->add_collection(config("A"), DataSet{}));
   w.settle(SimTime::seconds(1));
   const std::uint64_t base =
       static_cast<std::uint64_t>(w.clients[2]->notifications().size());
-  // max+1 events inside one bracket: the batch flushes at max (2), the
+  // max+1 events inside one bracket: the batch flushes at max, the
   // remainder goes out at build-complete as a plain announce.
   auto event_for = [&](std::uint64_t seq) {
     docmodel::Event e;
@@ -265,36 +264,19 @@ TEST(BatchingTest, BatchFlushesAtMaxAndCarriesRemainder) {
     return e;
   };
   w.alerting[0]->on_build_begin();
-  w.alerting[0]->on_local_event(event_for(1));
-  w.alerting[0]->on_local_event(event_for(2));
-  // Batch hit max_batch_events: flushed immediately, mid-build.
+  for (std::uint64_t seq = 1; seq <= kMax; ++seq) {
+    w.alerting[0]->on_local_event(event_for(seq));
+  }
+  // Batch hit kMaxBatchEvents: flushed immediately, mid-build.
   EXPECT_EQ(w.alerting[0]->stats().batches_sent, 1u);
-  EXPECT_EQ(w.alerting[0]->stats().batched_events, 2u);
-  w.alerting[0]->on_local_event(event_for(3));
+  EXPECT_EQ(w.alerting[0]->stats().batched_events, kMax);
+  w.alerting[0]->on_local_event(event_for(kMax + 1));
   w.alerting[0]->on_build_complete();
   w.settle(SimTime::seconds(1));
   // The remainder was a singleton: announced plainly, not batch-framed.
   EXPECT_EQ(w.alerting[0]->stats().batches_sent, 1u);
-  EXPECT_EQ(w.alerting[0]->stats().batched_events, 2u);
-  EXPECT_EQ(w.clients[2]->notifications().size(), base + 3);
-}
-
-TEST(BatchingTest, DisabledConfigFloodsPerEvent) {
-  AlertingConfig cfg;
-  cfg.batch_events = false;
-  World w{4, cfg};
-  w.clients[2]->subscribe("host = hamilton");
-  w.settle();
-  ASSERT_TRUE(w.servers[0]->add_collection(
-      config("A"), DataSet{{doc(1, "T", "c"), doc(2, "T2", "c")}}));
-  w.settle(SimTime::seconds(1));
-  ASSERT_TRUE(w.servers[0]->rebuild_collection(
-      "A", DataSet{{doc(1, "T changed", "c"), doc(3, "T3", "c")}}));
-  w.settle(SimTime::seconds(1));
-  // Same deliveries as the batched run, just one flood per event.
-  EXPECT_EQ(w.clients[2]->notifications().size(), 4u);
-  EXPECT_EQ(w.alerting[0]->stats().batches_sent, 0u);
-  EXPECT_EQ(w.alerting[0]->stats().events_published, 4u);
+  EXPECT_EQ(w.alerting[0]->stats().batched_events, kMax);
+  EXPECT_EQ(w.clients[2]->notifications().size(), base + kMax + 1);
 }
 
 // --- distributed collections: the Figure 3 hybrid flow -----------------------------

@@ -50,12 +50,18 @@ docmodel::Event random_event(Rng& rng) {
   e.collection = {"H", "C"};
   e.physical_origin = {"H2", "C2"};
   const int nvia = static_cast<int>(rng.uniform_int(0, 3));
-  for (int i = 0; i < nvia; ++i) e.via.push_back("V" + std::to_string(i));
+  for (int i = 0; i < nvia; ++i) {
+    std::string hop = "V";
+    hop += std::to_string(i);
+    e.via.push_back(std::move(hop));
+  }
   const int ndocs = static_cast<int>(rng.uniform_int(0, 4));
   for (int i = 0; i < ndocs; ++i) {
     docmodel::Document d;
     d.id = static_cast<DocumentId>(rng.uniform_int(1, 100));
-    d.metadata.add("title", "t" + std::to_string(rng.uniform_int(0, 9)));
+    std::string title = "t";
+    title += std::to_string(rng.uniform_int(0, 9));
+    d.metadata.add("title", title);
     d.terms = {"a", "b"};
     e.docs.push_back(std::move(d));
   }
@@ -442,7 +448,9 @@ std::string random_profile_predicate(Rng& rng) {
       const int n = static_cast<int>(rng.uniform_int(1, 4));
       for (int i = 0; i < n; ++i) {
         if (i > 0) text += ", ";
-        text += "\"" + random_pred_value(rng) + "\"";
+        text += "\"";
+        text += random_pred_value(rng);
+        text += "\"";
       }
       text += "]";
       break;
@@ -534,6 +542,21 @@ TEST_P(JournalFuzz, ScanRecordsSurvivesRandomBytes) {
   }
 }
 
+TEST_P(JournalFuzz, ScanEntriesSurvivesRandomBytes) {
+  Rng rng{GetParam().seed ^ 0x10E};
+  for (int i = 0; i < 300; ++i) {
+    const std::vector<std::byte> bytes = random_bytes(rng, 300);
+    std::size_t covered = 0;
+    const bool whole = journal::scan_entries(
+        bytes, [&](std::uint8_t, std::span<const std::byte> payload) {
+          covered += journal::kEntryHeaderBytes + payload.size();
+          EXPECT_LE(covered, bytes.size());
+        });
+    // Exact cover is the only success; anything short is rejected.
+    EXPECT_EQ(whole, covered == bytes.size());
+  }
+}
+
 TEST_P(JournalFuzz, RecoverSurvivesMutatedLogs) {
   Rng rng{GetParam().seed ^ 0x10D};
   for (int i = 0; i < 60; ++i) {
@@ -571,13 +594,11 @@ TEST_P(JournalFuzz, RecoverSurvivesMutatedLogs) {
     const auto replay = [](std::uint8_t, wire::Reader& r, std::uint64_t) {
       (void)r.str();  // decode failure must latch, not crash
     };
-    const journal::RecoveryResult first =
-        reader.recover([](wire::Reader&) {}, replay);
+    const journal::RecoveryResult first = reader.recover(replay);
     // Idempotence holds on mutated input too: a second recovery over the
     // (now repaired) storage reports the same surviving prefix.
     journal::Journal again{storage, "j", "fuzz"};
-    const journal::RecoveryResult second =
-        again.recover([](wire::Reader&) {}, replay);
+    const journal::RecoveryResult second = again.recover(replay);
     EXPECT_EQ(first.records_applied, second.records_applied);
     EXPECT_EQ(first.last_lsn, second.last_lsn);
     EXPECT_EQ(second.torn_bytes_dropped, 0u)
