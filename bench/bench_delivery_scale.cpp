@@ -154,17 +154,23 @@ int main() {
       return 1;
     }
     const SubscriptionId sub = result.value();
+    Status policy_set;
     switch (sub % 3) {
       case 1:
-        alerting->set_delivery_policy(
+        policy_set = alerting->set_delivery_policy(
             sub, {alerting::DeliveryMode::kCoalesce, SimTime::millis(100)});
         break;
       case 2:
-        alerting->set_delivery_policy(
+        policy_set = alerting->set_delivery_policy(
             sub, {alerting::DeliveryMode::kDigest, SimTime::millis(300)});
         break;
       default:
         break;  // immediate (digest-of-one on the managed channel)
+    }
+    if (!policy_set) {
+      std::fprintf(stderr, "set_delivery_policy %zu failed: %s\n", i,
+                   policy_set.error().message.c_str());
+      return 1;
     }
   }
 

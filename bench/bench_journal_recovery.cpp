@@ -62,10 +62,9 @@ void produce(journal::Journal& journal, ToyState& state, int records) {
     const std::string key =
         "key" + std::to_string(rng.uniform_int(0, kKeySpace - 1));
     if (rng.chance(0.2)) {
-      wire::Writer w;
-      w.reserve(4 + key.size());
-      w.str(key);
-      journal.append(kErase, std::move(w));
+      journal::RecordSink{&journal}.put(
+          kErase, journal::str_wire(key),
+          [&](wire::Writer& w) { w.str(key); });
       state.kv.erase(key);
     } else {
       ToyState::put_set(&journal, key, static_cast<std::uint64_t>(i));

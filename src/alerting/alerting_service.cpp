@@ -24,7 +24,8 @@ constexpr std::uint8_t kJAuxOutReplace = 69; // coll str, n u32, refs
 constexpr std::uint8_t kJEventSeen = 70;     // origin str, seq u64
 constexpr std::uint8_t kJForwardProcessed = 71;  // key str
 constexpr std::uint8_t kJChanSend = 72;      // 72..74: channels_ send/ack/floor
-// 75..81 and 84..85 belong to the delivery stage.
+constexpr std::uint8_t kJSubPolicy = 75;     // sub u64, mode u8, window u64
+// 76..81 and 84..85 belong to the delivery stage.
 constexpr std::uint8_t kJNextSub = 82;       // next_sub u64 (snapshots)
 constexpr std::uint8_t kJChanPeer = 83;      // channels_ peer (snapshots)
 
@@ -38,6 +39,15 @@ void put_sub(const journal::RecordSink& out, SubscriptionId id,
     w.u64(id);
     w.u32(client.value());
     w.str(text);
+  });
+}
+
+void put_policy(const journal::RecordSink& out, SubscriptionId id,
+                const DeliveryPolicy& policy) {
+  out.put(kJSubPolicy, 8 + 1 + 8, [&](wire::Writer& w) {
+    w.u64(id);
+    w.u8(static_cast<std::uint8_t>(policy.mode));
+    w.u64(static_cast<std::uint64_t>(policy.window.as_micros()));
   });
 }
 
@@ -116,10 +126,23 @@ Result<SubscriptionId> AlertingService::subscribe_local(
   if (Status s = index_.add(std::move(parsed).take()); !s.is_ok()) {
     return s.error();
   }
-  subs_[id] = Subscription{client, profile_text};
+  subs_[id] = Subscription{.client = client, .profile_text = profile_text};
   put_sub(log(), id, client, profile_text);
   if (server_) server_->commit_journal();
   return id;
+}
+
+Status AlertingService::set_delivery_policy(SubscriptionId id,
+                                            DeliveryPolicy policy) {
+  const auto it = subs_.find(id);
+  if (it == subs_.end()) {
+    return Status{ErrorCode::kNotFound, "unknown subscription"};
+  }
+  it->second.policy_set = true;
+  it->second.policy = policy;
+  put_policy(log(), id, policy);
+  if (server_) server_->commit_journal();
+  return Status::ok();
 }
 
 Status AlertingService::cancel_local(SubscriptionId id) {
@@ -147,7 +170,8 @@ std::vector<SubscriptionId> AlertingService::subscription_ids() const {
   std::vector<SubscriptionId> out;
   out.reserve(subs_.size());
   for (const auto& [id, sub] : subs_) out.push_back(id);
-  return out;  // subs_ is an ordered map: already sorted
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::vector<std::string> AlertingService::seen_event_keys() const {
@@ -232,6 +256,7 @@ void AlertingService::filter_and_notify(const docmodel::Event& event) {
   for (profiles::ProfileId id : hits) {
     const auto it = subs_.find(id);
     if (it == subs_.end()) continue;
+    const Subscription& sub = it->second;
     if (!shared_event) {
       shared_event = std::make_shared<const docmodel::Event>(event);
       body_frame = wire::Frame{encode_event(event)};
@@ -242,9 +267,9 @@ void AlertingService::filter_and_notify(const docmodel::Event& event) {
             ? obs::emit_span(
                   "notify", server_->name(), server_->net().now(),
                   {{"sub", std::to_string(id)},
-                   {"client", std::to_string(it->second.client.value())}})
+                   {"client", std::to_string(sub.client.value())}})
             : obs::current_context()};
-    delivery_.offer(it->second.client, id, shared_event, body_frame);
+    delivery_.offer(sub.client, id, sub.policy, shared_event, body_frame);
   }
 }
 
@@ -705,9 +730,18 @@ void AlertingService::handle_ack(const wire::Envelope& env) {
 
 // --- durability / migration -----------------------------------------------------------
 
-void AlertingService::put_profiles(const journal::RecordSink& out) const {
-  for (const auto& [id, sub] : subs_) {
-    put_sub(out, id, sub.client, sub.profile_text);
+AlertingService::SubsById AlertingService::subs_by_id() const {
+  SubsById subs;
+  subs.reserve(subs_.size());
+  for (const auto& [id, sub] : subs_) subs.emplace_back(id, &sub);
+  std::sort(subs.begin(), subs.end());  // by id: ids are unique
+  return subs;
+}
+
+void AlertingService::put_profiles(const journal::RecordSink& out,
+                                   const SubsById& subs) const {
+  for (const auto& [id, sub] : subs) {
+    put_sub(out, id, sub->client, sub->profile_text);
   }
   for (const auto& [sub_name, supers] : aux_in_) {
     for (const CollectionRef& super : supers) {
@@ -722,7 +756,7 @@ void AlertingService::put_profiles(const journal::RecordSink& out) const {
 
 std::vector<std::byte> AlertingService::snapshot_state() const {
   wire::Writer w;
-  put_profiles(journal::RecordSink{w});
+  put_profiles(journal::RecordSink{w}, subs_by_id());
   return std::move(w).take();
 }
 
@@ -769,13 +803,14 @@ bool AlertingService::restore_subscription(SubscriptionId id, NodeId client,
   if (!parsed.ok()) return false;  // journal predates a grammar change
   parsed.value().id = id;
   if (!index_.add(std::move(parsed).take()).is_ok()) return false;
-  subs_[id] = Subscription{client, std::move(text)};
+  subs_[id] = Subscription{.client = client, .profile_text = std::move(text)};
   if (id >= next_sub_) next_sub_ = id + 1;
   return true;
 }
 
 void AlertingService::encode_durable(const journal::RecordSink& out) const {
-  put_profiles(out);
+  const SubsById subs = subs_by_id();
+  put_profiles(out, subs);
   // Hash sets are sorted so equal state snapshots to equal bytes.
   std::vector<docmodel::EventId> seen(seen_events_.begin(),
                                       seen_events_.end());
@@ -789,7 +824,11 @@ void AlertingService::encode_durable(const journal::RecordSink& out) const {
     put_sub_request(out, request.first, request.second, sub);
   }
   channels_.snapshot(out);
-  delivery_.snapshot(out);
+  delivery_.snapshot(out, [&] {
+    for (const auto& [id, sub] : subs) {
+      if (sub->policy_set) put_policy(out, id, sub->policy);
+    }
+  });
 }
 
 bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
@@ -809,6 +848,19 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
       // Enq records for the cancelled sub replay before this record;
       // re-dropping here keeps the recovered queues cancel-consistent.
       delivery_.drop_subscription(id);
+      return true;
+    }
+    case kJSubPolicy: {
+      const SubscriptionId id = r.u64();
+      const auto mode = static_cast<DeliveryMode>(r.u8());
+      const SimTime window =
+          SimTime::micros(static_cast<std::int64_t>(r.u64()));
+      if (!r.ok()) return false;
+      // A record naming no live subscription applies nothing.
+      if (const auto it = subs_.find(id); it != subs_.end()) {
+        it->second.policy_set = true;
+        it->second.policy = DeliveryPolicy{mode, window};
+      }
       return true;
     }
     case kJSubRequest: {

@@ -110,14 +110,14 @@ class AlertingService : public gsnet::ServerExtension {
     return channels_.unacked_total() + delivery_.inflight();
   }
 
-  /// The per-subscriber delivery stage (policies, queues, credits).
+  /// The per-subscriber delivery stage (queues, credits, digests).
   DeliveryStage& delivery() { return delivery_; }
   const DeliveryStage& delivery() const { return delivery_; }
-  /// Set one subscription's delivery policy (journaled; local API — the
-  /// subscribing server is the user's single access point).
-  void set_delivery_policy(SubscriptionId sub, DeliveryPolicy policy) {
-    delivery_.set_policy(sub, policy);
-  }
+  /// Set one live subscription's delivery policy (journaled; local API —
+  /// the subscribing server is the user's single access point). The
+  /// policy is deleted with its subscription. kNotFound, with nothing
+  /// journaled, for an unknown or cancelled id.
+  Status set_delivery_policy(SubscriptionId sub, DeliveryPolicy policy);
   /// Notifications accepted by the delivery stage but not yet on a
   /// client, as "client#sub#origin#seq" keys (crash-durability check).
   std::vector<std::string> pending_delivery_keys() const {
@@ -176,10 +176,16 @@ class AlertingService : public gsnet::ServerExtension {
   bool replay_journal(std::uint8_t type, wire::Reader& r) override;
 
  private:
-  friend class DeliveryStage;  // wire, journal, stats, observer access
+  friend class DeliveryStage;  // wire, journal, stats, observer, policies
 
   struct Subscription {
     NodeId client;
+    /// Whether set_delivery_policy set `policy`. An unset policy is the
+    /// immediate default and has no journal record; a set one, even an
+    /// immediate one, is journaled and snapshotted. (A flag rather than
+    /// std::optional: it fits in padding, a 16-byte smaller map node.)
+    bool policy_set = false;
+    DeliveryPolicy policy;
     std::string profile_text;
   };
 
@@ -237,9 +243,13 @@ class AlertingService : public gsnet::ServerExtension {
   }
   /// Journal the full replacement value of aux_out_[coll].
   void journal_aux_out(const std::string& coll);
+  using SubsById = std::vector<std::pair<SubscriptionId, const Subscription*>>;
+  /// Live subscriptions in id order: subs_ is hashed, and snapshots and
+  /// migration images must be deterministic.
+  SubsById subs_by_id() const;
   /// The profile database as records (subscriptions, aux registries, then
   /// the sub counter): a migration image and the head of every snapshot.
-  void put_profiles(const journal::RecordSink& out) const;
+  void put_profiles(const journal::RecordSink& out, const SubsById& subs) const;
   /// Install one subscription during replay; false when the profile does
   /// not parse or the id is taken.
   bool restore_subscription(SubscriptionId id, NodeId client,
@@ -247,7 +257,9 @@ class AlertingService : public gsnet::ServerExtension {
 
   AlertingConfig config_;
   profiles::ProfileIndex index_;
-  std::map<SubscriptionId, Subscription> subs_;
+  // Hashed: filter_and_notify does one lookup per hit. Writers that must
+  // be deterministic (snapshots, migration images) sort the ids.
+  std::unordered_map<SubscriptionId, Subscription> subs_;
   SubscriptionId next_sub_ = 1;
 
   // Downstream side: sub-collection name -> super-collections observing it.

@@ -1,5 +1,6 @@
 #include "alerting/client.h"
 
+#include "obs/profiler.h"
 #include "wire/envelope.h"
 
 namespace gsalert::alerting {
@@ -49,6 +50,7 @@ void Client::cancel(SubscriptionId sub_id) {
 }
 
 void Client::on_packet(NodeId from, const sim::Packet& packet) {
+  GSALERT_PROFILE("client.on_packet");
   auto decoded = wire::unpack(packet);
   if (!decoded.ok()) return;
   const wire::Envelope& env = decoded.value();
@@ -79,14 +81,14 @@ void Client::on_packet(NodeId from, const sim::Packet& packet) {
                               env.src, env.msg_id, wire::Writer{});
       network().send(id(), from, ack.pack());
     }
-    const std::string digest_key = std::to_string(from.value()) + "#" +
-                                   std::to_string(body.value().digest_seq);
-    if (!seen_digests_.insert(digest_key).second) {
+    if (!seen_digests_.emplace(from.value(), body.value().digest_seq)
+             .second) {
       digest_replays_ += 1;
       return;
     }
     digests_received_ += 1;
-    for (NotificationDigestBody::Entry& entry : body.value().entries) {
+    // Entries view env.body, which outlives the loop.
+    for (const NotificationDigestBody::Entry& entry : body.value().entries) {
       auto event = decode_event(entry.event);
       if (!event.ok()) continue;
       record_notification(from, entry.subscription_id,

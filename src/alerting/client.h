@@ -5,8 +5,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "alerting/messages.h"
@@ -86,7 +88,7 @@ class Client : public sim::Node {
   std::unordered_set<std::string> seen_notifications_;
   // Channel-managed digests retransmit until acked; replays of a digest
   // we already processed are dropped wholesale by (sender, digest_seq).
-  std::unordered_set<std::string> seen_digests_;
+  std::set<std::pair<std::uint32_t, std::uint64_t>> seen_digests_;
   std::uint64_t digests_received_ = 0;
   std::uint64_t digest_replays_ = 0;
 

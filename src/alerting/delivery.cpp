@@ -4,14 +4,14 @@
 #include <utility>
 
 #include "alerting/alerting_service.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace gsalert::alerting {
 
 namespace {
-// Journal record types (64..254 are extension records; 64..74 and 82..83
+// Journal record types (64..254 are extension records; 64..75 and 82..83
 // belong to AlertingService itself — see docs/DURABILITY.md).
-constexpr std::uint8_t kJDelivPolicy = 75;  // sub u64, mode u8, window u64
 constexpr std::uint8_t kJDelivEnq = 76;  // node u32, name str, seq u64,
                                          // sub u64, event bytes
 constexpr std::uint8_t kJDelivDone = 77;   // seq u64 (sent or spilled)
@@ -23,15 +23,6 @@ constexpr std::uint8_t kJDChanPeer = 85;   // channel_ peer (snapshots)
 using journal::str_wire;
 
 // One encoder per record shape; live appends and snapshots share them.
-void put_policy(const journal::RecordSink& out, SubscriptionId sub,
-                const DeliveryPolicy& policy) {
-  out.put(kJDelivPolicy, 8 + 1 + 8, [&](wire::Writer& w) {
-    w.u64(sub);
-    w.u8(static_cast<std::uint8_t>(policy.mode));
-    w.u64(static_cast<std::uint64_t>(policy.window.as_micros()));
-  });
-}
-
 void put_enqueued(const journal::RecordSink& out, NodeId node,
                   const std::string& name, std::uint64_t seq,
                   SubscriptionId sub, std::span<const std::byte> event) {
@@ -98,26 +89,16 @@ DeliveryStage::ClientQueue& DeliveryStage::queue_for(NodeId client) {
   return q;
 }
 
-void DeliveryStage::set_policy(SubscriptionId sub, DeliveryPolicy policy) {
-  policies_[sub] = policy;
-  put_policy(owner_.log(), sub, policy);
-  if (owner_.server_ != nullptr) owner_.server_->commit_journal();
-}
-
-DeliveryPolicy DeliveryStage::policy_for(SubscriptionId sub) const {
-  const auto it = policies_.find(sub);
-  return it == policies_.end() ? DeliveryPolicy{} : it->second;
-}
-
 std::uint64_t DeliveryStage::alloc_digest_seq() {
   digest_seq_ += 1;
   owner_.log().put_u64(kJDigestSeq, digest_seq_);
   return digest_seq_;
 }
 
-void DeliveryStage::note_sent(const ClientQueue& q, const QueueEntry& entry) {
-  if (owner_.notification_observer_ && entry.event) {
-    owner_.notification_observer_(q.node, entry.sub, *entry.event);
+void DeliveryStage::note_sent(const ClientQueue& q, SubscriptionId sub,
+                              const docmodel::Event& event) {
+  if (owner_.notification_observer_) {
+    owner_.notification_observer_(q.node, sub, event);
   }
   owner_.stats_.notifications_sent += 1;
 }
@@ -144,10 +125,11 @@ bool DeliveryStage::credit_available(const ClientQueue& q) const {
 }
 
 void DeliveryStage::offer(NodeId client, SubscriptionId sub,
+                          DeliveryPolicy policy,
                           const std::shared_ptr<const docmodel::Event>& event,
                           const wire::Frame& bytes) {
+  GSALERT_PROFILE("delivery.offer");
   ensure_attached();
-  const DeliveryPolicy policy = policy_for(sub);
   ClientQueue& q = queue_for(client);
   if (policy.mode == DeliveryMode::kImmediate) {
     if (!managed()) {
@@ -157,13 +139,8 @@ void DeliveryStage::offer(NodeId client, SubscriptionId sub,
     if (!q.stalled && credit_available(q)) {
       // Digest-of-one on the reliable channel: same framing as windowed
       // delivery, so the client's ack/dedup path is uniform.
-      QueueEntry entry;
-      entry.sub = sub;
-      entry.event_id = event->id;
-      entry.event = event;
-      entry.bytes = bytes;
-      ship(q, {&entry});
-      note_sent(q, entry);
+      ship(q, {{sub, bytes.span()}});
+      note_sent(q, sub, *event);
       stats_.sent_immediate += 1;
       return;
     }
@@ -237,15 +214,10 @@ void DeliveryStage::spill_one(ClientQueue& q) {
 }
 
 void DeliveryStage::ship(ClientQueue& q,
-                         const std::vector<const QueueEntry*>& batch) {
+                         std::vector<NotificationDigestBody::Entry> entries) {
   NotificationDigestBody body;
   body.digest_seq = alloc_digest_seq();
-  body.entries.reserve(batch.size());
-  for (const QueueEntry* e : batch) {
-    const std::span<const std::byte> sp = e->bytes.span();
-    body.entries.push_back(NotificationDigestBody::Entry{
-        e->sub, std::vector<std::byte>(sp.begin(), sp.end())});
-  }
+  body.entries = std::move(entries);
   wire::Writer w;
   body.encode(w);
   wire::Envelope env =
@@ -255,7 +227,7 @@ void DeliveryStage::ship(ClientQueue& q,
     obs::emit_span("delivery-flush", owner_.server_->name(),
                    owner_.server_->net().now(),
                    {{"client", q.name},
-                    {"entries", std::to_string(batch.size())},
+                    {"entries", std::to_string(body.entries.size())},
                     {"digest", std::to_string(body.digest_seq)}});
   }
   if (managed()) {
@@ -265,10 +237,11 @@ void DeliveryStage::ship(ClientQueue& q,
     owner_.server_->send_to(q.node, env);
   }
   stats_.digests_sent += 1;
-  stats_.digest_notifications += batch.size();
+  stats_.digest_notifications += body.entries.size();
 }
 
 void DeliveryStage::flush(ClientQueue& q) {
+  GSALERT_PROFILE("delivery.flush");
   q.flush_armed = false;
   if (q.entries.empty()) {
     q.stalled = false;
@@ -298,12 +271,14 @@ void DeliveryStage::flush(ClientQueue& q) {
                       {"entries", std::to_string(q.entries.size())}});
     }
   }
-  std::vector<const QueueEntry*> batch;
-  batch.reserve(q.entries.size());
-  for (const QueueEntry& e : q.entries) batch.push_back(&e);
-  ship(q, batch);
+  std::vector<NotificationDigestBody::Entry> entries;
+  entries.reserve(q.entries.size());
   for (const QueueEntry& e : q.entries) {
-    note_sent(q, e);
+    entries.push_back({e.sub, e.bytes.span()});
+  }
+  ship(q, std::move(entries));
+  for (const QueueEntry& e : q.entries) {
+    note_sent(q, e.sub, *e.event);
     owner_.log().put_u64(kJDelivDone, e.seq);
   }
   q.entries.clear();
@@ -439,7 +414,11 @@ bool DeliveryStage::restore_entry(NodeId node, const std::string& name,
   entry.event =
       std::make_shared<const docmodel::Event>(std::move(event).take());
   entry.bytes = wire::Frame{std::move(event_bytes)};
-  entry.mode = policy_for(sub).mode;
+  // Policy records replay before queue entries (snapshot order, and in the
+  // log a policy precedes the hits it shaped).
+  const auto owner_sub = owner_.subs_.find(sub);
+  entry.mode = owner_sub != owner_.subs_.end() ? owner_sub->second.policy.mode
+                                               : DeliveryMode::kImmediate;
   q.entries.push_back(std::move(entry));
   if (entry_seq >= next_entry_seq_) next_entry_seq_ = entry_seq + 1;
   // Recovered backlog flushes as soon as the restart re-arms timers.
@@ -450,18 +429,19 @@ bool DeliveryStage::restore_entry(NodeId node, const std::string& name,
 
 void DeliveryStage::clear() {
   queues_.clear();
-  policies_.clear();
   channel_.clear_peers();
   next_entry_seq_ = 1;
   digest_seq_ = 0;
   timer_armed_ = false;
 }
 
-void DeliveryStage::snapshot(const journal::RecordSink& out) const {
+void DeliveryStage::snapshot(
+    const journal::RecordSink& out,
+    const std::function<void()>& put_policies) const {
   out.put_u64(kJDelivEntrySeq, next_entry_seq_);
   out.put_u64(kJDigestSeq, digest_seq_);
   // Policies first: a replayed queue entry takes its subscription's mode.
-  for (const auto& [sub, policy] : policies_) put_policy(out, sub, policy);
+  put_policies();
   for (const auto& [name, q] : queues_) {
     for (const QueueEntry& e : q.entries) {
       put_enqueued(out, q.node, name, e.seq, e.sub, e.bytes.span());
@@ -472,15 +452,6 @@ void DeliveryStage::snapshot(const journal::RecordSink& out) const {
 
 bool DeliveryStage::replay_journal(std::uint8_t type, wire::Reader& r) {
   switch (type) {
-    case kJDelivPolicy: {
-      const SubscriptionId sub = r.u64();
-      const auto mode = static_cast<DeliveryMode>(r.u8());
-      const SimTime window =
-          SimTime::micros(static_cast<std::int64_t>(r.u64()));
-      if (!r.ok()) return false;
-      policies_[sub] = DeliveryPolicy{mode, window};
-      return true;
-    }
     case kJDelivEnq: {
       const NodeId node{r.u32()};
       const std::string name = r.str();

@@ -18,8 +18,12 @@
 //   bounded queues  each client queue spills beyond `queue_capacity`,
 //                 dropping the oldest coalescible entry first.
 //
+// A policy lives on its subscription (AlertingService::subs_), so one
+// lookup per hit yields both the client and the policy, and cancelling
+// the subscription deletes its policy.
+//
 // Durability mirrors the channel outbox: queued entries journal
-// enq/done records (types 75..81), snapshots write the live queues and
+// enq/done records (types 76..81), snapshots write the live queues and
 // the digest channel as the same records (plus 84..85 for the counters
 // and channel peers), and pending_keys() exposes everything accepted but
 // not yet on a client for the chaos crash-durability superset check.
@@ -33,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "alerting/messages.h"
 #include "common/types.h"
 #include "docmodel/event.h"
 #include "transport/channel.h"
@@ -85,9 +90,10 @@ struct DeliveryStats {
 };
 
 /// One AlertingService's delivery stage. The service owns it, feeds it
-/// match hits, and forwards timers / acks / journal records; the stage
-/// reaches back through its owner (friend) for the wire, the journal,
-/// and the notification observer.
+/// match hits with their subscription's policy, and forwards timers /
+/// acks / journal records; the stage reaches back through its owner
+/// (friend) for the wire, the journal, the notification observer and,
+/// when replaying a queue entry, its subscription's policy.
 class DeliveryStage {
  public:
   /// Timer tokens (bits 58/59; ChannelSet default is 60, Endpoint 61).
@@ -104,14 +110,10 @@ class DeliveryStage {
   /// Credit-managed (channel-backed) delivery?
   bool managed() const { return config_.credits > 0; }
 
-  /// Set (and journal) one subscription's delivery policy. Immediate
-  /// policies are the default and need no entry.
-  void set_policy(SubscriptionId sub, DeliveryPolicy policy);
-  DeliveryPolicy policy_for(SubscriptionId sub) const;
-
-  /// One match hit. `event` is shared across the fan-out for observers;
-  /// `bytes` is the encode-once event payload frame.
-  void offer(NodeId client, SubscriptionId sub,
+  /// One match hit for subscription `sub`, delivered under its `policy`.
+  /// `event` is shared across the fan-out for observers; `bytes` is the
+  /// encode-once event payload frame.
+  void offer(NodeId client, SubscriptionId sub, DeliveryPolicy policy,
              const std::shared_ptr<const docmodel::Event>& event,
              const wire::Frame& bytes);
 
@@ -142,8 +144,11 @@ class DeliveryStage {
 
   // --- durability (driven by AlertingService's extension hooks) ---------
   void clear();
-  /// Full state as records: counters, policies, queue entries, channel.
-  void snapshot(const journal::RecordSink& out) const;
+  /// Full state as records: counters, then the subscriptions' policy
+  /// records (written by `put_policies`, since the owner keeps policies on
+  /// its subscriptions), queue entries, channel.
+  void snapshot(const journal::RecordSink& out,
+                const std::function<void()>& put_policies) const;
   /// Apply one of the stage's records; false when not ours or malformed.
   bool replay_journal(std::uint8_t type, wire::Reader& r);
 
@@ -176,24 +181,27 @@ class DeliveryStage {
   /// Send one kNotification straight to the wire (unmanaged immediate).
   void send_immediate(ClientQueue& q, SubscriptionId sub,
                       const docmodel::Event& event, const wire::Frame& bytes);
-  /// Encode `batch` as one kNotificationDigest and put it on the wire
-  /// (managed: reliable channel; unmanaged: fire-and-forget).
-  void ship(ClientQueue& q, const std::vector<const QueueEntry*>& batch);
+  /// Encode `entries` (views of queued frames) as one kNotificationDigest
+  /// and put it on the wire (managed: reliable channel; unmanaged:
+  /// fire-and-forget).
+  void ship(ClientQueue& q,
+            std::vector<NotificationDigestBody::Entry> entries);
   /// Ship every queued entry of `q` as one digest (credit permitting).
   void flush(ClientQueue& q);
   void arm_flush(ClientQueue& q, SimTime due);
   void arm_timer(SimTime due);
   SimTime earliest_flush() const;
   std::uint64_t alloc_digest_seq();
-  void note_sent(const ClientQueue& q, const QueueEntry& entry);
+  void note_sent(const ClientQueue& q, SubscriptionId sub,
+                 const docmodel::Event& event);
   bool restore_entry(NodeId node, const std::string& name,
                      std::uint64_t entry_seq, SubscriptionId sub,
                      std::vector<std::byte> event_bytes);
 
   AlertingService& owner_;
   DeliveryConfig config_;
-  std::map<SubscriptionId, DeliveryPolicy> policies_;
-  std::map<std::string, ClientQueue> queues_;  // keyed by client node name
+  // Keyed by client node name; on_timer flushes in this order.
+  std::map<std::string, ClientQueue> queues_;
   transport::ChannelSet channel_;              // managed digest delivery
   std::uint64_t next_entry_seq_ = 1;
   std::uint64_t digest_seq_ = 0;

@@ -94,7 +94,7 @@ Result<NotificationDigestBody> NotificationDigestBody::decode(
   out.entries = r.seq<Entry>([](wire::Reader& r2) {
     Entry e;
     e.subscription_id = r2.u64();
-    e.event = r2.bytes();
+    e.event = r2.view_bytes();
     return e;
   });
   if (!r.done()) return malformed("NotificationDigestBody");

@@ -55,10 +55,14 @@ struct NotificationBody {
 /// pre-encoded event bytes so the sender can alias the encode-once frame
 /// without a re-encode. `digest_seq` is unique per (server, digest) so the
 /// client can drop retransmitted digests wholesale.
+///
+/// Entry bytes are views, never copies: the sender's point at its queued
+/// event frames, and decode()'s point into the decoded buffer, which must
+/// outlive the body.
 struct NotificationDigestBody {
   struct Entry {
     SubscriptionId subscription_id = 0;
-    std::vector<std::byte> event;  // encode_event() bytes
+    std::span<const std::byte> event;  // encode_event() bytes
   };
   std::uint64_t digest_seq = 0;
   std::vector<Entry> entries;

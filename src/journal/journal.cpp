@@ -1,5 +1,6 @@
 #include "journal/journal.h"
 
+#include <cassert>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -25,9 +26,9 @@ std::uint64_t read_u64(std::span<const std::byte> bytes, std::size_t at) {
   return v;
 }
 
-/// Start a record in `frame`: the header, with the payload length left
-/// zero. The payload follows, then seal_record().
-void begin_record(wire::Writer& frame, std::uint8_t type, std::uint64_t lsn) {
+/// Start a record in the empty `frame`: the header, with the payload
+/// length left zero. The payload follows, then seal().
+void write_header(wire::Writer& frame, std::uint8_t type, std::uint64_t lsn) {
   frame.u32(kMagic);
   frame.u32(0);
   frame.u64(lsn);
@@ -36,10 +37,9 @@ void begin_record(wire::Writer& frame, std::uint8_t type, std::uint64_t lsn) {
 
 /// Patch the payload length into a begun record and append its CRC, which
 /// covers the contiguous (payload_len, lsn, type, payload) bytes.
-std::vector<std::byte> seal_record(wire::Writer frame) {
+void seal(wire::Writer& frame) {
   frame.patch_u32(4, static_cast<std::uint32_t>(frame.size() - kHeaderBytes));
   frame.u32(crc32c(std::span<const std::byte>{frame.buffer()}.subspan(4)));
-  return std::move(frame).take();
 }
 
 }  // namespace
@@ -105,16 +105,21 @@ Journal::Journal(sim::Storage& storage, std::string name, std::string node,
       snap_(name_ + ".snap"),
       tmp_(name_ + ".snap.tmp") {}
 
-void Journal::append(std::uint8_t type, wire::Writer payload) {
-  const std::vector<std::byte> bytes = std::move(payload).take();
-  wire::Writer frame;
-  frame.reserve(record_wire_size(bytes.size()));
-  begin_record(frame, type, next_lsn_++);
-  frame.raw(bytes);
-  storage_.append(log_, seal_record(std::move(frame)));
+wire::Writer& Journal::begin_record(std::uint8_t type,
+                                    std::size_t payload_size) {
+  assert(!replaying_ && "journal append during recovery replay");
+  frame_.clear();
+  frame_.reserve(record_wire_size(payload_size));
+  write_header(frame_, type, next_lsn_++);
+  return frame_;
+}
+
+void Journal::end_record() {
+  seal(frame_);
+  storage_.append(log_, frame_.buffer());
   dirty_ = true;
   stats_.appends += 1;
-  stats_.bytes_appended += record_wire_size(bytes.size());
+  stats_.bytes_appended += frame_.size();
 }
 
 void Journal::commit() {
@@ -159,24 +164,24 @@ void Journal::compact() {
   // payloads are owner-sized and rare; encode without a reserve (growing
   // an unreserved Writer is counted but cheap at this rate).
   wire::Writer frame;
-  begin_record(frame, kSnapshotType, covered);
+  write_header(frame, kSnapshotType, covered);
   snapshot_writer_(RecordSink{frame});
-  const std::vector<std::byte> bytes = seal_record(std::move(frame));
+  seal(frame);
   // Scratch -> fsync -> atomic rename -> truncate. Any crash point leaves
   // a recoverable pair (see header comment).
   storage_.remove(tmp_);
-  storage_.append(tmp_, bytes);
+  storage_.append(tmp_, frame.buffer());
   storage_.flush(tmp_);
   storage_.rename(tmp_, snap_);
   storage_.truncate(log_, 0);
   snapshot_lsn_ = covered;
   stats_.compactions += 1;
-  stats_.snapshot_bytes = bytes.size();
+  stats_.snapshot_bytes = frame.size();
   if (obs::active()) {
     obs::emit_span("journal-compact", node_, now(),
                    {{"covered_lsn", std::to_string(covered)},
                     {"snapshot_bytes",
-                     std::to_string(bytes.size() - record_wire_size(0))}});
+                     std::to_string(frame.size() - record_wire_size(0))}});
   }
 }
 
@@ -188,6 +193,10 @@ RecoveryResult Journal::recover(const ReplayFn& replay) {
   // A leftover scratch file means we crashed mid-compaction before the
   // rename; the snapshot it was building never took effect.
   storage_.remove(tmp_);
+
+  // The replay below reads the files through Storage::read spans, which a
+  // log append would invalidate; the owner must only apply records.
+  replaying_ = true;
 
   // Snapshot: a single framed record whose payload is the owner's records;
   // replayed only if its CRC holds and its entries cover it exactly.
@@ -224,6 +233,7 @@ RecoveryResult Journal::recover(const ReplayFn& replay) {
         replay(type, reader, lsn);
         result.records_applied += 1;
       });
+  replaying_ = false;
 
   // Truncate the invalid tail so future appends never follow garbage.
   if (scan.valid_bytes < log_bytes_span.size()) {

@@ -52,6 +52,7 @@
 
 #include "common/types.h"
 #include "obs/latency.h"
+#include "obs/profiler.h"
 #include "sim/storage.h"
 #include "wire/codec.h"
 
@@ -151,11 +152,6 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Frame and append one record. The payload Writer should have been
-  /// reserved to its exact encoded size. Buffered (not durable) until
-  /// commit().
-  void append(std::uint8_t type, wire::Writer payload);
-
   /// Group commit: one fsync covering every append since the last commit.
   /// May trigger compaction afterwards. No-op when clean.
   void commit();
@@ -201,6 +197,14 @@ class Journal {
   void collect_metrics(obs::MetricsRegistry& registry) const;
 
  private:
+  friend class RecordSink;
+
+  /// Start framing one record in the reused frame buffer, reserved for
+  /// `payload_size` payload bytes; the caller encodes the payload into
+  /// the returned Writer, then end_record() seals it and appends it to
+  /// the log (buffered, not durable, until commit()).
+  wire::Writer& begin_record(std::uint8_t type, std::size_t payload_size);
+  void end_record();
   void maybe_compact();
   SimTime now() const { return clock_ ? clock_() : SimTime::zero(); }
 
@@ -214,6 +218,11 @@ class Journal {
   std::uint64_t next_lsn_ = 1;
   std::uint64_t snapshot_lsn_ = 0;
   bool dirty_ = false;
+  // recover() is feeding records to the owner; appending now would grow
+  // the log buffer the replay is reading (Storage::read spans).
+  bool replaying_ = false;
+  // Every live record is framed here, then copied once into the log.
+  wire::Writer frame_;
   SnapshotWriter snapshot_writer_;
   std::function<SimTime()> clock_;
   JournalStats stats_;
@@ -236,7 +245,8 @@ class RecordSink {
 
   /// Emit one record; `encode(wire::Writer&)` writes its payload.
   /// `payload_size` is the payload's exact size, which the log reserves
-  /// so the hot path never grows a Writer.
+  /// so the hot path never grows a Writer. A log record is encoded
+  /// straight into the journal's reused frame buffer.
   template <typename Fn>
   void put(std::uint8_t type, std::size_t payload_size, Fn&& encode) const {
     if (image_ != nullptr) {
@@ -249,10 +259,9 @@ class RecordSink {
       return;
     }
     if (log_ == nullptr) return;
-    wire::Writer w;
-    w.reserve(payload_size);
-    encode(w);
-    log_->append(type, std::move(w));
+    GSALERT_PROFILE("journal.append");
+    encode(log_->begin_record(type, payload_size));
+    log_->end_record();
   }
   /// A record whose payload is one u64 (counters, ids, sequence numbers).
   void put_u64(std::uint8_t type, std::uint64_t value) const {

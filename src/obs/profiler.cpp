@@ -21,16 +21,20 @@ void Profiler::enable() {
   constexpr int kCalibration = 4096;
   current_ = this;
   const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t ticks0 = ticks();
   for (int i = 0; i < kCalibration; ++i) {
     ProfileScope scope("(calibration)");
   }
+  const std::uint64_t ticks1 = ticks();
   const auto t1 = std::chrono::steady_clock::now();
-  per_scope_ns_ =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-              .count()) /
-      kCalibration;
+  const auto calibration_ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  per_scope_ns_ = calibration_ns / kCalibration;
+  if (ticks1 > ticks0) {
+    ns_per_tick_ = calibration_ns / static_cast<double>(ticks1 - ticks0);
+  }
   root_.children.erase("(calibration)");
+  root_.by_address.clear();
   scopes_entered_ = 0;
   enabled_at_ = std::chrono::steady_clock::now();
   installed_ = true;
@@ -64,7 +68,7 @@ double Profiler::overhead_fraction() const {
          static_cast<double>(wall);
 }
 
-Profiler::Node* Profiler::enter(const char* name) {
+Profiler::Node* Profiler::child_named(const char* name) {
   auto it = cursor_->children.find(name);
   if (it == cursor_->children.end()) {
     auto node = std::make_unique<Node>();
@@ -72,17 +76,8 @@ Profiler::Node* Profiler::enter(const char* name) {
     node->parent = cursor_;
     it = cursor_->children.emplace(node->name, std::move(node)).first;
   }
-  cursor_ = it->second.get();
-  scopes_entered_ += 1;
-  return cursor_;
-}
-
-void Profiler::exit(Node* node, std::uint64_t elapsed_ns) {
-  node->calls += 1;
-  node->total_ns += elapsed_ns;
-  // Scopes are strictly nested (RAII), so the cursor is either this node
-  // or a descendant left dangling by an exception; walk up to the parent.
-  cursor_ = node->parent;
+  cursor_->by_address.emplace_back(name, it->second.get());
+  return it->second.get();
 }
 
 namespace {
@@ -163,6 +158,7 @@ void Profiler::export_to(MetricsRegistry& registry) const {
 
 void Profiler::clear() {
   root_.children.clear();
+  root_.by_address.clear();
   root_.calls = 0;
   root_.total_ns = 0;
   cursor_ = &root_;

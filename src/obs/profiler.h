@@ -10,6 +10,10 @@
 //    overhead_fraction() reports (scopes x per-scope cost) / profiled
 //    wall time. tests/perf_budget.txt gates this under
 //    max_profiler_overhead_pct (5%).
+//  - Cheap timestamps: scopes read the CPU's time-stamp counter where
+//    there is one (x86), which costs about half a steady_clock::now() on
+//    virtualized hosts, and enable() measures its rate against
+//    steady_clock; elsewhere scopes read steady_clock.
 //  - Single-threaded by design, like the simulator it profiles. The
 //    current-node pointer is plain state, not thread-local.
 //
@@ -28,6 +32,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace gsalert::obs {
 
@@ -79,13 +85,47 @@ class Profiler {
     std::string name;
     Node* parent = nullptr;
     std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
+    // The same children keyed by the address of the name a scope passed
+    // (a string literal per call site): enter() compares a few pointers
+    // instead of searching `children` by string.
+    std::vector<std::pair<const char*, Node*>> by_address;
     std::uint64_t calls = 0;
     std::uint64_t total_ns = 0;
   };
-  Node* enter(const char* name);
-  void exit(Node* node, std::uint64_t elapsed_ns);
+  Node* enter(const char* name) {
+    scopes_entered_ += 1;
+    for (const auto& [address, child] : cursor_->by_address) {
+      if (address == name) return cursor_ = child;
+    }
+    return cursor_ = child_named(name);
+  }
+  void exit(Node* node, std::uint64_t elapsed_ticks) {
+    node->calls += 1;
+    node->total_ns += static_cast<std::uint64_t>(
+        static_cast<double>(elapsed_ticks) * ns_per_tick_);
+    // Scopes are strictly nested (RAII), so the cursor is either this
+    // node or a descendant left dangling by an exception; walk up to the
+    // parent.
+    cursor_ = node->parent;
+  }
+
+  /// Scope timestamp in ticks (see the file comment); enable() measures
+  /// how many nanoseconds one tick is.
+  static std::uint64_t ticks() {
+#if defined(__x86_64__) || defined(__i386__)
+    return __builtin_ia32_rdtsc();
+#else
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+#endif
+  }
 
  private:
+  /// The cursor's child called `name` (created on first use), registered
+  /// under this address of the name for enter()'s pointer lookup.
+  Node* child_named(const char* name);
   void collapse(const Node& node, std::string prefix, std::string* out) const;
   void tree(const Node& node, int depth, std::string* out) const;
 
@@ -95,12 +135,14 @@ class Profiler {
   Node* cursor_ = &root_;
   bool installed_ = false;
   double per_scope_ns_ = 0.0;
+  double ns_per_tick_ = 1.0;
   std::uint64_t scopes_entered_ = 0;
   std::chrono::steady_clock::time_point enabled_at_{};
   std::uint64_t wall_ns_ = 0;  // closed window(s) before the live one
 };
 
 /// RAII scope timer. With no profiler installed: one branch, nothing else.
+/// `name` must outlive the profiler and keep its text (a string literal).
 class ProfileScope {
  public:
   explicit ProfileScope(const char* name) {
@@ -108,17 +150,13 @@ class ProfileScope {
     if (p != nullptr) {
       profiler_ = p;
       node_ = p->enter(name);
-      start_ = std::chrono::steady_clock::now();
+      start_ = Profiler::ticks();
     }
   }
   ~ProfileScope() {
     if (profiler_ != nullptr) {
-      const auto elapsed = std::chrono::steady_clock::now() - start_;
-      profiler_->exit(
-          node_, static_cast<std::uint64_t>(
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         elapsed)
-                         .count()));
+      const std::uint64_t end = Profiler::ticks();
+      profiler_->exit(node_, end > start_ ? end - start_ : 0);
     }
   }
   ProfileScope(const ProfileScope&) = delete;
@@ -127,12 +165,13 @@ class ProfileScope {
  private:
   Profiler* profiler_ = nullptr;
   Profiler::Node* node_ = nullptr;
-  std::chrono::steady_clock::time_point start_{};
+  std::uint64_t start_ = 0;
 };
 
 #define GSALERT_PROFILE_CAT2(a, b) a##b
 #define GSALERT_PROFILE_CAT(a, b) GSALERT_PROFILE_CAT2(a, b)
-/// Time the rest of the enclosing block as one profiler frame.
+/// Time the rest of the enclosing block as one profiler frame. `name`
+/// must be a string literal: frames are found by its address.
 #define GSALERT_PROFILE(name) \
   ::gsalert::obs::ProfileScope GSALERT_PROFILE_CAT(gsalert_prof_, \
                                                    __LINE__)(name)

@@ -1,8 +1,9 @@
 // Simulated per-node stable storage. Each node that wants durability gets
-// one Storage from the Network, holding named byte files. A file has two
-// regions: `durable` bytes that survive a crash, and a `pending` tail of
-// appended-but-not-flushed bytes that does not. append() grows pending;
-// flush() moves pending into durable (the sim's fsync).
+// one Storage from the Network, holding named byte files. A file is one
+// byte buffer split by a durable watermark: the `durable` prefix survives
+// a crash, the `pending` tail of appended-but-not-flushed bytes does not.
+// append() grows the tail; flush() (the sim's fsync) moves the watermark
+// to the end of the buffer and copies nothing.
 //
 // Crash semantics are applied by Network::crash() via on_crash(): pending
 // is discarded, and — only when StorageFaults probabilities are raised —
@@ -64,6 +65,9 @@ class Storage {
 
   /// The durable image of the file. Pending bytes are intentionally not
   /// visible: recovery must only ever read what a crash would preserve.
+  /// The span views the file's buffer, so it is valid only until the next
+  /// mutating call on that file (append, truncate, rename, remove,
+  /// on_crash); copy the bytes out to keep them longer.
   std::span<const std::byte> read(const std::string& file) const;
 
   std::size_t durable_size(const std::string& file) const;
@@ -90,11 +94,14 @@ class Storage {
 
  private:
   struct File {
-    std::vector<std::byte> durable;
-    std::vector<std::byte> pending;
-    // Size of the batch moved to durable by the most recent flush();
-    // the window a lying fsync can tear back. Reset by crash/truncate.
+    // [0, durable) survives a crash; [durable, size) is the pending tail.
+    std::vector<std::byte> bytes;
+    std::size_t durable = 0;
+    // Size of the batch made durable by the most recent flush(); the
+    // window a lying fsync can tear back. Reset by crash/truncate.
     std::size_t last_flush_bytes = 0;
+
+    std::size_t pending() const { return bytes.size() - durable; }
   };
 
   // std::map: deterministic iteration order for on_crash fault draws.

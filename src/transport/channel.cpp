@@ -16,11 +16,13 @@ using journal::str_wire;
 void put_send(const journal::RecordSink& out, std::uint8_t type,
               const std::string& peer, std::uint64_t seq,
               const wire::Envelope& env) {
-  const std::vector<std::byte> flat = env.flatten();
-  out.put(type, str_wire(peer) + 8 + 4 + flat.size(), [&](wire::Writer& w) {
+  const std::size_t flat = env.flat_size();
+  out.put(type, str_wire(peer) + 8 + 4 + flat, [&](wire::Writer& w) {
     w.str(peer);
     w.u64(seq);
-    w.bytes(flat);
+    // The envelope as a bytes() field, flattened in place.
+    w.u32(static_cast<std::uint32_t>(flat));
+    env.flatten_into(w);
   });
 }
 

@@ -142,16 +142,15 @@ std::string Reader::str() {
 }
 
 std::vector<std::byte> Reader::bytes() {
+  const std::span<const std::byte> view = view_bytes();
+  return {view.begin(), view.end()};
+}
+
+std::span<const std::byte> Reader::view_bytes() {
   const std::uint32_t n = u32();
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return {};
-  }
-  std::vector<std::byte> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                             data_.begin() +
-                                 static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
+  const std::byte* p = nullptr;
+  if (!take(n, &p)) return {};
+  return {p, n};
 }
 
 }  // namespace gsalert::wire

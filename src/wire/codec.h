@@ -64,6 +64,9 @@ class Writer {
   const std::vector<std::byte>& buffer() const { return buffer_; }
   std::vector<std::byte> take() && { return std::move(buffer_); }
   std::size_t size() const { return buffer_.size(); }
+  /// Drop the contents but keep the capacity, so one Writer can be
+  /// reused as a scratch buffer (the journal frames every record in one).
+  void clear() { buffer_.clear(); }
 
  private:
   void note_growth(std::size_t extra);
@@ -86,6 +89,9 @@ class Reader {
   bool boolean();
   std::string str();
   std::vector<std::byte> bytes();
+  /// A length-prefixed byte run like bytes(), returned as a view into the
+  /// input instead of a copy: valid only while the input buffer lives.
+  std::span<const std::byte> view_bytes();
 
   /// Read a length-prefixed sequence; fn(Reader&) produces each element.
   /// On malformed length the error latch trips and an empty vector returns.

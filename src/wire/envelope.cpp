@@ -64,11 +64,15 @@ sim::Packet Envelope::pack() const {
 
 std::vector<std::byte> Envelope::flatten() const {
   Writer w;
-  w.reserve(header_wire_size() + body.size());
-  encode_header(w, *this);
-  w.raw(body);
+  w.reserve(flat_size());
+  flatten_into(w);
   assert(!w.grew_after_reserve());
   return std::move(w).take();
+}
+
+void Envelope::flatten_into(Writer& w) const {
+  encode_header(w, *this);
+  w.raw(body);
 }
 
 Result<Envelope> unpack(const sim::Packet& packet) {

@@ -44,10 +44,16 @@ struct Envelope {
   /// body frame is shared, never copied.
   sim::Packet pack() const;
 
+  /// Byte count of flatten(): header_wire_size() + body size.
+  std::size_t flat_size() const { return header_wire_size() + body.size(); }
+
   /// One contiguous buffer, byte-identical to Packet::header + body —
   /// for embedding a whole envelope as a payload inside another message
   /// (store-and-forward relay, acks).
   std::vector<std::byte> flatten() const;
+  /// Append the flatten() bytes to `w` (flat_size() of them) without an
+  /// intermediate buffer: journal records embed envelopes this way.
+  void flatten_into(Writer& w) const;
 };
 
 Result<Envelope> unpack(const sim::Packet& packet);

@@ -725,6 +725,8 @@ ChaosReport run_protocol(const ChaosRunConfig& config,
   }
   scenario.subscribe_all(config.profiles_per_client);
   scenario.settle(SimTime::seconds(3));
+  // Harness setup steps the service refused (reported as violations).
+  std::vector<sim::Violation> setup_failures;
   if (config.managed_delivery) {
     // Seeded mix of delivery policies across the acked subscriptions:
     // roughly a third each immediate / coalesce / digest, windows well
@@ -758,7 +760,14 @@ ChaosReport run_protocol(const ChaosRunConfig& config,
         default:
           break;  // immediate (still channel-managed: digest-of-one)
       }
-      service->second->set_delivery_policy(record.id, policy);
+      // Every acked subscription is still live here, before any churn.
+      if (const Status set =
+              service->second->set_delivery_policy(record.id, policy);
+          !set) {
+        setup_failures.push_back(
+            {"delivery-policy", "subscription " + std::to_string(record.id) +
+                                    ": " + set.error().str()});
+      }
     }
   }
   for (int i = 0; i < config.warmup_publishes; ++i) {
@@ -824,6 +833,8 @@ ChaosReport run_protocol(const ChaosRunConfig& config,
 
   ChaosReport report;
   report.violations = harness.check();
+  report.violations.insert(report.violations.end(), setup_failures.begin(),
+                           setup_failures.end());
   if (config.mediator_queries > 0) {
     if (mediated.size() != static_cast<std::size_t>(config.mediator_queries)) {
       report.violations.push_back(

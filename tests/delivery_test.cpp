@@ -137,8 +137,8 @@ TEST(DeliveryCoalesceTest, WindowBatchesBurstIntoOneDigest) {
   const SubscriptionId sub =
       w.subscribe(0, "host = hamilton AND type = collection_rebuilt");
   ASSERT_NE(sub, 0u);
-  w.alerting->set_delivery_policy(
-      sub, DeliveryPolicy{DeliveryMode::kCoalesce, SimTime::millis(200)});
+  ASSERT_TRUE(w.alerting->set_delivery_policy(
+      sub, DeliveryPolicy{DeliveryMode::kCoalesce, SimTime::millis(200)}));
   ASSERT_TRUE(w.server->add_collection(coll_config("A"),
                                        DataSet{{doc(1, "T")}}));
   ASSERT_TRUE(w.server->rebuild_collection("A", DataSet{{doc(2, "T")}}));
@@ -159,8 +159,8 @@ TEST(DeliverySpillTest, CapacityDropsOldestCoalescibleFirst) {
   const SubscriptionId sub =
       w.subscribe(0, "host = hamilton AND type = collection_rebuilt");
   ASSERT_NE(sub, 0u);
-  w.alerting->set_delivery_policy(
-      sub, DeliveryPolicy{DeliveryMode::kCoalesce, SimTime::millis(500)});
+  ASSERT_TRUE(w.alerting->set_delivery_policy(
+      sub, DeliveryPolicy{DeliveryMode::kCoalesce, SimTime::millis(500)}));
   ASSERT_TRUE(w.server->add_collection(coll_config("A"),
                                        DataSet{{doc(1, "T")}}));
   ASSERT_TRUE(w.server->rebuild_collection("A", DataSet{{doc(2, "T")}}));
@@ -188,13 +188,16 @@ TEST(DeliveryDigestReplayTest, ClientDropsReplayedDigestWholesale) {
 
   NotificationDigestBody body;
   body.digest_seq = 7;
+  std::vector<std::vector<std::byte>> events;  // the entries' bytes
   for (std::uint64_t i = 1; i <= 2; ++i) {
     docmodel::Event event;
     event.id = {"srv", i};
     event.collection = {"srv", "A"};
     event.build_version = i;
-    body.entries.push_back({/*subscription_id=*/i,
-                            encode_event(event)});
+    events.push_back(encode_event(event));
+  }
+  for (std::uint64_t i = 1; i <= 2; ++i) {
+    body.entries.push_back({/*subscription_id=*/i, events[i - 1]});
   }
   wire::Writer w;
   body.encode(w);
@@ -273,7 +276,7 @@ TEST(DeliveryEquivalenceTest, DigestDeliverySetEqualsImmediateSet) {
         default:
           break;  // immediate (digest-of-one on the managed channel)
       }
-      managed.alerting->set_delivery_policy(sub, policy);
+      ASSERT_TRUE(managed.alerting->set_delivery_policy(sub, policy));
     }
   }
   drive(managed);

@@ -315,8 +315,8 @@ struct AlertingWorld {
     // Hamilton's subscriber takes digests: its hits queue, then flush.
     const auto& hamilton_subs = clients[0]->subscriptions();
     EXPECT_EQ(hamilton_subs.size(), 1u);
-    services[0]->set_delivery_policy(
-        hamilton_subs.front(), {.mode = alerting::DeliveryMode::kDigest});
+    EXPECT_TRUE(services[0]->set_delivery_policy(
+        hamilton_subs.front(), {.mode = alerting::DeliveryMode::kDigest}));
     EXPECT_TRUE(servers[1]->rebuild_collection(
         "E", docmodel::DataSet{{doc(5, "Old E doc"), doc(6, "New E doc")}}));
     run(SimTime::seconds(2));
@@ -379,6 +379,48 @@ TEST(DurableStateTest, AlertingSnapshotAndLogRecoverTheSameState) {
   // delivery entry counter (84).
   EXPECT_EQ(snapshotted, (TypeSet{1, 64, 66, 67, 69, 70, 71, 72, 75, 76, 78,
                                   81, 82, 83, 84, 85}));
+}
+
+// A delivery policy lives on its subscription: cancelling the
+// subscription deletes the policy, so no later snapshot carries a policy
+// record (type 75) for it, and a policy for an unknown or cancelled id is
+// refused without a journal record.
+TEST(DurableStateTest, CancelledSubscriptionLeavesNoPolicyInSnapshot) {
+  constexpr std::uint8_t kPolicyRecord = 75;
+  sim::Network net{9};
+  auto* server = net.make_node<gsnet::GreenstoneServer>("Hamilton");
+  auto owned = std::make_unique<alerting::AlertingService>();
+  alerting::AlertingService* service = owned.get();
+  server->set_extension(std::move(owned));
+  net.start();
+  sim::Storage& storage = net.storage(server->id());
+  const alerting::DeliveryPolicy coalesce{alerting::DeliveryMode::kCoalesce,
+                                          SimTime::millis(100)};
+
+  const auto sub = service->subscribe_local(NodeId{7}, "host = hamilton");
+  ASSERT_TRUE(sub.ok());
+  ASSERT_TRUE(service->set_delivery_policy(sub.value(), coalesce));
+  server->journal()->compact();
+  EXPECT_TRUE(
+      entry_types(snapshot_payload(storage, "node.snap")).contains(
+          kPolicyRecord))
+      << "a live subscription's policy is missing from the snapshot";
+
+  ASSERT_TRUE(service->cancel_local(sub.value()));
+  server->journal()->compact();
+  EXPECT_FALSE(
+      entry_types(snapshot_payload(storage, "node.snap")).contains(
+          kPolicyRecord))
+      << "a cancelled subscription's policy outlived it in the snapshot";
+
+  const std::uint64_t appends = server->journal()->stats().appends;
+  for (const SubscriptionId id : {sub.value(), SubscriptionId{999}}) {
+    const Status set = service->set_delivery_policy(id, coalesce);
+    ASSERT_FALSE(set) << "id " << id;
+    EXPECT_EQ(set.error().code, ErrorCode::kNotFound) << "id " << id;
+  }
+  EXPECT_EQ(server->journal()->stats().appends, appends)
+      << "a refused policy was journaled";
 }
 
 // restore_state decodes bytes from outside the node. Every truncation and

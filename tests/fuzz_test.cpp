@@ -5,6 +5,7 @@
 //    index gives exactly the documents the query matches directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,6 +76,7 @@ void run_all_decoders(const std::vector<std::byte>& bytes) {
   (void)wire::unpack(std::span<const std::byte>(bytes));
   (void)gds::BroadcastView::peek(bytes);
   (void)alerting::EventBatchBody::decode(bytes);
+  (void)alerting::NotificationDigestBody::decode(bytes);
   (void)gds::RegisterBody::decode(bytes);
   (void)gds::BroadcastBody::decode(bytes);
   (void)gds::RelayBody::decode(bytes);
@@ -152,6 +154,70 @@ TEST_P(WireFuzz, EventRoundTripIsExact) {
     EXPECT_EQ(decoded.value().docs.size(), event.docs.size());
     for (std::size_t d = 0; d < event.docs.size(); ++d) {
       EXPECT_EQ(decoded.value().docs[d], event.docs[d]);
+    }
+  }
+}
+
+/// True when `view` lies inside `buffer` (an empty view always does).
+bool within(std::span<const std::byte> view,
+            std::span<const std::byte> buffer) {
+  return view.empty() ||
+         (view.data() >= buffer.data() &&
+          view.data() + view.size() <= buffer.data() + buffer.size());
+}
+
+// Digest entries are views into the decoded buffer, as is every
+// Reader::view_bytes field: on random, truncated and valid input they
+// either fail to decode or point inside the buffer, never past its end.
+TEST_P(WireFuzz, DigestEntryViewsStayInBounds) {
+  Rng rng{GetParam().seed ^ 0xD16E57};
+  for (int i = 0; i < 300; ++i) {
+    std::vector<std::vector<std::byte>> events;
+    alerting::NotificationDigestBody body;
+    body.digest_seq = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
+    const int entries = static_cast<int>(rng.uniform_int(0, 4));
+    for (int e = 0; e < entries; ++e) {
+      events.push_back(alerting::encode_event(random_event(rng)));
+    }
+    for (const std::vector<std::byte>& event : events) {
+      body.entries.push_back(
+          {static_cast<SubscriptionId>(rng.uniform_int(1, 1 << 20)), event});
+    }
+    wire::Writer w;
+    body.encode(w);
+    std::vector<std::byte> bytes = std::move(w).take();
+    const int shape = i % 3;  // 0 random, 1 truncated, 2 valid
+    if (shape == 0) bytes = random_bytes(rng, 160);
+    if (shape == 1) bytes.resize(rng.index(bytes.size()));
+
+    auto decoded = alerting::NotificationDigestBody::decode(bytes);
+    if (shape == 1) {
+      EXPECT_FALSE(decoded.ok()) << "a truncated digest decoded";
+    }
+    if (shape == 2) {
+      ASSERT_TRUE(decoded.ok());
+      ASSERT_EQ(decoded.value().entries.size(), events.size());
+      for (std::size_t e = 0; e < events.size(); ++e) {
+        const std::span<const std::byte> view =
+            decoded.value().entries[e].event;
+        EXPECT_TRUE(std::equal(view.begin(), view.end(), events[e].begin(),
+                               events[e].end()));
+      }
+    }
+    if (decoded.ok()) {
+      for (const auto& entry : decoded.value().entries) {
+        EXPECT_TRUE(within(entry.event, bytes));
+      }
+    }
+    // The same buffer walked as a run of length-prefixed byte fields.
+    wire::Reader r{bytes};
+    while (r.ok() && r.remaining() > 0) {
+      const std::span<const std::byte> view = r.view_bytes();
+      if (r.ok()) {
+        EXPECT_TRUE(within(view, bytes));
+      } else {
+        EXPECT_TRUE(view.empty()) << "a failed read returned bytes";
+      }
     }
   }
 }
@@ -337,6 +403,39 @@ TEST_P(CodecRoundTrip, EnvelopePackUnpackIsByteExact) {
     EXPECT_EQ(packed.body, repacked.body);
     // The flat form is byte-identical to header + body.
     EXPECT_EQ(env.flatten(), unpacked.value().flatten());
+  }
+}
+
+// Envelope::flatten_into appends exactly flatten()'s bytes, flat_size()
+// of them, for any envelope: empty body, long names, traced or not.
+TEST_P(CodecRoundTrip, FlattenIntoMatchesFlatten) {
+  Rng rng{GetParam().seed ^ 0xF1A77E};
+  for (int i = 0; i < 150; ++i) {
+    wire::Envelope env;
+    env.type = static_cast<wire::MessageType>(rng.uniform_int(1, 40));
+    env.src = rng.chance(0.3) ? std::string(rng.index(600), 's')
+                              : random_name(rng, "src");
+    env.dst = rng.chance(0.3) ? std::string(rng.index(600), 'd')
+                              : random_name(rng, "dst");
+    env.msg_id = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
+    env.ttl = static_cast<std::uint16_t>(rng.uniform_int(0, 64));
+    env.chan_base = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
+    if (rng.chance(0.5)) {
+      env.trace_id = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
+      env.span_id = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
+      env.hop = static_cast<std::uint16_t>(rng.uniform_int(0, 20));
+    }
+    if (!rng.chance(0.25)) env.body = random_bytes(rng, 300);
+
+    const std::vector<std::byte> flat = env.flatten();
+    ASSERT_EQ(flat.size(), env.flat_size());
+    wire::Writer w;
+    w.u32(0xFEEDFACE);  // flatten_into appends after what is there
+    env.flatten_into(w);
+    wire::Writer expected;
+    expected.u32(0xFEEDFACE);
+    expected.raw(flat);
+    EXPECT_EQ(w.buffer(), expected.buffer());
   }
 }
 
@@ -566,12 +665,11 @@ TEST_P(JournalFuzz, RecoverSurvivesMutatedLogs) {
       journal::Journal writer{source, "j", "fuzz"};
       const int records = static_cast<int>(rng.uniform_int(1, 8));
       for (int r = 0; r < records; ++r) {
-        wire::Writer w;
         const std::string payload = "rec" + std::to_string(r);
-        w.reserve(4 + payload.size());
-        w.str(payload);
-        writer.append(static_cast<std::uint8_t>(rng.uniform_int(0, 254)),
-                      std::move(w));
+        journal::RecordSink{&writer}.put(
+            static_cast<std::uint8_t>(rng.uniform_int(0, 254)),
+            journal::str_wire(payload),
+            [&](wire::Writer& w) { w.str(payload); });
       }
       writer.commit();
     }

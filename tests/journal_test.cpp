@@ -78,10 +78,8 @@ struct Toy {
   }
 
   void erase(const std::string& key) {
-    wire::Writer w;
-    w.reserve(4 + key.size());
-    w.str(key);
-    journal.append(kErase, std::move(w));
+    RecordSink{&journal}.put(kErase, str_wire(key),
+                             [&](wire::Writer& w) { w.str(key); });
     state.kv.erase(key);
   }
 
@@ -571,6 +569,195 @@ TEST(JournalScan, ArbitraryBytesNeverMatchAsRecords) {
     EXPECT_EQ(result.records, 0u);
     EXPECT_EQ(result.valid_bytes, 0u);
   }
+}
+
+// --- sim::Storage against a reference model ----------------------------------
+
+/// Reference model of sim::Storage: each file as two vectors, the durable
+/// image and the pending tail, with crash faults drawn in the same order.
+/// Storage keeps one buffer and a durable watermark per file instead; the
+/// model pins down the semantics that layout must keep.
+struct StorageModel {
+  struct File {
+    std::vector<std::byte> durable;
+    std::vector<std::byte> pending;
+    std::size_t last_flush_bytes = 0;
+  };
+
+  void append(const std::string& file, std::span<const std::byte> bytes) {
+    File& f = files[file];
+    f.pending.insert(f.pending.end(), bytes.begin(), bytes.end());
+    stats.appends += 1;
+    stats.bytes_appended += bytes.size();
+  }
+
+  void flush(const std::string& file) {
+    const auto it = files.find(file);
+    if (it == files.end() || it->second.pending.empty()) return;
+    File& f = it->second;
+    f.last_flush_bytes = f.pending.size();
+    stats.flushes += 1;
+    stats.bytes_flushed += f.pending.size();
+    f.durable.insert(f.durable.end(), f.pending.begin(), f.pending.end());
+    f.pending.clear();
+  }
+
+  void truncate(const std::string& file, std::size_t n) {
+    const auto it = files.find(file);
+    if (it == files.end()) return;
+    File& f = it->second;
+    if (f.durable.size() > n) f.durable.resize(n);
+    f.pending.clear();
+    f.last_flush_bytes = 0;
+  }
+
+  void rename(const std::string& from, const std::string& to) {
+    const auto it = files.find(from);
+    if (it == files.end()) return;
+    File moved = std::move(it->second);
+    files.erase(it);
+    files[to] = std::move(moved);
+    stats.renames += 1;
+  }
+
+  void remove(const std::string& file) { files.erase(file); }
+
+  void on_crash(Rng& rng, const sim::StorageFaults& faults) {
+    stats.crashes += 1;
+    for (auto& [name, f] : files) {
+      bool torn = false;
+      if (!f.pending.empty()) {
+        std::size_t kept = 0;
+        if (faults.torn_write > 0.0 && rng.chance(faults.torn_write)) {
+          kept = static_cast<std::size_t>(rng.uniform_int(
+              1, static_cast<std::int64_t>(f.pending.size())));
+          f.durable.insert(
+              f.durable.end(), f.pending.begin(),
+              f.pending.begin() + static_cast<std::ptrdiff_t>(kept));
+          stats.torn_bytes_kept += kept;
+          torn = true;
+        }
+        stats.pending_bytes_lost += f.pending.size() - kept;
+        f.pending.clear();
+      }
+      if (faults.torn_write > 0.0 && f.last_flush_bytes > 0 &&
+          rng.chance(faults.torn_write)) {
+        const std::size_t lost = static_cast<std::size_t>(rng.uniform_int(
+            1, static_cast<std::int64_t>(
+                   std::min(f.last_flush_bytes, f.durable.size()))));
+        f.durable.resize(f.durable.size() - lost);
+        stats.torn_bytes_lost += lost;
+        torn = true;
+      }
+      if (torn && !f.durable.empty() && faults.bit_flip > 0.0 &&
+          rng.chance(faults.bit_flip)) {
+        const std::size_t window = std::min<std::size_t>(64, f.durable.size());
+        const std::size_t at = f.durable.size() - window + rng.index(window);
+        const int bit = static_cast<int>(rng.index(8));
+        f.durable[at] ^= static_cast<std::byte>(1u << bit);
+        stats.bit_flips += 1;
+      }
+      f.last_flush_bytes = 0;
+    }
+  }
+
+  std::map<std::string, File> files;
+  sim::StorageStats stats;
+};
+
+std::vector<std::uint64_t> stat_fields(const sim::StorageStats& s) {
+  return {s.appends,        s.bytes_appended,     s.flushes,
+          s.bytes_flushed,  s.renames,            s.crashes,
+          s.pending_bytes_lost, s.torn_bytes_lost, s.torn_bytes_kept,
+          s.bit_flips};
+}
+
+// A seeded random sequence of every Storage operation, with torn writes
+// and bit flips raised, must leave Storage indistinguishable from the
+// model after each step: the same durable bytes, durable and pending
+// sizes, files and stats, and the same next Rng draw (so every fault
+// draw stayed aligned).
+TEST(StorageModelTest, OneBufferStorageMatchesTwoVectorModel) {
+  const sim::StorageFaults faults{.torn_write = 0.5, .bit_flip = 0.5};
+  const std::vector<std::string> names{"a.log", "a.snap", "b"};
+  std::uint64_t crashes = 0;
+  std::uint64_t bit_flips = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng ops{seed};
+    Rng storage_rng{seed * 7919};
+    Rng model_rng{seed * 7919};
+    sim::Storage storage;
+    StorageModel model;
+    for (int step = 0; step < 300; ++step) {
+      const std::string& file = names[ops.index(names.size())];
+      switch (ops.uniform_int(0, 6)) {
+        case 0:
+        case 1: {
+          std::vector<std::byte> bytes(ops.index(48));
+          for (std::byte& b : bytes) {
+            b = static_cast<std::byte>(ops.uniform_int(0, 255));
+          }
+          storage.append(file, bytes);
+          model.append(file, bytes);
+          break;
+        }
+        case 2:
+          storage.flush(file);
+          model.flush(file);
+          break;
+        case 3: {
+          const auto it = model.files.find(file);
+          const std::size_t size =
+              it == model.files.end() ? 0 : it->second.durable.size();
+          const std::size_t n = ops.index(size + 8);
+          storage.truncate(file, n);
+          model.truncate(file, n);
+          break;
+        }
+        case 4: {
+          const std::string& to = names[ops.index(names.size())];
+          storage.rename(file, to);
+          model.rename(file, to);
+          break;
+        }
+        case 5:
+          storage.remove(file);
+          model.remove(file);
+          break;
+        default:
+          storage.on_crash(storage_rng, faults);
+          model.on_crash(model_rng, faults);
+          break;
+      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      std::vector<std::string> model_files;
+      for (const std::string& name : names) {
+        const auto it = model.files.find(name);
+        const bool exists = it != model.files.end();
+        ASSERT_EQ(storage.exists(name), exists) << name;
+        if (!exists) continue;
+        model_files.push_back(name);
+        const std::span<const std::byte> read = storage.read(name);
+        ASSERT_TRUE(std::equal(read.begin(), read.end(),
+                               it->second.durable.begin(),
+                               it->second.durable.end()))
+            << name << ": durable bytes differ";
+        ASSERT_EQ(storage.durable_size(name), it->second.durable.size())
+            << name;
+        ASSERT_EQ(storage.pending_size(name), it->second.pending.size())
+            << name;
+      }
+      ASSERT_EQ(storage.files(), model_files);
+      ASSERT_EQ(stat_fields(storage.stats()), stat_fields(model.stats));
+      ASSERT_EQ(storage_rng.engine()(), model_rng.engine()());
+    }
+    crashes += model.stats.crashes;
+    bit_flips += model.stats.bit_flips;
+  }
+  // The sequence reached the fault paths it is meant to cover.
+  EXPECT_GT(crashes, 100u);
+  EXPECT_GT(bit_flips, 10u);
 }
 
 }  // namespace

@@ -15,15 +15,20 @@
 #include <string>
 #include <vector>
 
+#include "alerting/alerting_service.h"
+#include "alerting/client.h"
 #include "docmodel/event.h"
 #include "gds/gds_client.h"
 #include "gds/tree_builder.h"
+#include "gsnet/greenstone_server.h"
+#include "journal/journal.h"
 #include "obs/latency.h"
 #include "obs/profiler.h"
 #include "profiles/event_context.h"
 #include "profiles/index.h"
 #include "profiles/parser.h"
 #include "sim/network.h"
+#include "sim/storage.h"
 #include "wire/codec.h"
 #include "wire/envelope.h"
 #include "workload/scenario.h"
@@ -374,6 +379,144 @@ TEST(PerfSmokeTest, ProfilerOverheadStaysWithinBudget) {
       profiler.per_scope_overhead_ns(), pct);
   EXPECT_LE(pct,
             static_cast<double>(budget.at("max_profiler_overhead_pct")));
+}
+
+// Journal append budget: a record is framed in the journal's one reused
+// buffer and copied once into the log, so after a warm-up append sizes
+// that buffer, appends construct no wire::Writer and grow none (each
+// append used to construct two).
+TEST(PerfSmokeTest, JournalAppendsConstructNoWriters) {
+  const auto budget = load_budget(GSALERT_PERF_BUDGET_FILE);
+  ASSERT_FALSE(budget.empty());
+  for (const char* key : {"journal_appends", "max_journal_append_writers",
+                          "max_journal_append_grows"}) {
+    ASSERT_TRUE(budget.count(key)) << "budget file missing key: " << key;
+  }
+  const std::uint64_t appends = budget.at("journal_appends");
+
+  sim::Storage storage;
+  journal::Journal journal{storage, "perf", "perf-node",
+                           {.compact_threshold_bytes = 0}};
+  const journal::RecordSink log{&journal};
+  // Payloads vary in size, as the delivery stage's records do.
+  const auto append = [&](std::uint64_t i) {
+    const std::string name(static_cast<std::size_t>(i % 40), 'n');
+    log.put(70, journal::str_wire(name) + 8, [&](wire::Writer& w) {
+      w.str(name);
+      w.u64(i);
+    });
+  };
+  append(0);
+  wire::reset_writer_stats();
+  for (std::uint64_t i = 1; i <= appends; ++i) {
+    append(i);
+    if (i % 8 == 0) journal.commit();
+  }
+  journal.commit();
+  const wire::WriterStats& ws = wire::writer_stats();
+  std::printf("perf-smoke journal: appends=%llu writers=%llu grows=%llu\n",
+              static_cast<unsigned long long>(appends),
+              static_cast<unsigned long long>(ws.writers),
+              static_cast<unsigned long long>(ws.grows));
+  ASSERT_EQ(journal.stats().appends, appends + 1);
+  EXPECT_LE(ws.writers, budget.at("max_journal_append_writers"))
+      << "journal appends construct Writers again";
+  EXPECT_LE(ws.grows, budget.at("max_journal_append_grows"))
+      << "the journal's frame buffer grows after warm-up";
+}
+
+// Delivery fan-out budget: one server with credit-managed delivery and
+// immediate / coalesce / digest policies mixed by subscription id (the
+// perfbench storm shape, small). Counts every wire::Writer constructed on
+// the publish -> notify path, journal records and client acks included,
+// per notification delivered.
+TEST(PerfSmokeTest, DeliveryWritersPerNotificationStayWithinBudget) {
+  const auto budget = load_budget(GSALERT_PERF_BUDGET_FILE);
+  ASSERT_FALSE(budget.empty());
+  for (const char* key :
+       {"delivery_subscriptions", "delivery_events",
+        "max_delivery_writers_per_100_notifications"}) {
+    ASSERT_TRUE(budget.count(key)) << "budget file missing key: " << key;
+  }
+  const std::uint64_t subscriptions = budget.at("delivery_subscriptions");
+  const int events = static_cast<int>(budget.at("delivery_events"));
+
+  sim::Network net{11};
+  net.set_default_path(
+      {.latency = SimTime::millis(10), .jitter = SimTime::millis(4)});
+  auto* server = net.make_node<gsnet::GreenstoneServer>("Hamilton");
+  alerting::AlertingConfig config;
+  config.delivery.credits = 4;
+  config.delivery.default_window = SimTime::millis(100);
+  auto owned = std::make_unique<alerting::AlertingService>(config);
+  alerting::AlertingService* service = owned.get();
+  server->set_extension(std::move(owned));
+  std::uint64_t notifications = 0;
+  std::vector<alerting::Client*> clients;
+  for (int i = 0; i < 8; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    auto* client = net.make_node<alerting::Client>(name);
+    client->set_home(server->id());
+    client->set_notification_sink(
+        [&](SubscriptionId, const docmodel::Event&, SimTime) {
+          ++notifications;
+        });
+    clients.push_back(client);
+  }
+  net.start();
+  net.run_until(SimTime::seconds(1));
+  for (std::uint64_t i = 0; i < subscriptions; ++i) {
+    std::string profile = "ref = hamilton.c";
+    profile += std::to_string(i % 4);
+    const auto sub =
+        service->subscribe_local(clients[i % clients.size()]->id(), profile);
+    ASSERT_TRUE(sub.ok());
+    if (sub.value() % 3 == 1) {
+      ASSERT_TRUE(service->set_delivery_policy(
+          sub.value(), {alerting::DeliveryMode::kCoalesce,
+                        SimTime::millis(100)}));
+    } else if (sub.value() % 3 == 2) {
+      ASSERT_TRUE(service->set_delivery_policy(
+          sub.value(),
+          {alerting::DeliveryMode::kDigest, SimTime::millis(300)}));
+    }
+  }
+
+  wire::reset_writer_stats();
+  for (int e = 0; e < events; ++e) {
+    docmodel::Event event;
+    event.id = {server->name(), static_cast<std::uint64_t>(e + 1)};
+    event.type = docmodel::EventType::kCollectionRebuilt;
+    std::string coll = "c";
+    coll += std::to_string(e % 4);
+    event.collection = {"Hamilton", coll};
+    event.physical_origin = event.collection;
+    event.build_version = static_cast<std::uint64_t>(e + 2);
+    server->extension()->on_local_event(event);
+    net.run_until(net.now() + SimTime::millis(e % 4 == 3 ? 200 : 20));
+  }
+  for (int i = 0; i < 40 && (service->delivery().queue_depth_total() > 0 ||
+                             service->delivery().inflight() > 0);
+       ++i) {
+    net.run_until(net.now() + SimTime::millis(500));
+  }
+  ASSERT_EQ(service->delivery().queue_depth_total(), 0u);
+  ASSERT_EQ(service->delivery().inflight(), 0u);
+  ASSERT_EQ(notifications, service->stats().notifications_sent);
+  ASSERT_GT(notifications, 0u);
+
+  const std::uint64_t writers = wire::writer_stats().writers;
+  const std::uint64_t per_100 = writers * 100 / notifications;
+  std::printf(
+      "perf-smoke delivery: notifications=%llu writers=%llu "
+      "writers/100 notifications=%llu\n",
+      static_cast<unsigned long long>(notifications),
+      static_cast<unsigned long long>(writers),
+      static_cast<unsigned long long>(per_100));
+  EXPECT_LE(per_100, budget.at("max_delivery_writers_per_100_notifications"))
+      << "the delivery path constructs more Writers per notification than "
+         "budgeted — a journal record or digest entry copy is back";
 }
 
 }  // namespace
