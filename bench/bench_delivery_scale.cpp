@@ -27,6 +27,7 @@
 #include "alerting/alerting_service.h"
 #include "alerting/client.h"
 #include "alerting/delivery.h"
+#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "docmodel/event.h"
@@ -103,8 +104,8 @@ int main() {
   // nothing (the streaming fast path, see Client::set_notification_sink).
   std::vector<SimTime> publish_at;  // event seq -> publish time (seq-1 index)
   obs::LatencyBreakdown breakdown;
-  obs::LatencyHistogram immediate_ms;
-  obs::LatencyHistogram windowed_ms;
+  Histogram immediate_ms;
+  Histogram windowed_ms;
   std::uint64_t received_total = 0;
   std::vector<alerting::Client*> clients;
   clients.reserve(kClients);
@@ -268,7 +269,6 @@ int main() {
   reg.counter("bench.conserved") = conserved ? 1 : 0;
   reg.gauge("bench.storm_peak_queue") =
       static_cast<double>(storm_peak_queue);
-  reg.gauge("bench.e2e_p99_ms") = breakdown.e2e_ms.p99();
   reg.gauge("bench.immediate_p99_ms") = immediate_ms.p99();
   reg.gauge("bench.windowed_p99_ms") = windowed_ms.p99();
   alerting->collect_metrics(reg);

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <optional>
 
-#include "common/histogram.h"
 #include "docmodel/collection.h"
 #include "gsnet/greenstone_server.h"
 #include "gsnet/receptionist.h"
@@ -69,7 +68,6 @@ int main() {
       "access            kind                 docs hops servers bytes    "
       "latency_ms result");
   obs::MetricsRegistry reg;
-  Histogram access_latency;
   // No alerting pipeline here — the access round-trip IS the end-to-end
   // latency, fed to the tracker by hand so this bench still carries the
   // canonical latency.* schema the sentinel expects.
@@ -92,7 +90,6 @@ int main() {
     reg.counter("bench.bytes", labels) = net.stats().bytes_sent;
     if (result->ok) {
       reg.counter("bench.hops", labels) = result->hops;
-      access_latency.record((*done_at - start).as_millis());
       tracker.record_e2e_ms((*done_at - start).as_millis());
       tracker.breakdown().notify_hops.record(result->hops);
       std::snprintf(row, sizeof(row),
@@ -119,7 +116,6 @@ int main() {
   std::printf(
       "\nshape check: distributed D costs 1 extra hop / 1 extra server; "
       "virtual C serves sub data only; G denied directly, served via F.\n");
-  reg.histogram("bench.access_latency_ms") = access_latency;
   tracker.breakdown().export_to(reg);
   net.collect_metrics(reg);
   workload::write_bench_json("fig1_scenario", reg);

@@ -951,11 +951,6 @@ void AlertingService::attempt_delivery(const std::string& host,
 
 void AlertingService::ensure_channels() {
   if (channels_.attached()) return;
-  channels_.set_policy(transport::ChannelPolicy{
-      .initial_rto = config_.retry_interval,
-      .backoff = 1.5,
-      .max_rto = SimTime::micros(config_.retry_interval.as_micros() * 3 / 2),
-      .jitter = 0.25});
   channels_.set_retransmit_hook(
       [this](const std::string&, const wire::Envelope&) {
         stats_.retries += 1;

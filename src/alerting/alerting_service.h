@@ -27,10 +27,10 @@
 
 #include "alerting/delivery.h"
 #include "alerting/messages.h"
+#include "common/histogram.h"
 #include "common/types.h"
 #include "gsnet/greenstone_server.h"
 #include "gsnet/server_extension.h"
-#include "obs/latency.h"
 #include "obs/trace.h"
 #include "profiles/index.h"
 #include "profiles/parser.h"
@@ -39,11 +39,6 @@
 namespace gsalert::alerting {
 
 struct AlertingConfig {
-  /// Initial retransmit interval for unacknowledged aux-profile /
-  /// event-forward messages; the transport channel backs it off (×1.5,
-  /// capped at 1.5× this value) with deterministic downward jitter so
-  /// co-parked senders desynchronize after a partition heals.
-  SimTime retry_interval = SimTime::seconds(1);
   /// Per-subscriber delivery stage between match and wire (credits,
   /// coalescing, digests — see src/alerting/delivery.h). The default is
   /// unmanaged immediate delivery: the pre-delivery-stage packet flow.
@@ -94,7 +89,7 @@ class AlertingService : public gsnet::ServerExtension {
   /// Deliberately NOT part of collect_metrics (seed-replay snapshots must
   /// stay byte-identical); workload::Scenario merges it into the
   /// Outcome's LatencyBreakdown instead.
-  const obs::LatencyHistogram& match_cpu_us() const { return match_cpu_us_; }
+  const Histogram& match_cpu_us() const { return match_cpu_us_; }
   const profiles::ProfileIndex& index() const { return index_; }
   /// Export stats under `alerting.*{server=<name>}` plus gauges for the
   /// live subscription/outbox sizes (see docs/OBSERVABILITY.md).
@@ -294,7 +289,7 @@ class AlertingService : public gsnet::ServerExtension {
       sub_requests_;
   AlertingStats stats_;
   profiles::MatchStats match_stats_;
-  obs::LatencyHistogram match_cpu_us_;
+  Histogram match_cpu_us_;
   NotificationObserver notification_observer_;
 };
 

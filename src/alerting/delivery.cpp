@@ -47,11 +47,6 @@ void DeliveryStage::configure(const DeliveryConfig& config) {
   config_ = config;
 }
 
-std::size_t DeliveryStage::low_watermark() const {
-  if (config_.low_watermark > 0) return config_.low_watermark;
-  return config_.credits / 2;
-}
-
 SimTime DeliveryStage::window_of(const DeliveryPolicy& policy) const {
   return policy.window.as_micros() > 0 ? policy.window
                                        : config_.default_window;
@@ -61,11 +56,6 @@ void DeliveryStage::ensure_attached() {
   if (channel_.attached() || owner_.server_ == nullptr) return;
   gsnet::GreenstoneServer* server = owner_.server_;
   channel_.set_timer_token(kChannelToken);
-  channel_.set_policy(transport::ChannelPolicy{
-      .initial_rto = config_.retry_interval,
-      .backoff = 1.5,
-      .max_rto = SimTime::micros(config_.retry_interval.as_micros() * 3 / 2),
-      .jitter = 0.25});
   channel_.set_journal([this] { return owner_.log(); }, kJDChanSend,
                        kJDChanPeer);
   channel_.attach(
@@ -333,9 +323,9 @@ void DeliveryStage::on_ack(const std::string& peer, std::uint64_t seq) {
     q.stalled = false;
     return;
   }
-  // Hysteresis: resume only once the window has drained to the low
-  // watermark, not on the first freed credit.
-  if (channel_.unacked_to(peer) <= low_watermark()) flush(q);
+  // Hysteresis: resume only once the window has drained to half the
+  // credits, not on the first freed credit.
+  if (channel_.unacked_to(peer) <= config_.credits / 2) flush(q);
 }
 
 void DeliveryStage::on_restart() {

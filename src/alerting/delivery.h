@@ -9,7 +9,7 @@
 //   backpressure  with credits > 0, per-client delivery rides a
 //                 transport::ChannelSet; a client with `credits` unacked
 //                 digests stalls its queue, and acks resume it once the
-//                 window drains to the low watermark (hysteresis).
+//                 window drains to credits / 2 (hysteresis).
 //   coalescing    per-subscription policy: immediate, coalesce-window
 //                 (burst + duplicate merge), or periodic digest. Queued
 //                 notifications for one client flush as a single
@@ -65,16 +65,11 @@ struct DeliveryConfig {
   /// go straight to the wire and digests are fire-and-forget — the
   /// pre-delivery-stage contract.
   std::size_t credits = 0;
-  /// A stalled client resumes once unacked <= low_watermark
-  /// (0 = credits / 2).
-  std::size_t low_watermark = 0;
   /// Per-client queue bound; beyond it the oldest coalescible entry
   /// spills (then the oldest of any mode).
   std::size_t queue_capacity = 1024;
   /// Window for policies that leave DeliveryPolicy::window at zero.
   SimTime default_window = SimTime::millis(100);
-  /// Initial retransmit interval of the managed digest channel.
-  SimTime retry_interval = SimTime::seconds(1);
 };
 
 struct DeliveryStats {
@@ -172,7 +167,6 @@ class DeliveryStage {
 
   ClientQueue& queue_for(NodeId client);
   SimTime window_of(const DeliveryPolicy& policy) const;
-  std::size_t low_watermark() const;
   bool credit_available(const ClientQueue& q) const;
   void enqueue(ClientQueue& q, SubscriptionId sub,
                const std::shared_ptr<const docmodel::Event>& event,

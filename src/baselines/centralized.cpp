@@ -66,7 +66,6 @@ void CentralServer::on_packet(NodeId from, const sim::Packet& packet) {
                                            name(), "", next_msg_++,
                                            std::move(w))
                            .pack());
-        events_matched_ += 1;
       }
       return;
     }

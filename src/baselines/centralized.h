@@ -23,7 +23,6 @@ class CentralServer : public sim::Node {
   void on_packet(NodeId from, const sim::Packet& packet) override;
 
   std::size_t profile_count() const { return index_.profile_count(); }
-  std::uint64_t events_matched() const { return events_matched_; }
 
  private:
   profiles::ProfileIndex index_;
@@ -33,7 +32,6 @@ class CentralServer : public sim::Node {
   // (owner node value, owner sub id) -> central id, for unsubscribes.
   std::unordered_map<std::uint64_t, profiles::ProfileId> by_owner_;
   profiles::ProfileId next_id_ = 1;
-  std::uint64_t events_matched_ = 0;
   std::uint64_t next_msg_ = 1;
 };
 

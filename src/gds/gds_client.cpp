@@ -36,13 +36,13 @@ void GdsClient::send_register() {
 void GdsClient::start() {
   if (!attached()) return;
   send_register();
-  net_->set_timer(self_, refresh_interval_, kRefreshTimer);
+  net_->set_timer(self_, kRefreshInterval, kRefreshTimer);
 }
 
 void GdsClient::on_refresh_timer() {
   if (!attached()) return;
   send_register();
-  net_->set_timer(self_, refresh_interval_, kRefreshTimer);
+  net_->set_timer(self_, kRefreshInterval, kRefreshTimer);
 }
 
 void GdsClient::unregister() {
@@ -125,7 +125,7 @@ void GdsClient::resolve(const std::string& server_name,
       std::move(w));
   endpoint_.request(
       body.query_id, std::move(env),
-      {.policy = resolve_policy_, .to = gds_node_},
+      {.policy = kResolvePolicy, .to = gds_node_},
       [cb = std::move(callback)](const wire::Envelope* reply) {
         if (reply == nullptr) {  // deadline: report not-found
           cb(false, "");

@@ -72,30 +72,25 @@ class GdsClient {
   /// the envelope matched a pending resolve.
   bool handle_resolve_reply(const wire::Envelope& env);
 
-  /// Refresh period for registrations (exposed for tests).
-  SimTime refresh_interval() const { return refresh_interval_; }
-  void set_refresh_interval(SimTime t) { refresh_interval_ = t; }
-
-  /// Retry/deadline policy for resolve queries (exposed for tests).
-  void set_resolve_policy(const transport::RetryPolicy& policy) {
-    resolve_policy_ = policy;
-  }
   const transport::EndpointStats& endpoint_stats() const {
     return endpoint_.stats();
   }
 
  private:
+  /// Refresh period for registrations.
+  static constexpr SimTime kRefreshInterval = SimTime::seconds(2);
+  /// Retry/deadline policy for resolve queries.
+  static constexpr transport::RetryPolicy kResolvePolicy{
+      .deadline = SimTime::seconds(3), .max_retransmits = 2};
+
   void send_register();
 
   sim::Network* net_ = nullptr;
   NodeId self_;
   std::string self_name_;
   NodeId gds_node_;
-  SimTime refresh_interval_ = SimTime::seconds(2);
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_query_ = 1;
-  transport::RetryPolicy resolve_policy_{.deadline = SimTime::seconds(3),
-                                         .max_retransmits = 2};
   transport::Endpoint endpoint_;
 };
 

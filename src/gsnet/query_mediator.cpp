@@ -151,7 +151,7 @@ void QueryMediator::query_members(
     stats_.fanout += 1;
     endpoint_.request(
         request.request_id, std::move(env),
-        {.policy = {.deadline = config_.peer_deadline}, .to = remote},
+        {.policy = {.deadline = kPeerDeadline}, .to = remote},
         [this, scatter](const wire::Envelope* reply) {
           if (reply == nullptr) {
             stats_.timeouts += 1;

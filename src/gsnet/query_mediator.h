@@ -28,13 +28,6 @@ namespace gsalert::gsnet {
 
 class GreenstoneServer;
 
-struct MediatorConfig {
-  /// Per-peer answer deadline: a member that misses it is dropped from
-  /// the merge (with retransmits inside the window) and the query result
-  /// is marked partial rather than failed.
-  SimTime peer_deadline = SimTime::seconds(2);
-};
-
 /// Partial-tolerant merge of one scattered query.
 struct MediatedQueryResult {
   bool ok = false;        // at least one member answered
@@ -64,8 +57,6 @@ class QueryMediator {
   /// once the server is on a network).
   void attach(GreenstoneServer* server);
   bool attached() const { return server_ != nullptr; }
-  void set_config(MediatorConfig config) { config_ = config; }
-  const MediatorConfig& config() const { return config_; }
 
   /// Register or replace a virtual collection's member list.
   void define_virtual(std::string name, std::vector<CollectionRef> members);
@@ -101,6 +92,10 @@ class QueryMediator {
   /// Endpoint tag on the hosting node: the server's own endpoint is 1,
   /// its GDS client 2; the mediator's timers use 3.
   static constexpr std::uint8_t kEndpointTag = 3;
+  /// Per-peer answer deadline: a member that misses it is dropped from
+  /// the merge (with retransmits inside the window) and the query result
+  /// is marked partial rather than failed.
+  static constexpr SimTime kPeerDeadline = SimTime::seconds(2);
 
   void ensure_endpoint();
   /// Answer one member query against a local collection's index.
@@ -108,7 +103,6 @@ class QueryMediator {
                                  const std::string& query_text) const;
 
   GreenstoneServer* server_ = nullptr;
-  MediatorConfig config_;
   std::map<std::string, std::vector<CollectionRef>> virtuals_;
   transport::Endpoint endpoint_;
   MediatorStats stats_;

@@ -38,7 +38,7 @@ void Receptionist::open_collection(const CollectionRef& ref,
       request.request_id, std::move(w));
   endpoint_.request(
       request.request_id, std::move(env),
-      {.policy = {.deadline = request_timeout_}, .to = host->second},
+      {.policy = {.deadline = kRequestTimeout}, .to = host->second},
       [done = std::move(done)](const wire::Envelope* reply) {
         if (reply == nullptr) {
           done(CollResult{.ok = false, .error = "request timed out"});
@@ -82,7 +82,7 @@ void Receptionist::search_collection(const CollectionRef& ref,
       request.request_id, std::move(w));
   endpoint_.request(
       request.request_id, std::move(env),
-      {.policy = {.deadline = request_timeout_}, .to = host->second},
+      {.policy = {.deadline = kRequestTimeout}, .to = host->second},
       [done = std::move(done)](const wire::Envelope* reply) {
         if (reply == nullptr) {
           done(SearchResult{.ok = false, .error = "request timed out"});

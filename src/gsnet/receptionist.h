@@ -21,15 +21,9 @@ namespace gsalert::gsnet {
 
 class Receptionist : public sim::Node {
  public:
-  explicit Receptionist(SimTime request_timeout = SimTime::seconds(5))
-      : request_timeout_(request_timeout) {}
-
   /// Grant access to a host (Receptionist I in Figure 1 reaches Hamilton
   /// and London; II only London).
   void add_host(const std::string& host, NodeId server);
-  bool has_host(const std::string& host) const {
-    return hosts_.contains(host);
-  }
 
   /// Fetch the documents of a (possibly distributed) collection on behalf
   /// of a user. Fails locally if this receptionist has no access to the
@@ -54,13 +48,14 @@ class Receptionist : public sim::Node {
 
  private:
   static constexpr std::uint8_t kEndpointTag = 1;
+  /// Deadline of one user-facing request, retransmits included.
+  static constexpr SimTime kRequestTimeout = SimTime::seconds(5);
 
   void ensure_endpoint();
 
-  SimTime request_timeout_;
   std::unordered_map<std::string, NodeId> hosts_;
   // Outstanding requests (data + search share the id space) live in the
-  // endpoint, which retransmits with backoff until request_timeout_.
+  // endpoint, which retransmits with backoff until kRequestTimeout.
   transport::Endpoint endpoint_;
   std::uint64_t next_request_ = 1;
 };

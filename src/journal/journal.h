@@ -50,8 +50,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/histogram.h"
 #include "common/types.h"
-#include "obs/latency.h"
 #include "obs/profiler.h"
 #include "sim/storage.h"
 #include "wire/codec.h"
@@ -156,8 +156,6 @@ class Journal {
   /// May trigger compaction afterwards. No-op when clean.
   void commit();
 
-  bool dirty() const { return dirty_; }
-
   /// Owner callback that emits full durable state for compaction.
   /// Compaction is skipped (the log grows without bound) until this set.
   void set_snapshot_writer(SnapshotWriter fn) {
@@ -187,11 +185,9 @@ class Journal {
   /// Wall-clock microseconds per group commit. Like match CPU, kept out
   /// of collect_metrics (wall time would break seed-replay determinism);
   /// workload::Scenario merges it into the Outcome's LatencyBreakdown.
-  const obs::LatencyHistogram& fsync_us() const { return fsync_us_; }
+  const Histogram& fsync_us() const { return fsync_us_; }
 
   const JournalStats& stats() const { return stats_; }
-  const std::string& log_file() const { return log_; }
-  const std::string& snapshot_file() const { return snap_; }
 
   /// Export under journal.*{node=...} (see docs/OBSERVABILITY.md).
   void collect_metrics(obs::MetricsRegistry& registry) const;
@@ -226,7 +222,7 @@ class Journal {
   SnapshotWriter snapshot_writer_;
   std::function<SimTime()> clock_;
   JournalStats stats_;
-  obs::LatencyHistogram fsync_us_;
+  Histogram fsync_us_;
 };
 
 /// Where an owner's records go: appended to the live log, or written as

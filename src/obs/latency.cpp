@@ -1,89 +1,10 @@
 #include "obs/latency.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
-#include "common/histogram.h"
 #include "obs/metrics_registry.h"
 
 namespace gsalert::obs {
-
-// ---------- LatencyHistogram ------------------------------------------------
-
-void LatencyHistogram::record(double value) {
-  if (!(value >= 0.0)) value = 0.0;  // negatives and NaN clamp to bucket 0
-  buckets_[log2_bucket_index(value)] += 1;
-  count_ += 1;
-  sum_ += value;
-  max_ = std::max(max_, value);
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  max_ = std::max(max_, other.max_);
-}
-
-double LatencyHistogram::mean() const {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double LatencyHistogram::quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const std::uint64_t rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             std::ceil(q * static_cast<double>(count_))));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      // The true max is a tighter bound than 2^63 when the top occupied
-      // bucket answers the quantile.
-      return std::min(log2_bucket_bound(i), std::max(max_, 1.0));
-    }
-  }
-  return max_;
-}
-
-std::string LatencyHistogram::summary() const {
-  if (count_ == 0) return "count=0";
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                "count=%llu mean=%.6g p50=%.6g p95=%.6g p99=%.6g "
-                "p999=%.6g max=%.6g",
-                static_cast<unsigned long long>(count_), mean(), p50(), p95(),
-                p99(), p999(), max());
-  return buf;
-}
-
-std::string LatencyHistogram::json() const {
-  if (count_ == 0) return "{\"count\":0}";
-  char buf[224];
-  std::snprintf(buf, sizeof buf,
-                "{\"count\":%llu,\"mean\":%.6g,\"p50\":%.6g,\"p95\":%.6g,"
-                "\"p99\":%.6g,\"p999\":%.6g,\"max\":%.6g,\"buckets\":[",
-                static_cast<unsigned long long>(count_), mean(), p50(), p95(),
-                p99(), p999(), max());
-  std::string out = buf;
-  bool first = true;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
-    char b[64];
-    std::snprintf(b, sizeof b, "%s[%.6g,%llu]", first ? "" : ",",
-                  log2_bucket_bound(i),
-                  static_cast<unsigned long long>(buckets_[i]));
-    out += b;
-    first = false;
-  }
-  out += "]}";
-  return out;
-}
-
-void LatencyHistogram::clear() { *this = LatencyHistogram{}; }
 
 // ---------- LatencyBreakdown ------------------------------------------------
 
@@ -99,15 +20,15 @@ void LatencyBreakdown::merge(const LatencyBreakdown& other) {
 
 void LatencyBreakdown::export_to(MetricsRegistry& registry,
                                  const Labels& labels) const {
-  registry.latency("latency.e2e_ms", labels).merge(e2e_ms);
-  registry.latency("latency.stage.flood_ms", labels).merge(flood_ms);
-  registry.latency("latency.stage.park_dwell_ms", labels)
+  registry.histogram("latency.e2e_ms", labels).merge(e2e_ms);
+  registry.histogram("latency.stage.flood_ms", labels).merge(flood_ms);
+  registry.histogram("latency.stage.park_dwell_ms", labels)
       .merge(park_dwell_ms);
-  registry.latency("latency.stage.retransmit_delay_ms", labels)
+  registry.histogram("latency.stage.retransmit_delay_ms", labels)
       .merge(retransmit_delay_ms);
-  registry.latency("latency.stage.match_cpu_us", labels).merge(match_cpu_us);
-  registry.latency("latency.stage.fsync_us", labels).merge(fsync_us);
-  registry.latency("latency.notify_hops", labels).merge(notify_hops);
+  registry.histogram("latency.stage.match_cpu_us", labels).merge(match_cpu_us);
+  registry.histogram("latency.stage.fsync_us", labels).merge(fsync_us);
+  registry.histogram("latency.notify_hops", labels).merge(notify_hops);
 }
 
 // ---------- LatencyTracker --------------------------------------------------
@@ -138,7 +59,6 @@ void LatencyTracker::on_span(const Span& span) {
     if (slot.trace_id != span.trace_id) {
       slot.trace_id = span.trace_id;
       slot.at_ms = at_ms;
-      traces_started_ += 1;
     }
     return;
   }
@@ -182,7 +102,6 @@ void LatencyTracker::on_span(const Span& span) {
 void LatencyTracker::clear() {
   starts_.fill(TraceStart{});
   breakdown_ = LatencyBreakdown{};
-  traces_started_ = 0;
   notifies_seen_ = 0;
   orphan_spans_ = 0;
 }

@@ -2,23 +2,16 @@
 // per-stage decomposition, derived from the causal trace spans the rest
 // of the stack already emits (docs/OBSERVABILITY.md "Latency SLOs").
 //
-// Two pieces:
-//
-//  - LatencyHistogram: O(1)-record, fixed-memory log2-bucketed histogram
-//    (the boundaries of common::log2_bucket_index). Quantiles are
-//    bucket-resolved: the reported pN is the inclusive upper bound of
-//    the bucket holding the Nth sample — an overestimate by at most 2x,
-//    which is exactly the resolution an SLO gate needs.
-//
-//  - LatencyTracker: a SpanSink that turns the span stream into the
-//    user-visible number the paper's service lives or dies by — sim-time
-//    from a `publish` at a DL server to each `notify` at a subscriber —
-//    plus the stage decomposition: flood progress (`gds-deliver`),
-//    store-and-forward dwell (`gds-park-flush` dwell_ms), retransmit
-//    delay (`retry` since_ms) and hop counts. Wall-clock stages (match
-//    CPU, journal fsync) cannot ride spans without breaking the
-//    byte-identical-trace guarantee, so they are merged into the same
-//    LatencyBreakdown by the owner (workload::Scenario::outcome).
+// LatencyTracker is a SpanSink that turns the span stream into the
+// user-visible number the paper's service lives or dies by — sim-time
+// from a `publish` at a DL server to each `notify` at a subscriber —
+// plus the stage decomposition: flood progress (`gds-deliver`),
+// store-and-forward dwell (`gds-park-flush` dwell_ms), retransmit delay
+// (`retry` since_ms) and hop counts. Every stage is a gsalert::Histogram
+// (common/histogram.h: bounded relative error below 1/32, O(1) record).
+// Wall-clock stages (match CPU, journal fsync) cannot ride spans without
+// breaking the byte-identical-trace guarantee, so they are merged into
+// the same LatencyBreakdown by the owner (workload::Scenario::outcome).
 #pragma once
 
 #include <array>
@@ -27,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/types.h"
 #include "obs/trace.h"
 
@@ -38,56 +32,18 @@ class MetricsRegistry;
 /// obs header that needs it) and re-exported by metrics_registry.h.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-class LatencyHistogram {
- public:
-  /// Record one non-negative sample (negatives clamp to bucket 0).
-  void record(double value);
-  void merge(const LatencyHistogram& other);
-
-  std::uint64_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  double mean() const;
-  double max() const { return max_; }
-  /// Bucket-resolved quantile: the log2 upper bound of the bucket that
-  /// contains the ceil(q*count)-th sample. 0 on empty.
-  double quantile(double q) const;
-  double p50() const { return quantile(0.50); }
-  double p95() const { return quantile(0.95); }
-  double p99() const { return quantile(0.99); }
-  double p999() const { return quantile(0.999); }
-
-  /// "count=N mean=... p50=... p95=... p99=... p999=... max=..."
-  std::string summary() const;
-  /// {"count":N,...,"buckets":[[bound,count],...]} — same shape as the
-  /// exact Histogram export so the bench sentinel reads both alike.
-  std::string json() const;
-
-  void clear();
-
-  std::uint64_t bucket_count(std::size_t index) const {
-    return buckets_[index];
-  }
-  static constexpr std::size_t kBuckets = 64;
-
- private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Everything the latency layer knows about one run, in one place.
 /// Sim-time stages come from the tracker; wall-clock stages (match CPU,
 /// journal fsync) are merged in by the owner. All exported together by
 /// export_to(), one series per stage (see docs/OBSERVABILITY.md).
 struct LatencyBreakdown {
-  LatencyHistogram e2e_ms;              // publish -> notify, sim-time
-  LatencyHistogram flood_ms;            // publish -> each gds-deliver
-  LatencyHistogram park_dwell_ms;       // store-and-forward custody dwell
-  LatencyHistogram retransmit_delay_ms; // retry fired N ms after first send
-  LatencyHistogram match_cpu_us;        // wall-clock filter/match per event
-  LatencyHistogram fsync_us;            // wall-clock journal group commit
-  LatencyHistogram notify_hops;         // network hops behind each notify
+  Histogram e2e_ms;               // publish -> notify, sim-time
+  Histogram flood_ms;             // publish -> each gds-deliver
+  Histogram park_dwell_ms;        // store-and-forward custody dwell
+  Histogram retransmit_delay_ms;  // retry fired N ms after first send
+  Histogram match_cpu_us;         // wall-clock filter/match per event
+  Histogram fsync_us;             // wall-clock journal group commit
+  Histogram notify_hops;          // network hops behind each notify
 
   void merge(const LatencyBreakdown& other);
   /// Export every stage under `latency.*` / `latency.stage.*` with
@@ -110,7 +66,6 @@ class LatencyTracker : public SpanSink {
   const LatencyBreakdown& breakdown() const { return breakdown_; }
   LatencyBreakdown& breakdown() { return breakdown_; }
 
-  std::uint64_t traces_started() const { return traces_started_; }
   std::uint64_t notifies_seen() const { return notifies_seen_; }
   std::uint64_t orphan_spans() const { return orphan_spans_; }
 
@@ -129,7 +84,6 @@ class LatencyTracker : public SpanSink {
   std::array<TraceStart, kMaxTraces> starts_{};
 
   LatencyBreakdown breakdown_;
-  std::uint64_t traces_started_ = 0;
   std::uint64_t notifies_seen_ = 0;
   std::uint64_t orphan_spans_ = 0;  // notify/deliver with unknown trace
 };

@@ -17,27 +17,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-std::string histogram_json(const Histogram& h) {
-  if (h.empty()) return "{\"count\":0}";
-  std::ostringstream os;
-  os << "{\"count\":" << h.count() << ",\"min\":" << fmt_double(h.min())
-     << ",\"mean\":" << fmt_double(h.mean())
-     << ",\"p50\":" << fmt_double(h.p50())
-     << ",\"p90\":" << fmt_double(h.quantile(0.90))
-     << ",\"p95\":" << fmt_double(h.p95())
-     << ",\"p99\":" << fmt_double(h.p99())
-     << ",\"p999\":" << fmt_double(h.p999())
-     << ",\"max\":" << fmt_double(h.max()) << ",\"buckets\":[";
-  bool first = true;
-  for (const auto& [bound, count] : h.log2_buckets()) {
-    os << (first ? "" : ",") << "[" << fmt_double(bound) << "," << count
-       << "]";
-    first = false;
-  }
-  os << "]}";
-  return os.str();
-}
-
 }  // namespace
 
 std::string MetricsRegistry::series_key(std::string_view name,
@@ -60,7 +39,7 @@ std::string MetricsRegistry::series_key(std::string_view name,
 MetricsRegistry::Series& MetricsRegistry::find_or_create(
     std::string_view name, const Labels& labels, Kind kind) {
   const std::string key = series_key(name, labels);
-  auto [it, inserted] = series_.try_emplace(key, Series{kind, 0, 0.0, {}, {}});
+  auto [it, inserted] = series_.try_emplace(key, Series{kind, 0, 0.0, {}});
   // A name must keep one kind for its lifetime; mixing would silently
   // read the wrong union member.
   assert(it->second.kind == kind);
@@ -82,11 +61,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   return find_or_create(name, labels, Kind::kHistogram).hist;
 }
 
-LatencyHistogram& MetricsRegistry::latency(std::string_view name,
-                                           const Labels& labels) {
-  return find_or_create(name, labels, Kind::kLatency).lat;
-}
-
 std::string MetricsRegistry::text_snapshot() const {
   std::ostringstream os;
   for (const auto& [key, series] : series_) {
@@ -100,9 +74,6 @@ std::string MetricsRegistry::text_snapshot() const {
         break;
       case Kind::kHistogram:
         os << series.hist.summary();
-        break;
-      case Kind::kLatency:
-        os << series.lat.summary();
         break;
     }
     os << "\n";
@@ -127,12 +98,7 @@ std::string MetricsRegistry::json() const {
         break;
       case Kind::kHistogram:
         histograms << (h1 ? "" : ",") << "\"" << detail::json_escape(key)
-                   << "\":" << histogram_json(series.hist);
-        h1 = false;
-        break;
-      case Kind::kLatency:
-        histograms << (h1 ? "" : ",") << "\"" << detail::json_escape(key)
-                   << "\":" << series.lat.json();
+                   << "\":" << series.hist.json();
         h1 = false;
         break;
     }

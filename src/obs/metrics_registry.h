@@ -27,9 +27,6 @@ class MetricsRegistry {
   std::uint64_t& counter(std::string_view name, const Labels& labels = {});
   double& gauge(std::string_view name, const Labels& labels = {});
   Histogram& histogram(std::string_view name, const Labels& labels = {});
-  /// Log2-bucketed histogram (quantiles bucket-resolved; O(1) record).
-  /// Exported in the same "histograms" JSON group as the exact kind.
-  LatencyHistogram& latency(std::string_view name, const Labels& labels = {});
 
   void reset() { series_.clear(); }
   std::size_t series_count() const { return series_.size(); }
@@ -44,13 +41,12 @@ class MetricsRegistry {
   static std::string series_key(std::string_view name, Labels labels);
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kLatency };
+  enum class Kind { kCounter, kGauge, kHistogram };
   struct Series {
     Kind kind;
     std::uint64_t counter = 0;
     double gauge = 0.0;
     Histogram hist;
-    LatencyHistogram lat;
   };
 
   Series& find_or_create(std::string_view name, const Labels& labels,

@@ -59,7 +59,6 @@ const retrieval::PostingList& EventContext::cached_search(
     const retrieval::Query& query) const {
   const auto [it, fresh] = search_cache_.try_emplace(query.str());
   if (fresh) {
-    ++query_cache_misses_;
     it->second = engine_->search(query);
   } else {
     ++query_cache_hits_;
@@ -70,7 +69,6 @@ const retrieval::PostingList& EventContext::cached_search(
 bool EventContext::any_doc_matches(const retrieval::Query& query) const {
   const auto [it, fresh] = scan_cache_.try_emplace(query.str());
   if (fresh) {
-    ++query_cache_misses_;
     it->second = std::any_of(docs_->begin(), docs_->end(),
                              [&](const docmodel::Document& d) {
                                return query.matches(d);

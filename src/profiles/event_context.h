@@ -30,10 +30,6 @@ class EventContext {
   /// Value of a macro attribute ("" if the attribute is not macro-level).
   const std::string& macro(std::string_view attribute) const;
 
-  const std::vector<std::pair<std::string, std::string>>& macro_attrs()
-      const {
-    return attrs_;
-  }
   const std::vector<docmodel::Document>& docs() const { return *docs_; }
   const docmodel::Event& event() const { return *event_; }
 
@@ -62,7 +58,6 @@ class EventContext {
   bool any_doc_matches(const retrieval::Query& query) const;
 
   std::uint64_t query_cache_hits() const { return query_cache_hits_; }
-  std::uint64_t query_cache_misses() const { return query_cache_misses_; }
 
   /// The event's macro attributes translated into `interner`'s symbol
   /// space, computed once per event (pairs whose attribute or value the
@@ -96,7 +91,6 @@ class EventContext {
       search_cache_;
   mutable std::unordered_map<std::string, bool> scan_cache_;
   mutable std::uint64_t query_cache_hits_ = 0;
-  mutable std::uint64_t query_cache_misses_ = 0;
 
   // Macro attrs in symbol space, valid for one (interner, size) state;
   // the size guard re-translates after the interner learned new strings.

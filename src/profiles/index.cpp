@@ -188,7 +188,7 @@ void ProfileIndex::maybe_compact_arena() {
 
 // --- public API ----------------------------------------------------------
 
-Status ProfileIndex::add(Profile profile) {
+Status ProfileIndex::add(const Profile& profile) {
   if (profile.id == 0) {
     return Status{ErrorCode::kInvalidArgument, "profile id must be non-zero"};
   }
@@ -238,9 +238,7 @@ Status ProfileIndex::add(Profile profile) {
     entry.conjunctions.push_back(idx);
     ++live_conjunctions_;
   }
-  entry.profile = std::move(profile);
-  const ProfileId id = entry.profile.id;
-  by_profile_.emplace(id, std::move(entry));
+  by_profile_.emplace(profile.id, std::move(entry));
   return Status::ok();
 }
 
@@ -265,11 +263,6 @@ Status ProfileIndex::remove(ProfileId id) {
   by_profile_.erase(it);
   maybe_compact_arena();
   return Status::ok();
-}
-
-const Profile* ProfileIndex::profile(ProfileId id) const {
-  const auto it = by_profile_.find(id);
-  return it == by_profile_.end() ? nullptr : &it->second.profile;
 }
 
 std::vector<ProfileId> ProfileIndex::match(const EventContext& ctx,

@@ -52,7 +52,8 @@ struct MatchStats {
 class ProfileIndex {
  public:
   /// Index a parsed profile. The profile's id must be unique and non-zero.
-  Status add(Profile profile);
+  /// The index keeps only what matching needs, not the profile itself.
+  Status add(const Profile& profile);
   Status remove(ProfileId id);
   bool contains(ProfileId id) const { return by_profile_.contains(id); }
 
@@ -64,9 +65,6 @@ class ProfileIndex {
   /// `stats` (optional) receives instrumentation for the ablation bench.
   std::vector<ProfileId> match(const EventContext& ctx,
                                MatchStats* stats = nullptr) const;
-
-  /// Stored profile by id (nullptr if absent).
-  const Profile* profile(ProfileId id) const;
 
   // --- introspection (leak/churn tests, perf budget) ----------------------
   /// Live entries in the shared residual-predicate table.
@@ -97,7 +95,6 @@ class ProfileIndex {
   };
 
   struct ProfileEntry {
-    Profile profile;
     std::uint32_t slot = 0;
     std::vector<ConjIdx> conjunctions;
   };

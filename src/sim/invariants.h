@@ -45,8 +45,6 @@ class InvariantRegistry {
   /// Run every checker in registration order.
   std::vector<Violation> check_all() const;
 
-  std::size_t size() const { return checkers_.size(); }
-
   /// One line per checker: "name: ok" or the violations — deterministic,
   /// so a replayed seed produces a byte-identical verdict block.
   std::string report() const;

@@ -155,9 +155,6 @@ class Network {
   /// (minus whatever the crash semantics destroy) for the network's
   /// lifetime.
   Storage& storage(NodeId node);
-  bool has_storage(NodeId node) const {
-    return storages_.contains(node.value());
-  }
   /// Crash-time misbehavior applied to every node's storage (torn writes,
   /// bit flips). Defaults to honest fsync; chaos scenarios raise it.
   StorageFaults& storage_faults() { return storage_faults_; }

@@ -94,9 +94,9 @@ std::uint64_t ChannelSet::send(const std::string& peer, wire::Envelope env) {
   const std::uint64_t seq = state.next_seq++;
   Unacked entry;
   entry.env = std::move(env);
-  entry.rto = policy_.initial_rto;
+  entry.rto = kPolicy.initial_rto;
   entry.first_sent = net_->now();
-  entry.due = net_->now() + jittered(entry.rto, policy_.jitter, rng_);
+  entry.due = net_->now() + jittered(entry.rto, kPolicy.jitter, rng_);
   stats_.sends += 1;
   // Insert before stamping so chan_base sees this entry as outstanding.
   auto [it, inserted] = state.unacked.emplace(seq, std::move(entry));
@@ -201,8 +201,8 @@ bool ChannelSet::on_timer(std::uint64_t token) {
       }
       stamp_and_transmit(peer, state, seq, entry);
       if (retransmit_hook_) retransmit_hook_(peer, entry.env);
-      entry.rto = grow_rto(entry.rto, policy_.backoff, policy_.max_rto);
-      entry.due = now + jittered(entry.rto, policy_.jitter, rng_);
+      entry.rto = grow_rto(entry.rto, kPolicy.backoff, kPolicy.max_rto);
+      entry.due = now + jittered(entry.rto, kPolicy.jitter, rng_);
     }
   }
   const SimTime next = earliest_due();
@@ -249,9 +249,9 @@ bool ChannelSet::replay(std::uint8_t type, wire::Reader& r) {
     PeerState& state = peers_[peer];
     Unacked entry;
     entry.env = std::move(env).take();
-    entry.rto = policy_.initial_rto;
+    entry.rto = kPolicy.initial_rto;
     entry.first_sent = net_ ? net_->now() : SimTime::zero();
-    entry.due = entry.first_sent + jittered(entry.rto, policy_.jitter, rng_);
+    entry.due = entry.first_sent + jittered(entry.rto, kPolicy.jitter, rng_);
     state.unacked.insert_or_assign(value, std::move(entry));
     state.next_seq = std::max(state.next_seq, value + 1);
     return true;

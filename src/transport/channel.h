@@ -68,7 +68,6 @@ class ChannelSet {
   void attach(sim::Network* net, NodeId self, std::string self_name,
               TransmitFn transmit, std::uint64_t jitter_seed);
   bool attached() const { return net_ != nullptr; }
-  void set_policy(const ChannelPolicy& policy) { policy_ = policy; }
   /// Override the retry-timer token (default kTimerToken). Needed when a
   /// node owns more than one ChannelSet: each must dispatch its own
   /// timer. Set before the first send().
@@ -163,7 +162,7 @@ class ChannelSet {
   std::function<journal::RecordSink()> log_;
   std::uint8_t first_type_ = 0;
   std::uint8_t peer_type_ = 0;
-  ChannelPolicy policy_;
+  static constexpr ChannelPolicy kPolicy{};
   Rng rng_{0};
   std::map<std::string, PeerState> peers_;
   std::uint64_t timer_token_ = kTimerToken;

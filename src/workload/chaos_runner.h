@@ -94,7 +94,6 @@ class ChaosHarness {
   std::vector<sim::Violation> check() const { return registry_.check_all(); }
   /// Deterministic per-checker verdict block.
   std::string report() const { return registry_.report(); }
-  std::size_t checker_count() const { return registry_.size(); }
 
   /// The harness keeps a bounded flight recorder armed for its whole
   /// lifetime (installed as a span sink, tapping the log observer).

@@ -154,9 +154,6 @@ class Scenario {
   /// span tracker, wall-clock match CPU / fsync merged from the services.
   Outcome outcome() const;
 
-  /// The span-derived latency tracker armed for this scenario's lifetime.
-  const obs::LatencyTracker& latency_tracker() const { return tracker_; }
-
   /// Export the whole world's counters — network, GDS tree, alerting
   /// services — into `registry` (see docs/OBSERVABILITY.md for names).
   void collect_metrics(obs::MetricsRegistry& registry) const;

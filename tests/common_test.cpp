@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -154,7 +157,8 @@ TEST(HistogramTest, BasicStats) {
   EXPECT_DOUBLE_EQ(h.max(), 100);
   EXPECT_DOUBLE_EQ(h.mean(), 50.5);
   EXPECT_DOUBLE_EQ(h.p50(), 50);
-  EXPECT_DOUBLE_EQ(h.p99(), 99);
+  // 99 lies in [64, 128), whose sub-buckets are 2 wide: [98, 100).
+  EXPECT_DOUBLE_EQ(h.p99(), 98);
 }
 
 TEST(HistogramTest, QuantileEdges) {
@@ -169,6 +173,7 @@ TEST(HistogramTest, ClearResets) {
   h.record(1.0);
   h.clear();
   EXPECT_TRUE(h.empty());
+  EXPECT_EQ(h.heap_bytes(), 0u);
 }
 
 TEST(HistogramTest, RecordAfterQuantileResorts) {
@@ -179,18 +184,19 @@ TEST(HistogramTest, RecordAfterQuantileResorts) {
   EXPECT_DOUBLE_EQ(h.max(), 20.0);
 }
 
-#ifdef NDEBUG
-// In debug builds these would assert — reading a statistic off an empty
-// histogram is a caller bug — but in release they must return NaN, not
-// read the front of an empty vector.
-TEST(HistogramTest, EmptyStatsAreNaNInRelease) {
+TEST(HistogramTest, EmptyReportsZeroAndOwnsNoHeap) {
   const Histogram h;
-  EXPECT_TRUE(std::isnan(h.min()));
-  EXPECT_TRUE(std::isnan(h.max()));
-  EXPECT_TRUE(std::isnan(h.mean()));
-  EXPECT_TRUE(std::isnan(h.quantile(0.5)));
+  EXPECT_EQ(h.count(), 0u);
+  for (const double q : {0.0, 0.5, 0.999, 1.0}) {
+    EXPECT_EQ(h.quantile(q), 0.0);
+  }
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 0.0);
+  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.summary(), "count=0");
+  EXPECT_EQ(h.json(), "{\"count\":0}");
+  EXPECT_EQ(h.heap_bytes(), 0u);
 }
-#endif
 
 TEST(HistogramTest, SummaryEmpty) {
   const Histogram h;
@@ -201,42 +207,211 @@ TEST(HistogramTest, SummaryOneLiner) {
   Histogram h;
   for (int i = 1; i <= 4; ++i) h.record(i);
   EXPECT_EQ(h.summary(),
-            "count=4 min=1 mean=2.5 p50=2 p95=4 p99=4 p999=4 max=4 "
-            "buckets=[1:1,2:1,4:2]");
+            "count=4 min=1 mean=2.5 p50=2 p90=4 p95=4 p99=4 p999=4 max=4");
 }
 
 TEST(HistogramTest, ExtendedQuantiles) {
   Histogram h;
   for (int i = 1; i <= 1000; ++i) h.record(i);
-  EXPECT_DOUBLE_EQ(h.p95(), 950.0);
-  EXPECT_DOUBLE_EQ(h.p99(), 990.0);
-  EXPECT_DOUBLE_EQ(h.p999(), 999.0);
+  // [512, 1024) has 16-wide sub-buckets: 950 -> 944, 990 -> 976,
+  // 999 -> 992.
+  EXPECT_DOUBLE_EQ(h.p95(), 944.0);
+  EXPECT_DOUBLE_EQ(h.p99(), 976.0);
+  EXPECT_DOUBLE_EQ(h.p999(), 992.0);
 }
 
-TEST(HistogramTest, Log2BucketsSkipEmptyAndClampNonPositive) {
+TEST(HistogramTest, JsonListsOccupiedBucketsAndClampsNonPositive) {
   Histogram h;
-  h.record(0.0);    // bucket 0 (bound 1)
-  h.record(1.0);    // bucket 0
-  h.record(3.0);    // bucket 2 (bound 4)
-  h.record(4.0);    // bucket 2
-  h.record(100.0);  // bucket 7 (bound 128)
-  const auto buckets = h.log2_buckets();
-  ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_DOUBLE_EQ(buckets[0].first, 1.0);
-  EXPECT_EQ(buckets[0].second, 2u);
-  EXPECT_DOUBLE_EQ(buckets[1].first, 4.0);
-  EXPECT_EQ(buckets[1].second, 2u);
-  EXPECT_DOUBLE_EQ(buckets[2].first, 128.0);
-  EXPECT_EQ(buckets[2].second, 1u);
+  h.record(0.0);
+  h.record(-5.0);  // clamps to 0
+  h.record(std::nan(""));  // clamps to 0
+  h.record(3.0);
+  h.record(3.0);
+  h.record(100.0);  // bucket [100, 102)
+  EXPECT_EQ(h.count(), 6u);
+  EXPECT_DOUBLE_EQ(h.min(), 0.0);
+  EXPECT_DOUBLE_EQ(h.p50(), 0.0);
+  const std::string json = h.json();
+  EXPECT_NE(json.find("\"buckets\":[[0,3],[3,2],[100,1]]"), std::string::npos)
+      << json;
 }
 
-TEST(HistogramTest, Log2BucketBoundariesAreExactPowers) {
-  EXPECT_EQ(log2_bucket_index(1.0), 0u);
-  EXPECT_EQ(log2_bucket_index(1.5), 1u);
-  EXPECT_EQ(log2_bucket_index(2.0), 1u);
-  EXPECT_EQ(log2_bucket_index(2.1), 2u);
-  EXPECT_DOUBLE_EQ(log2_bucket_bound(0), 1.0);
-  EXPECT_DOUBLE_EQ(log2_bucket_bound(10), 1024.0);
+TEST(HistogramTest, BucketBoundariesAreLogLinear) {
+  // Each octave splits into 32 equal sub-buckets; a quantile reports the
+  // lower bound of its bucket (clamped to [min, max], so probe each value
+  // next to a smaller one).
+  const auto lower_bound = [](double v) {
+    Histogram h;
+    h.record(0.0);
+    h.record(v);
+    return h.quantile(1.0);
+  };
+  EXPECT_DOUBLE_EQ(lower_bound(64.0), 64.0);
+  EXPECT_DOUBLE_EQ(lower_bound(65.0), 64.0);
+  EXPECT_DOUBLE_EQ(lower_bound(66.0), 66.0);
+  EXPECT_DOUBLE_EQ(lower_bound(1024.0 + 31.9), 1024.0);
+  EXPECT_DOUBLE_EQ(lower_bound(1024.0 + 32.0), 1056.0);
+  EXPECT_DOUBLE_EQ(lower_bound(0.75), 0.75);
+  EXPECT_DOUBLE_EQ(lower_bound(0.7), 0.6875);
+  EXPECT_DOUBLE_EQ(lower_bound(std::ldexp(1.0, -16)), 0.0);
+  EXPECT_DOUBLE_EQ(lower_bound(std::ldexp(1.0, -15)), std::ldexp(1.0, -15));
+  EXPECT_DOUBLE_EQ(lower_bound(std::ldexp(1.0, 47)), std::ldexp(1.0, 47));
+}
+
+TEST(HistogramTest, QuantilesAreBucketLowerBoundsClampedToMinMax) {
+  Histogram h;
+  for (int i = 0; i < 10; ++i) h.record(3.3);  // bucket [3.25, 3.3125)
+  EXPECT_EQ(h.count(), 10u);
+  EXPECT_DOUBLE_EQ(h.mean(), 3.3);
+  // Clamped to the observed min: a single-bucket population reports
+  // the true value, not the bucket's lower bound.
+  EXPECT_DOUBLE_EQ(h.p50(), 3.3);
+  EXPECT_DOUBLE_EQ(h.p999(), 3.3);
+  // A far outlier moves only the tail quantiles.
+  h.record(1000.0);  // bucket [992, 1008)
+  EXPECT_DOUBLE_EQ(h.p50(), 3.3);
+  EXPECT_DOUBLE_EQ(h.p999(), 992.0);
+  EXPECT_DOUBLE_EQ(h.max(), 1000.0);
+}
+
+// Regression: the log2 histogram clamped quantiles to max(max, 1), so a
+// series of sub-1 samples reported p50 = 1, above its own max.
+TEST(HistogramTest, SubOneSamplesKeepQuantilesWithinMinMax) {
+  const std::vector<double> samples = {0.068, 0.021, 0.034, 0.052};
+  Histogram h;
+  for (const double v : samples) h.record(v);
+  const double lo = *std::min_element(samples.begin(), samples.end());
+  const double hi = *std::max_element(samples.begin(), samples.end());
+  EXPECT_DOUBLE_EQ(h.min(), lo);
+  EXPECT_DOUBLE_EQ(h.max(), hi);
+  for (const double q : {0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+    EXPECT_GE(h.quantile(q), lo) << "q=" << q;
+    EXPECT_LE(h.quantile(q), hi) << "q=" << q;
+  }
+}
+
+// Exact nearest-rank over a sorted copy: the reference the bucketed
+// quantiles are held to.
+double exact_quantile(const std::vector<double>& sorted, double q) {
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[rank == 0 ? 0 : rank - 1];
+}
+
+TEST(HistogramTest, MatchesExactNearestRankWithinRelativeError) {
+  Rng rng{0x5EED};
+  const double qs[] = {0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0};
+  std::lognormal_distribution<double> lognormal(1.0, 1.5);
+  using Gen = std::function<double()>;
+  const std::vector<std::pair<const char*, Gen>> inputs = {
+      {"lognormal", [&] { return lognormal(rng.engine()); }},
+      {"uniform", [&] { return rng.uniform() * 5000.0; }},
+      {"small-integer",
+       [&] { return static_cast<double>(rng.uniform_int(0, 63)); }},
+      {"sub-1", [&] { return 0.001 + rng.uniform() * 0.998; }},
+      {"constant", [] { return 40.0; }},
+  };
+  for (const auto& [name, gen] : inputs) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Trial 0 is the single-sample case.
+      const std::size_t n =
+          trial == 0 ? 1 : static_cast<std::size_t>(rng.uniform_int(2, 3000));
+      Histogram h;
+      std::vector<double> sorted;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double v = gen();
+        h.record(v);
+        sorted.push_back(v);
+      }
+      std::sort(sorted.begin(), sorted.end());
+      ASSERT_EQ(h.count(), n);
+      EXPECT_EQ(h.min(), sorted.front()) << name;
+      EXPECT_EQ(h.max(), sorted.back()) << name;
+      double prev = 0.0;
+      for (const double q : qs) {
+        const double got = h.quantile(q);
+        const double want = exact_quantile(sorted, q);
+        if (want == std::floor(want) && want < 64.0) {
+          EXPECT_EQ(got, want) << name << " n=" << n << " q=" << q;
+        } else {
+          EXPECT_LT(std::abs(got - want) / want, 1.0 / 32)
+              << name << " n=" << n << " q=" << q << " got " << got
+              << " want " << want;
+        }
+        EXPECT_GE(got, prev) << name << " quantiles not monotone at q=" << q;
+        prev = got;
+      }
+    }
+  }
+}
+
+TEST(HistogramTest, MergeAddsAndClearResets) {
+  Rng rng{7};
+  Histogram a, b, both;
+  for (int i = 0; i < 500; ++i) {
+    const double x = rng.exponential(20.0);
+    const double y = 1000.0 + rng.exponential(300.0);
+    a.record(x);
+    b.record(y);
+    both.record(x);
+    both.record(y);
+  }
+  a.merge(b);
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_EQ(a.min(), both.min());
+  EXPECT_EQ(a.max(), both.max());
+  EXPECT_NEAR(a.mean(), both.mean(), 1e-9 * both.mean());
+  for (const double q : {0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(a.quantile(q), both.quantile(q)) << "q=" << q;
+  }
+  // Same occupied buckets with the same counts.
+  const std::string buckets_a = a.json().substr(a.json().find("\"buckets\""));
+  const std::string buckets_both =
+      both.json().substr(both.json().find("\"buckets\""));
+  EXPECT_EQ(buckets_a, buckets_both);
+  // Merging into an empty histogram copies; merging an empty one is a
+  // no-op.
+  Histogram empty;
+  empty.merge(b);
+  EXPECT_EQ(empty.json(), b.json());
+  both.merge(Histogram{});
+  EXPECT_EQ(a.count(), both.count());
+  a.clear();
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.json(), "{\"count\":0}");
+}
+
+TEST(HistogramTest, JsonCarriesQuantilesAndBuckets) {
+  Histogram h;
+  h.record(3.0);
+  const std::string json = h.json();
+  for (const char* field : {"\"count\":1", "\"min\":3", "\"mean\":3",
+                            "\"p50\":3", "\"p90\":3", "\"p95\":3",
+                            "\"p99\":3", "\"p999\":3", "\"max\":3",
+                            "\"buckets\":[[3,1]]"}) {
+    EXPECT_NE(json.find(field), std::string::npos) << field << " in " << json;
+  }
+}
+
+TEST(HistogramTest, ExtremesStayWithinMaxBuckets) {
+  Histogram h;
+  for (const double v : {1e-300, 1e300, std::nan(""), -1.0, -1e300, 5.0}) {
+    h.record(v);
+  }
+  EXPECT_EQ(h.count(), 6u);
+  EXPECT_EQ(h.min(), 0.0);  // NaN and negatives clamp to 0
+  EXPECT_EQ(h.max(), 1e300);
+  EXPECT_LE(h.heap_bytes(), Histogram::kMaxBuckets * sizeof(std::uint64_t));
+  EXPECT_EQ(h.quantile(0.0), 0.0);
+  EXPECT_EQ(h.quantile(1.0), std::ldexp(1.0 + 31.0 / 32, 47));
+}
+
+TEST(HistogramTest, RecordingAllocatesOnlyTheTouchedRange) {
+  Histogram h;
+  h.record(40.0);
+  EXPECT_EQ(h.heap_bytes(), sizeof(std::uint64_t));
+  h.record(60.0);  // 40 and 60 are 20 sub-buckets apart in [32, 64)
+  EXPECT_EQ(h.heap_bytes(), 21 * sizeof(std::uint64_t));
 }
 
 // ---------- log -------------------------------------------------------------

@@ -445,50 +445,9 @@ TEST(TracePropagationTest, RetriesAttachToTheOriginalTrace) {
 
 // ---------- latency layer ---------------------------------------------------
 
-TEST(LatencyHistogramTest, QuantilesAreBucketUpperBounds) {
-  obs::LatencyHistogram h;
-  for (int i = 0; i < 10; ++i) h.record(3.0);  // bucket (2, 4]
-  EXPECT_EQ(h.count(), 10u);
-  EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(h.max(), 3.0);
-  // Bucket-resolved, clamped to the observed max: a single-bucket
-  // population reports the true max, not the 2x bucket bound.
-  EXPECT_DOUBLE_EQ(h.p50(), 3.0);
-  EXPECT_DOUBLE_EQ(h.p99(), 3.0);
-  EXPECT_DOUBLE_EQ(h.p999(), 3.0);
-  // A single far outlier moves only the tail quantiles; mid quantiles
-  // now answer from the (2, 4] bucket's upper bound.
-  h.record(1000.0);  // bucket (512, 1024]
-  EXPECT_DOUBLE_EQ(h.p50(), 4.0);
-  EXPECT_DOUBLE_EQ(h.p999(), 1000.0);
-}
-
-TEST(LatencyHistogramTest, MergeAddsAndClearResets) {
-  obs::LatencyHistogram a, b;
-  a.record(1.0);
-  b.record(100.0);
-  b.record(100.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.max(), 100.0);
-  EXPECT_DOUBLE_EQ(a.quantile(1.0), 100.0);
-  a.clear();
-  EXPECT_TRUE(a.empty());
-  EXPECT_EQ(a.json(), "{\"count\":0}");
-}
-
-TEST(LatencyHistogramTest, JsonCarriesQuantilesAndBuckets) {
-  obs::LatencyHistogram h;
-  h.record(3.0);
-  const std::string json = h.json();
-  EXPECT_NE(json.find("\"p50\":"), std::string::npos);
-  EXPECT_NE(json.find("\"p999\":"), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\":[[4,1]]"), std::string::npos);
-}
-
 TEST(MetricsRegistryTest, LatencySeriesRendersInHistogramsGroup) {
   MetricsRegistry reg;
-  reg.latency("latency.e2e_ms").record(3.0);
+  reg.histogram("latency.e2e_ms").record(3.0);
   const std::string json = reg.json();
   EXPECT_NE(json.find("\"latency.e2e_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"p999\":"), std::string::npos);

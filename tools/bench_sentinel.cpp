@@ -14,8 +14,8 @@
 //   bench_sentinel --schema-check DIR     every report must carry the
 //                                         meta block (topology + region
 //                                         count) and the latency.* schema
-//                                         (e2e quantiles + per-stage
-//                                         decomposition)
+//                                         (every e2e histogram field +
+//                                         per-stage decomposition)
 //   bench_sentinel --self-test            parser + rule engine + an
 //                                         injected 2x latency regression
 //                                         that MUST be caught
@@ -460,26 +460,22 @@ bool load_report(const std::filesystem::path& path, std::string& bench,
 // ---------------------------------------------------------------------------
 // --schema-check: the observability contract every bench must honour.
 // Each canonical report needs the end-to-end latency histogram with its
-// quantile set, and at least one per-stage decomposition series.
+// full field set, and at least one per-stage decomposition series.
 
-bool schema_check_file(const std::filesystem::path& path) {
-  std::string error;
-  const auto parsed = parse_file(path, error);
-  if (!parsed) {
-    std::fprintf(stderr, "bench_sentinel: %s\n", error.c_str());
-    return false;
-  }
+/// Check one parsed report; `name` labels the diagnostics.
+bool schema_check_report(const Json& report, const std::string& name) {
   std::string bench;
+  std::string error;
   Samples samples;
-  if (!flatten_report(*parsed, bench, samples, error)) {
-    std::fprintf(stderr, "bench_sentinel: %s: %s\n", path.string().c_str(),
+  if (!flatten_report(report, bench, samples, error)) {
+    std::fprintf(stderr, "bench_sentinel: %s: %s\n", name.c_str(),
                  error.c_str());
     return false;
   }
   bool ok = true;
   // Every report must say what world it measured: a meta block naming
   // the WAN topology and its region count (docs/TOPOLOGY.md).
-  const Json* meta = parsed->find("meta");
+  const Json* meta = report.find("meta");
   const Json* topology =
       meta != nullptr ? meta->find("topology") : nullptr;
   const Json* regions = meta != nullptr ? meta->find("regions") : nullptr;
@@ -490,13 +486,13 @@ bool schema_check_file(const std::filesystem::path& path) {
     std::fprintf(stderr,
                  "%s: missing/malformed meta block "
                  "(need {\"topology\":string,\"regions\":>=1})\n",
-                 path.filename().c_str());
+                 name.c_str());
     ok = false;
   }
   // The e2e series may be unlabeled (latency.e2e_ms:p99) or carry
   // per-config labels (latency.e2e_ms{servers=100}:p99); either form
-  // satisfies the contract as long as each quantile field is present.
-  for (const char* field : {"count", "mean", "p50", "p95", "p99", "p999"}) {
+  // satisfies the contract as long as every histogram field is present.
+  for (const char* field : kHistFields) {
     const std::string prefix = bench + "/latency.e2e_ms";
     const std::string suffix = std::string(":") + field;
     bool found = false;
@@ -510,7 +506,7 @@ bool schema_check_file(const std::filesystem::path& path) {
     }
     if (!found) {
       std::fprintf(stderr, "%s: missing latency.e2e_ms ... %s\n",
-                   path.filename().c_str(), field);
+                   name.c_str(), field);
       ok = false;
     }
   }
@@ -524,10 +520,20 @@ bool schema_check_file(const std::filesystem::path& path) {
   }
   if (!has_stage) {
     std::fprintf(stderr, "%s: no latency.stage.* decomposition\n",
-                 path.filename().c_str());
+                 name.c_str());
     ok = false;
   }
   return ok;
+}
+
+bool schema_check_file(const std::filesystem::path& path) {
+  std::string error;
+  const auto parsed = parse_file(path, error);
+  if (!parsed) {
+    std::fprintf(stderr, "bench_sentinel: %s\n", error.c_str());
+    return false;
+  }
+  return schema_check_report(*parsed, path.filename().string());
 }
 
 int run_schema_check(const std::filesystem::path& dir) {
@@ -612,6 +618,15 @@ const char* const kSelfTestBaseline = R"({"bench":"selftest","metrics":{
                       "p999":44,"max":44,"buckets":[[16,50],[32,10],[64,4]]},
     "latency.stage.flood_ms":{"count":64,"mean":4,"p50":4,"p95":6,"p99":8,
                               "p999":8,"max":8,"buckets":[[8,64]]}}}})";
+
+// A report honouring the schema contract; the self-test also checks a
+// copy without its p90 field, which must fail.
+const char* const kSelfTestSchemaReport = R"({"bench":"selftest",
+  "meta":{"topology":"uniform","regions":1},"metrics":{"histograms":{
+    "latency.e2e_ms":{"count":4,"min":1,"mean":2.5,"p50":2,"p90":4,"p95":4,
+                      "p99":4,"p999":4,"max":4,"buckets":[[1,1],[2,1],[3,1],
+                      [4,1]]},
+    "latency.stage.flood_ms":{"count":0}}}})";
 
 const char* const kSelfTestRules =
     "# self-test bands\n"
@@ -716,6 +731,18 @@ int run_self_test() {
   std::vector<Regression> leftover;
   compare_samples(*baseline, undrained, rules, leftover);
   expect(leftover.size() == 1, "undrained queue at quiescence is caught");
+
+  // Schema check: the full histogram field set is required on the e2e
+  // series, so a report that lost p90 fails.
+  std::string schema_text = kSelfTestSchemaReport;
+  const auto schema_report = JsonParser{schema_text}.parse();
+  expect(schema_report && schema_check_report(*schema_report, "(self-test)"),
+         "complete report passes the schema check");
+  const std::string p90 = "\"p90\":4,";
+  schema_text.erase(schema_text.find(p90), p90.size());
+  const auto no_p90 = JsonParser{schema_text}.parse();
+  expect(no_p90 && !schema_check_report(*no_p90, "(self-test, no p90)"),
+         "report missing p90 fails the schema check");
 
   // Skip rules really skip: profiler gauge may move freely.
   Samples profiler_moved = *baseline;
