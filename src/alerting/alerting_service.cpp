@@ -22,12 +22,15 @@ constexpr std::uint8_t kJAuxInAdd = 67;      // sub str, super host+name str
 constexpr std::uint8_t kJAuxInRemove = 68;   // sub str, super host+name str
 constexpr std::uint8_t kJAuxOutReplace = 69; // coll str, n u32, refs
 constexpr std::uint8_t kJEventSeen = 70;     // origin str, seq u64
-constexpr std::uint8_t kJForwardProcessed = 71;  // key str
+constexpr std::uint8_t kJForwardSeen = 71;   // stream str, seq u64
 constexpr std::uint8_t kJChanSend = 72;      // 72..74: channels_ send/ack/floor
 constexpr std::uint8_t kJSubPolicy = 75;     // sub u64, mode u8, window u64
 // 76..81 and 84..85 belong to the delivery stage.
 constexpr std::uint8_t kJNextSub = 82;       // next_sub u64 (snapshots)
 constexpr std::uint8_t kJChanPeer = 83;      // channels_ peer (snapshots)
+// Dedup window floors (snapshots): origin/stream str, floor u64, passed u64.
+constexpr std::uint8_t kJEventFloor = 86;
+constexpr std::uint8_t kJForwardFloor = 87;
 
 using journal::str_wire;
 
@@ -87,22 +90,11 @@ void put_aux_out(const journal::RecordSink& out, const std::string& coll,
   });
 }
 
-void put_event_seen(const journal::RecordSink& out,
-                    const docmodel::EventId& id) {
-  out.put(kJEventSeen, str_wire(id.origin) + 8, [&](wire::Writer& w) {
-    w.str(id.origin);
-    w.u64(id.seq);
-  });
-}
-
-void put_forward(const journal::RecordSink& out, const std::string& key) {
-  out.put(kJForwardProcessed, str_wire(key),
-          [&](wire::Writer& w) { w.str(key); });
-}
-
-std::string forward_key(const docmodel::EventId& id,
-                        const CollectionRef& super) {
-  return id.str() + "->" + super.str();
+/// The forward-dedup stream an event's forwards to `super` travel in;
+/// the event's seq numbers them.
+std::string forward_stream(const docmodel::EventId& id,
+                           const CollectionRef& super) {
+  return id.origin + "->" + super.str();
 }
 
 std::string join_via(const std::vector<std::string>& via) {
@@ -114,6 +106,13 @@ std::string join_via(const std::vector<std::string>& via) {
   return out;
 }
 }  // namespace
+
+AlertingService::AlertingService(AlertingConfig config)
+    : config_(config),
+      seen_events_(kJEventSeen, kJEventFloor),
+      seen_forwards_(kJForwardSeen, kJForwardFloor) {
+  delivery_.configure(config_.delivery);
+}
 
 // --- subscriptions ------------------------------------------------------
 
@@ -174,21 +173,6 @@ std::vector<SubscriptionId> AlertingService::subscription_ids() const {
   return out;
 }
 
-std::vector<std::string> AlertingService::seen_event_keys() const {
-  std::vector<std::string> out;
-  out.reserve(seen_events_.size());
-  for (const docmodel::EventId& id : seen_events_) out.push_back(id.str());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::string> AlertingService::processed_forward_keys() const {
-  std::vector<std::string> out{processed_forwards_.begin(),
-                               processed_forwards_.end()};
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 // --- extension lifecycle ---------------------------------------------------
 
 void AlertingService::attach(gsnet::GreenstoneServer& server) {
@@ -210,7 +194,7 @@ void AlertingService::on_recovered() {
   aux_in_.clear();
   aux_out_.clear();
   seen_events_.clear();
-  processed_forwards_.clear();
+  seen_forwards_.clear();
   sub_requests_.clear();
   channels_.clear_peers();
   delivery_.clear();
@@ -368,7 +352,7 @@ void AlertingService::on_build_complete() {
 
 void AlertingService::process_event(const docmodel::Event& event,
                                     bool broadcast) {
-  if (!seen_events_.insert(event.id).second) {
+  if (!seen_events_.insert(event.id.origin, event.id.seq, log())) {
     stats_.duplicate_events += 1;
     if (obs::active()) {
       obs::emit_span("event-dup-drop", server_->name(),
@@ -376,7 +360,6 @@ void AlertingService::process_event(const docmodel::Event& event,
     }
     return;
   }
-  put_event_seen(log(), event.id);
   stats_.events_received += 1;
   // Root of the event's trace for local builds; for renamed events the
   // rename span is already active and this nests beneath it.
@@ -452,7 +435,7 @@ void AlertingService::on_gds_message(const std::string& /*origin_server*/,
 void AlertingService::receive_flooded_event(const docmodel::Event& event) {
   // Flooded events are filtered against local profiles only; forwarding
   // and re-broadcast happened at (or via) the event's own host.
-  if (!seen_events_.insert(event.id).second) {
+  if (!seen_events_.insert(event.id.origin, event.id.seq, log())) {
     stats_.duplicate_events += 1;
     if (obs::active()) {
       obs::emit_span("event-dup-drop", server_->name(),
@@ -460,7 +443,6 @@ void AlertingService::receive_flooded_event(const docmodel::Event& event) {
     }
     return;
   }
-  put_event_seen(log(), event.id);
   stats_.events_received += 1;
   filter_and_notify(event);
 }
@@ -617,13 +599,18 @@ void AlertingService::receive_channel_data(NodeId from,
                                            const wire::Envelope& env) {
   ensure_channels();
   transport::ChannelSet::Incoming incoming = channels_.on_data(env);
-  // Always ack the arrival (duplicates included): the sender's channel
-  // only drains when the echo of this sequence number reaches it.
-  send_ack(from, env,
-           env.type == wire::MessageType::kEventForward
-               ? wire::MessageType::kEventForwardAck
-               : wire::MessageType::kAuxProfileAck);
+  // Ack only what is delivered: a re-arrival at or below the floor (its
+  // earlier ack may have been lost) and each envelope released now. A
+  // buffered or refused arrival stays unacked, so its sender keeps it.
+  const auto ack = [&](const wire::Envelope& data) {
+    send_ack(from, data,
+             data.type == wire::MessageType::kEventForward
+                 ? wire::MessageType::kEventForwardAck
+                 : wire::MessageType::kAuxProfileAck);
+  };
+  if (incoming.duplicate) ack(env);
   for (wire::Envelope& data : incoming.deliver) {
+    ack(data);
     // A buffered envelope released by this arrival carries its own trace
     // stamps; apply it under those, not the outer arrival's.
     const obs::TraceScope data_scope{
@@ -673,8 +660,8 @@ void AlertingService::apply_event_forward(const wire::Envelope& env) {
   // Belt and braces on top of the channel's dedup window: a migrated
   // profile snapshot can make a second sender forward the same (event,
   // super) pair over a different channel.
-  const std::string fwd_key = forward_key(body.event.id, body.super);
-  if (!processed_forwards_.insert(fwd_key).second) {
+  if (!seen_forwards_.insert(forward_stream(body.event.id, body.super),
+                             body.event.id.seq, log())) {
     if (obs::active()) {
       obs::emit_span("forward-dup-drop", server_->name(),
                      server_->net().now(),
@@ -682,7 +669,6 @@ void AlertingService::apply_event_forward(const wire::Envelope& env) {
     }
     return;  // duplicate retransmission
   }
-  put_forward(log(), fwd_key);
   if (body.super.host != server_->name() ||
       server_->collection(body.super.name) == nullptr) {
     // Stale aux profile: the super-collection moved or vanished. Per §7
@@ -811,15 +797,8 @@ bool AlertingService::restore_subscription(SubscriptionId id, NodeId client,
 void AlertingService::encode_durable(const journal::RecordSink& out) const {
   const SubsById subs = subs_by_id();
   put_profiles(out, subs);
-  // Hash sets are sorted so equal state snapshots to equal bytes.
-  std::vector<docmodel::EventId> seen(seen_events_.begin(),
-                                      seen_events_.end());
-  std::sort(seen.begin(), seen.end());
-  for (const docmodel::EventId& id : seen) put_event_seen(out, id);
-  std::vector<std::string> forwards(processed_forwards_.begin(),
-                                    processed_forwards_.end());
-  std::sort(forwards.begin(), forwards.end());
-  for (const std::string& key : forwards) put_forward(out, key);
+  seen_events_.snapshot(out);
+  seen_forwards_.snapshot(out);
   for (const auto& [request, sub] : sub_requests_) {
     put_sub_request(out, request.first, request.second, sub);
   }
@@ -905,20 +884,12 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
       }
       return true;
     }
-    case kJEventSeen: {
-      docmodel::EventId id;
-      id.origin = r.str();
-      id.seq = r.u64();
-      if (!r.ok()) return false;
-      seen_events_.insert(std::move(id));
-      return true;
-    }
-    case kJForwardProcessed: {
-      std::string key = r.str();
-      if (!r.ok()) return false;
-      processed_forwards_.insert(std::move(key));
-      return true;
-    }
+    case kJEventSeen:
+    case kJEventFloor:
+      return seen_events_.replay(type, r);
+    case kJForwardSeen:
+    case kJForwardFloor:
+      return seen_forwards_.replay(type, r);
     case kJNextSub: {
       const SubscriptionId next = r.u64();
       if (!r.ok()) return false;
@@ -1002,6 +973,8 @@ void AlertingService::collect_metrics(obs::MetricsRegistry& registry) const {
       static_cast<double>(subs_.size());
   registry.gauge("alerting.outbox", labels) =
       static_cast<double>(channels_.unacked_total());
+  registry.gauge("alerting.event_gaps", labels) =
+      static_cast<double>(seen_events_.gaps());
   // Reliable-channel substrate (see docs/TRANSPORT.md).
   const transport::ChannelStats& ch = channels_.stats();
   registry.counter("transport.channel.sends", labels) = ch.sends;

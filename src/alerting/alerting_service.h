@@ -21,7 +21,6 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -35,6 +34,7 @@
 #include "profiles/index.h"
 #include "profiles/parser.h"
 #include "transport/channel.h"
+#include "transport/dedup_window.h"
 
 namespace gsalert::alerting {
 
@@ -49,7 +49,7 @@ struct AlertingConfig {
 struct AlertingStats {
   std::uint64_t events_published = 0;     // local events broadcast via GDS
   std::uint64_t events_received = 0;      // events seen (local + GDS)
-  std::uint64_t duplicate_events = 0;     // suppressed by the event id cache
+  std::uint64_t duplicate_events = 0;     // suppressed by the event window
   std::uint64_t notifications_sent = 0;
   std::uint64_t notify_body_encodes = 0;  // one per event with >= 1 hit
   std::uint64_t filter_matches = 0;       // profile hits across all events
@@ -70,9 +70,7 @@ class AlertingService : public gsnet::ServerExtension {
   /// timer, no loss window.
   static constexpr std::size_t kMaxBatchEvents = 16;
 
-  explicit AlertingService(AlertingConfig config = {}) : config_(config) {
-    delivery_.configure(config_.delivery);
-  }
+  explicit AlertingService(AlertingConfig config = {});
 
   // --- direct (in-process) subscription API, used by local tooling ------
   /// Subscribe a client node with a profile; returns the subscription id.
@@ -122,12 +120,14 @@ class AlertingService : public gsnet::ServerExtension {
   /// Live subscription ids, sorted. Across a crash-restart this set may
   /// only shrink by explicit cancellations.
   std::vector<SubscriptionId> subscription_ids() const;
-  /// Event-dedup state as sorted "origin#seq" keys; grows monotonically
-  /// across crash-restarts under honest fsync.
-  std::vector<std::string> seen_event_keys() const;
-  /// Rename-dedup keys for processed EventForwards, sorted; also
-  /// monotone across crash-restarts.
-  std::vector<std::string> processed_forward_keys() const;
+  /// Event dedup, per event origin. Under honest fsync a restarted
+  /// service's window covers its pre-crash one.
+  const transport::DedupWindow& event_window() const { return seen_events_; }
+  /// Rename dedup for processed EventForwards, per "origin->super"
+  /// stream; covers its pre-crash self the same way.
+  const transport::DedupWindow& forward_window() const {
+    return seen_forwards_;
+  }
   const transport::ChannelStats& channel_stats() const {
     return channels_.stats();
   }
@@ -207,7 +207,7 @@ class AlertingService : public gsnet::ServerExtension {
   void handle_subscribe(NodeId from, const wire::Envelope& env);
   void handle_cancel(const wire::Envelope& env);
   /// Channel ingress for reliable messages (aux add/remove, forward):
-  /// ack the arrival, then apply whatever the channel releases in order.
+  /// ack and apply whatever the channel delivers, in order.
   void receive_channel_data(NodeId from, const wire::Envelope& env);
   void apply_aux_add(const wire::Envelope& env);
   void apply_aux_remove(const wire::Envelope& env);
@@ -279,10 +279,10 @@ class AlertingService : public gsnet::ServerExtension {
   std::vector<PendingEvent> batch_;
   int build_depth_ = 0;
 
-  std::unordered_set<docmodel::EventId> seen_events_;
+  transport::DedupWindow seen_events_;
   // (event id, super) pairs already renamed here — quenches duplicate
   // EventForward retransmissions.
-  std::unordered_set<std::string> processed_forwards_;
+  transport::DedupWindow seen_forwards_;
   // (client, request msg_id) -> subscription already created, so a
   // duplicated Subscribe packet re-acks instead of double-subscribing.
   std::map<std::pair<std::uint32_t, std::uint64_t>, SubscriptionId>

@@ -43,7 +43,7 @@ void GsFloodAlerting::forward(const docmodel::Event& event,
 }
 
 void GsFloodAlerting::on_local_event(const docmodel::Event& event) {
-  seen_.insert(event.id);
+  seen_.insert(event.id.origin, event.id.seq);
   stats_.events_flooded += 1;
   filter_local(event);
   forward(event, ttl_, NodeId::invalid());
@@ -54,14 +54,13 @@ bool GsFloodAlerting::handle_strategy_envelope(NodeId from,
   if (env.type != wire::MessageType::kGsFlood) return false;
   auto event = alerting::decode_event(env.body);
   if (!event.ok()) return true;
-  const bool seen_before = seen_.contains(event.value().id);
+  const docmodel::EventId& id = event.value().id;
+  const bool seen_before = !seen_.insert(id.origin, id.seq);
   if (seen_before) {
     stats_.duplicates += 1;
     if (dedup_enabled_) return true;
     // Without dedup the event is processed (and re-forwarded) again — the
     // duplicate/livelock pathology on cyclic topologies.
-  } else {
-    seen_.insert(event.value().id);
   }
   stats_.events_received += 1;
   if (!seen_before) filter_local(event.value());

@@ -11,11 +11,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "baselines/subscription_base.h"
 #include "profiles/index.h"
+#include "transport/dedup_window.h"
 
 namespace gsalert::baselines {
 
@@ -53,7 +53,7 @@ class GsFloodAlerting : public SubscriptionExtensionBase {
   std::uint16_t ttl_;
   std::vector<std::pair<std::string, NodeId>> neighbors_;
   profiles::ProfileIndex index_;
-  std::unordered_set<docmodel::EventId> seen_;
+  transport::DedupWindow seen_;  // event ids, per origin
   GsFloodStats stats_;
 };
 

@@ -10,9 +10,6 @@ namespace {
 std::string owner_key(const std::string& server, SubscriptionId sub) {
   return server + "#" + std::to_string(sub);
 }
-std::string flood_key(const std::string& server, std::uint64_t seq) {
-  return server + "@" + std::to_string(seq);
-}
 }  // namespace
 
 void ProfileFloodAlerting::add_neighbor(const std::string& host,
@@ -72,7 +69,7 @@ void ProfileFloodAlerting::on_subscribed(const Sub& sub,
   body.owner_sub_id = profile.id;
   body.profile_text = sub.profile_text;
   body.flood_seq = next_flood_seq_++;
-  seen_floods_.insert(flood_key(body.owner_server, body.flood_seq));
+  seen_.insert(body.owner_server, body.flood_seq);
   apply_remote(body, NodeId::invalid());  // store locally too
   flood(body, NodeId::invalid());
 }
@@ -93,7 +90,7 @@ void ProfileFloodAlerting::on_cancelled(SubscriptionId id, const Sub& sub) {
   body.owner_sub_id = flooded_id;
   body.remove = true;
   body.flood_seq = next_flood_seq_++;
-  seen_floods_.insert(flood_key(body.owner_server, body.flood_seq));
+  seen_.insert(body.owner_server, body.flood_seq);
   apply_remote(body, NodeId::invalid());
   flood(body, NodeId::invalid());
 }
@@ -152,8 +149,7 @@ bool ProfileFloodAlerting::handle_strategy_envelope(NodeId from,
       auto body = RemoteProfileBody::decode(env.body);
       if (!body.ok()) return true;
       const RemoteProfileBody& msg = body.value();
-      if (!seen_floods_.insert(flood_key(msg.owner_server, msg.flood_seq))
-               .second) {
+      if (!seen_.insert(msg.owner_server, msg.flood_seq)) {
         stats_.duplicate_floods += 1;
         return true;
       }

@@ -14,12 +14,12 @@
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "baselines/messages.h"
 #include "baselines/subscription_base.h"
 #include "profiles/index.h"
+#include "transport/dedup_window.h"
 
 namespace gsalert::baselines {
 
@@ -87,8 +87,8 @@ class ProfileFloodAlerting : public SubscriptionExtensionBase {
   std::unordered_map<profiles::ProfileId,
                      std::pair<std::string, SubscriptionId>>
       owners_;
-  // Flood dedup: "owner#seq" seen.
-  std::unordered_set<std::string> seen_floods_;
+  // Flood dedup, per owner server.
+  transport::DedupWindow seen_;
   std::uint64_t next_flood_seq_ = 1;
   ProfileFloodStats stats_;
 };

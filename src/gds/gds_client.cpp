@@ -61,7 +61,7 @@ std::uint64_t GdsClient::broadcast(std::uint16_t payload_type,
   assert(attached());
   BroadcastBody body;
   body.origin_server = self_name_;
-  body.seq = next_seq_++;
+  body.seq = next_broadcast_seq_++;
   body.payload_type = payload_type;
   body.payload = std::move(payload);
   wire::Writer w;

@@ -50,6 +50,8 @@ class GdsClient {
 
   /// Broadcast a payload to all servers in the directory; returns the
   /// sequence number used (the dedup key together with our name).
+  /// Broadcasts are numbered densely from their own counter, so a hole
+  /// in a GDS node's per-origin window is a lost broadcast.
   std::uint64_t broadcast(std::uint16_t payload_type,
                           std::vector<std::byte> payload);
 
@@ -89,7 +91,8 @@ class GdsClient {
   NodeId self_;
   std::string self_name_;
   NodeId gds_node_;
-  std::uint64_t next_seq_ = 1;
+  std::uint64_t next_seq_ = 1;  // every other envelope's msg_id
+  std::uint64_t next_broadcast_seq_ = 1;
   std::uint64_t next_query_ = 1;
   transport::Endpoint endpoint_;
 };

@@ -14,7 +14,7 @@ namespace {
 constexpr std::uint64_t kHeartbeatTimer = 1;
 
 // Journal record types (payloads in the comments). Snapshots are the
-// same records; types 12 and 13 appear only there.
+// same records; types 12 to 14 appear only there.
 constexpr std::uint8_t kJRegister = 1;     // server str, node u32
 constexpr std::uint8_t kJUnregister = 2;   // server str
 constexpr std::uint8_t kJRouteAdd = 3;     // name str, via u32
@@ -29,6 +29,7 @@ constexpr std::uint8_t kJParentSelect = 11;  // parent u32 (failover/adaptive)
 constexpr std::uint8_t kJMsgId = 12;       // next_msg_id u64
 constexpr std::uint8_t kJAncestors = 13;   // ring u32 seq, proper u32 seq,
                                            // parent index u32
+constexpr std::uint8_t kJSeenFloor = 14;   // origin str, floor u64, passed u64
 // Envelope msg-ids restart past a generous gap after recovery so ids
 // minted before the crash are never reused (snapshots lag the live
 // counter by up to one compaction interval).
@@ -64,14 +65,6 @@ void put_name(const journal::RecordSink& out, std::uint8_t type,
 void put_node(const journal::RecordSink& out, std::uint8_t type,
               NodeId node) {
   out.put(type, 4, [&](wire::Writer& w) { w.u32(node.value()); });
-}
-
-void put_seen(const journal::RecordSink& out, const std::string& origin,
-              std::uint64_t seq) {
-  out.put(kJSeen, str_wire(origin) + 8, [&](wire::Writer& w) {
-    w.str(origin);
-    w.u64(seq);
-  });
 }
 
 void put_park(const journal::RecordSink& out, std::uint64_t order,
@@ -114,7 +107,8 @@ std::string resolve_key(const std::string& origin, std::uint64_t query_id) {
 }
 }  // namespace
 
-GdsServer::GdsServer(GdsConfig config) : config_(config) {
+GdsServer::GdsServer(GdsConfig config)
+    : config_(config), seen_(kJSeen, kJSeenFloor) {
   parked_.set_policy({config_.park_ttl, kParkCapacity});
 }
 
@@ -573,13 +567,6 @@ void GdsServer::advertise_up(std::vector<std::string> adds,
 
 // --- broadcast -----------------------------------------------------------
 
-bool GdsServer::is_duplicate(const std::string& origin, std::uint64_t seq) {
-  if (!config_.dedup_enabled) return false;
-  const bool fresh = seen_[origin].insert(seq).second;
-  if (fresh) put_seen(log(), origin, seq);
-  return !fresh;
-}
-
 void GdsServer::deliver_frame(NodeId server, wire::Frame body_frame) {
   wire::Envelope env = wire::make_envelope(
       wire::MessageType::kGdsDeliver, name(), "", next_msg_id_++,
@@ -603,7 +590,8 @@ void GdsServer::handle_broadcast(NodeId from, const wire::Envelope& env) {
   if (!peeked.ok()) return;
   const BroadcastView& body = peeked.value();
   stats_.broadcasts_seen += 1;
-  if (is_duplicate(body.origin_server, body.seq)) {
+  if (config_.dedup_enabled &&
+      !seen_.insert(body.origin_server, body.seq, log())) {
     stats_.duplicates_suppressed += 1;
     if (obs::active()) {
       obs::emit_span("gds-dup-drop", name(), network().now(),
@@ -926,17 +914,6 @@ std::vector<std::string> GdsServer::registered_names() const {
   return names;
 }
 
-std::vector<std::string> GdsServer::broadcast_seen_keys() const {
-  std::vector<std::string> keys;
-  for (const auto& [origin, seqs] : seen_) {
-    for (const std::uint64_t seq : seqs) {
-      keys.push_back(origin + "#" + std::to_string(seq));
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
 // --- durability --------------------------------------------------------------
 
 void GdsServer::ensure_journal() {
@@ -980,12 +957,7 @@ void GdsServer::encode_snapshot(const journal::RecordSink& out) const {
   for (const auto& [child, last_seen] : children_) children.push_back(child);
   std::sort(children.begin(), children.end());
   for (const NodeId child : children) put_node(out, kJChildUp, child);
-  std::vector<std::pair<std::string, std::uint64_t>> seen;
-  for (const auto& [origin, seqs] : seen_) {
-    for (const std::uint64_t seq : seqs) seen.emplace_back(origin, seq);
-  }
-  std::sort(seen.begin(), seen.end());
-  for (const auto& [origin, seq] : seen) put_seen(out, origin, seq);
+  seen_.snapshot(out);
   parked_.for_each([&](const std::string& key,
                        const transport::ParkingLot::Entry& entry) {
     put_park(out, entry.order, key, entry.expires_at, entry.env.flatten());
@@ -1055,13 +1027,10 @@ void GdsServer::replay_record(std::uint8_t type, wire::Reader& r) {
       apply_parent_select(new_parent);
       break;
     }
-    case kJSeen: {
-      const std::string origin = r.str();
-      const std::uint64_t seq = r.u64();
-      if (!r.ok()) return;
-      seen_[origin].insert(seq);
+    case kJSeen:
+    case kJSeenFloor:
+      seen_.replay(type, r);
       break;
-    }
     case kJPark: {
       const std::uint64_t order = r.u64();
       const std::string key = r.str();
@@ -1126,6 +1095,8 @@ void GdsServer::collect_metrics(obs::MetricsRegistry& registry) const {
       static_cast<double>(name_routes_.size());
   registry.gauge("gds.children", labels) =
       static_cast<double>(children_.size());
+  registry.gauge("gds.dedup_gaps", labels) =
+      static_cast<double>(seen_.gaps());
   const transport::ParkStats& park = parked_.stats();
   registry.counter("transport.park.parked", labels) = park.parked;
   registry.counter("transport.park.flushed", labels) = park.flushed;

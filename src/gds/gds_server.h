@@ -20,7 +20,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.h"
@@ -28,6 +27,7 @@
 #include "journal/journal.h"
 #include "sim/network.h"
 #include "sim/node.h"
+#include "transport/dedup_window.h"
 #include "transport/parking.h"
 #include "wire/envelope.h"
 
@@ -131,9 +131,9 @@ class GdsServer : public sim::Node {
   bool knows_name(const std::string& name) const;
   /// Locally registered server names, sorted (durability checker).
   std::vector<std::string> registered_names() const;
-  /// Broadcast dedup state as sorted "origin#seq" keys (durability
-  /// checker: this set may only grow across a crash-restart).
-  std::vector<std::string> broadcast_seen_keys() const;
+  /// Broadcast dedup state (durability checker: a restarted node's
+  /// window must cover its pre-crash one).
+  const transport::DedupWindow& broadcast_window() const { return seen_; }
   /// The node's journal, once started (tests, metrics).
   const journal::Journal* journal() const { return journal_.get(); }
   journal::Journal* journal() { return journal_.get(); }
@@ -200,7 +200,6 @@ class GdsServer : public sim::Node {
   void maybe_adaptive_reparent();
   void prune_dead_children();
   std::vector<std::string> subtree_names() const;
-  bool is_duplicate(const std::string& origin, std::uint64_t seq);
 
   /// --- durability -------------------------------------------------------
   /// Open the journal over the node's storage and replay it (no-op when
@@ -258,8 +257,8 @@ class GdsServer : public sim::Node {
   std::unordered_map<std::string, Route> name_routes_;
   std::unordered_map<NodeId, SimTime> children_;  // child -> last heartbeat
 
-  // Duplicate suppression for broadcast/multicast: origin -> seen seqs.
-  std::unordered_map<std::string, std::unordered_set<std::uint64_t>> seen_;
+  // Broadcast duplicate suppression, per origin server.
+  transport::DedupWindow seen_;
 
   // Resolve back-paths: (origin server name, query id) -> previous hop.
   std::unordered_map<std::string, NodeId> resolve_backpaths_;

@@ -136,45 +136,35 @@ ChannelSet::Incoming ChannelSet::on_data_apply(PeerState& state,
   // contact with a retransmitted backlog.
   if (env.chan_base > 0 && env.chan_base - 1 > state.floor) {
     state.floor = env.chan_base - 1;
-    // Entries at or below the new floor were acked while buffered;
-    // deliver them now rather than dropping (ordering over omission).
-    while (!state.reorder.empty() &&
-           state.reorder.begin()->first <= state.floor) {
-      incoming.deliver.push_back(std::move(state.reorder.begin()->second));
-      state.reorder.erase(state.reorder.begin());
-      stats_.delivered += 1;
-    }
   }
-  if (seq <= state.floor || state.reorder.count(seq)) {
+  if (seq <= state.floor) {
     stats_.dup_drops += 1;
     incoming.duplicate = true;
     return incoming;
   }
+  std::map<std::uint64_t, wire::Envelope>& held = state.reorder;
   if (seq == state.floor + 1) {
     incoming.deliver.push_back(env);
     state.floor = seq;
     stats_.delivered += 1;
-    while (!state.reorder.empty() &&
-           state.reorder.begin()->first == state.floor + 1) {
-      incoming.deliver.push_back(std::move(state.reorder.begin()->second));
-      state.reorder.erase(state.reorder.begin());
-      state.floor += 1;
-      stats_.delivered += 1;
-    }
-    return incoming;
-  }
-  // Gap: hold for in-order delivery, bounded. On overflow flush in seq
-  // order — delivery order degrades but nothing is lost.
-  state.reorder.emplace(seq, env);
-  stats_.reorder_buffered += 1;
-  if (state.reorder.size() > kReorderCap) {
+  } else if (held.contains(seq)) {
+    stats_.dup_drops += 1;  // still held, still unacked
+  } else if (held.size() >= kReorderCap) {
+    // Refused unacked: the sender retransmits it once the gap drains.
     stats_.reorder_overflows += 1;
-    for (auto& [s, held] : state.reorder) {
-      incoming.deliver.push_back(std::move(held));
-      state.floor = s;
-      stats_.delivered += 1;
-    }
-    state.reorder.clear();
+  } else {
+    held.emplace(seq, env);  // unacked until delivered
+    stats_.reorder_buffered += 1;
+  }
+  // Only delivered seqs are acked, so a held copy at or below the floor
+  // is stale (delivered by an earlier incarnation whose floor a lying
+  // fsync lost) and goes. Then release whatever is now in order.
+  held.erase(held.begin(), held.upper_bound(state.floor));
+  while (!held.empty() && held.begin()->first == state.floor + 1) {
+    incoming.deliver.push_back(std::move(held.begin()->second));
+    held.erase(held.begin());
+    state.floor += 1;
+    stats_.delivered += 1;
   }
   return incoming;
 }

@@ -16,9 +16,10 @@
 // journals its own records (one per send / ack / floor advance, at type
 // numbers its owner assigns), writes its full state as the same records
 // into snapshots, and rebuilds itself on recovery from clear_peers() +
-// replay(). The receiver-side reorder buffer is deliberately volatile: a
-// crash drops it, the sender's retransmits re-fill it, and the floor
-// keeps redelivery duplicate-free.
+// replay(). The receiver acks a seq only once it is delivered (or is at
+// or below the floor), so everything in its reorder buffer is still the
+// sender's: the buffer is volatile, a crash drops it, the sender's
+// retransmits re-fill it, and the floor keeps redelivery duplicate-free.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,7 @@ struct ChannelStats {
   std::uint64_t acked = 0;
   std::uint64_t dup_drops = 0;        // receiver: already-delivered seq
   std::uint64_t reorder_buffered = 0; // receiver: held for a gap
-  std::uint64_t reorder_overflows = 0;  // buffer cap hit: delivered out of order
+  std::uint64_t reorder_overflows = 0;  // buffer full: refused, unacked
   std::uint64_t delivered = 0;        // handed to the owner, in order
 };
 
@@ -53,8 +54,8 @@ class ChannelSet {
  public:
   /// Timer token (bit 60; distinct from Endpoint's bit 61).
   static constexpr std::uint64_t kTimerToken = 1ULL << 60;
-  /// Cap on out-of-order envelopes buffered per peer before the channel
-  /// gives up on ordering and flushes (loss still prevented).
+  /// Cap on out-of-order envelopes buffered per peer. An arrival beyond
+  /// it is refused unacked; the sender retransmits it.
   static constexpr std::size_t kReorderCap = 64;
 
   /// Transmit hook: how a stamped envelope reaches `peer` (direct send
@@ -104,13 +105,18 @@ class ChannelSet {
   bool on_ack(const std::string& peer, std::uint64_t seq);
 
   struct Incoming {
-    bool duplicate = false;  // seq was already delivered or buffered
+    /// The seq is at or below the floor: delivered before. The caller
+    /// acks it again (the earlier ack may have been lost).
+    bool duplicate = false;
     /// Envelopes now deliverable in order (possibly several, when this
-    /// arrival plugs a gap). Each keeps its original trace stamps.
+    /// arrival plugs a gap). Each keeps its original trace stamps. The
+    /// caller acks each one.
     std::vector<wire::Envelope> deliver;
   };
-  /// Process incoming channel data (peer = env.src). The caller must
-  /// ack `env.msg_id` to the peer regardless of `duplicate`.
+  /// Process incoming channel data (peer = env.src). The caller acks
+  /// only what this reports delivered: an arrival that is buffered for a
+  /// gap, already buffered, or refused because the buffer is full stays
+  /// unacked, and the sender keeps retransmitting it.
   Incoming on_data(const wire::Envelope& env);
 
   /// Handle a timer token; false when not ours.

@@ -15,6 +15,7 @@
 #include "journal/journal.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "transport/dedup_window.h"
 #include "workload/health.h"
 
 namespace gsalert::workload {
@@ -397,10 +398,11 @@ class DeliveryDuplicateChecker : public sim::InvariantChecker {
 /// crashes (via the network's crash observer, before storage fault
 /// semantics apply) and re-checks it at quiescence: under honest fsync
 /// every journaled fact committed before the crash must still be there
-/// after the restart. Registrations, broadcast/event dedup keys and
-/// processed forwards may only grow; subscriptions may shrink only by
-/// explicit cancellation. Only the latest crash per node is kept — each
-/// recovery must preserve the state of the most recent pre-crash commit.
+/// after the restart. Registrations may only grow, the broadcast, event
+/// and forward dedup windows must cover their pre-crash selves, and
+/// subscriptions may shrink only by explicit cancellation. Only the
+/// latest crash per node is kept — each recovery must preserve the state
+/// of the most recent pre-crash commit.
 class DurabilityChecker : public sim::InvariantChecker {
  public:
   explicit DurabilityChecker(Scenario& scenario) : scenario_(scenario) {
@@ -417,8 +419,8 @@ class DurabilityChecker : public sim::InvariantChecker {
       if (!scenario_.net().is_up(node->id())) continue;
       require_superset(out, node->name() + " registration",
                        snap->second.registered, node->registered_names());
-      require_superset(out, node->name() + " broadcast-dedup key",
-                       snap->second.seen, node->broadcast_seen_keys());
+      require_covers(out, node->name() + " broadcast-dedup",
+                     node->broadcast_window(), snap->second.seen);
     }
     const auto& servers = scenario_.servers();
     const auto& services = scenario_.gsalert();
@@ -440,11 +442,10 @@ class DurabilityChecker : public sim::InvariantChecker {
         have.push_back(std::move(key));
       }
       require_superset(out, servers[i]->name() + " subscription", want, have);
-      require_superset(out, servers[i]->name() + " seen-event",
-                       snap->second.seen, services[i]->seen_event_keys());
-      require_superset(out, servers[i]->name() + " processed-forward",
-                       snap->second.forwards,
-                       services[i]->processed_forward_keys());
+      require_covers(out, servers[i]->name() + " seen-event",
+                     services[i]->event_window(), snap->second.seen);
+      require_covers(out, servers[i]->name() + " processed-forward",
+                     services[i]->forward_window(), snap->second.forwards);
       if (!snap->second.pending.empty()) {
         // Every delivery key pending at the crash must by now be on its
         // client or still pending (queued / unacked digest) — unless its
@@ -469,12 +470,12 @@ class DurabilityChecker : public sim::InvariantChecker {
  private:
   struct GdsSnap {
     std::vector<std::string> registered;
-    std::vector<std::string> seen;
+    transport::DedupWindow seen;
   };
   struct SvcSnap {
     std::vector<SubscriptionId> subs;
-    std::vector<std::string> seen;
-    std::vector<std::string> forwards;
+    transport::DedupWindow seen;
+    transport::DedupWindow forwards;
     // "client#sub#origin#seq" delivery keys pending at the crash
     // (credit-managed runs only; unmanaged digests are fire-and-forget
     // and may legally vanish with a lost packet).
@@ -485,7 +486,7 @@ class DurabilityChecker : public sim::InvariantChecker {
     for (gds::GdsServer* g : scenario_.gds_tree().nodes) {
       if (g->id() != node) continue;
       gds_snaps_[node.value()] =
-          GdsSnap{g->registered_names(), g->broadcast_seen_keys()};
+          GdsSnap{g->registered_names(), g->broadcast_window()};
       return;
     }
     const auto& servers = scenario_.servers();
@@ -494,8 +495,8 @@ class DurabilityChecker : public sim::InvariantChecker {
       if (servers[i]->id() != node) continue;
       svc_snaps_[node.value()] =
           SvcSnap{services[i]->subscription_ids(),
-                  services[i]->seen_event_keys(),
-                  services[i]->processed_forward_keys(),
+                  services[i]->event_window(),
+                  services[i]->forward_window(),
                   services[i]->delivery().managed()
                       ? services[i]->pending_delivery_keys()
                       : std::vector<std::string>{}};
@@ -527,6 +528,18 @@ class DurabilityChecker : public sim::InvariantChecker {
       }
     }
     return out;
+  }
+
+  void require_covers(std::vector<sim::Violation>& out,
+                      const std::string& what,
+                      const transport::DedupWindow& have,
+                      const transport::DedupWindow& want) {
+    transport::DedupWindow::Missing missing;
+    if (have.covers(want, &missing)) return;
+    out.push_back(sim::Violation{
+        name(), what + " " + missing.origin + "#" +
+                    std::to_string(missing.seq) +
+                    " lost across crash-restart"});
   }
 
   void require_superset(std::vector<sim::Violation>& out,

@@ -10,6 +10,8 @@
 #include "docmodel/document.h"
 #include "gds/tree_builder.h"
 #include "gsnet/greenstone_server.h"
+#include "journal/journal.h"
+#include "obs/metrics_registry.h"
 #include "sim/network.h"
 
 namespace gsalert::alerting {
@@ -662,6 +664,113 @@ TEST(RecoveryTest, ServerRestartKeepsSubscriptions) {
       config("A"), DataSet{{doc(1, "T", "c")}}));
   w.settle(SimTime::seconds(2));
   EXPECT_EQ(w.clients[2]->notifications().size(), 1u);
+}
+
+// --- dedup windows: loss is counted, state is bounded --------------------------
+
+// Host2 is cut off from its GDS node while Hamilton publishes k events;
+// after the heal Hamilton publishes once more. Host2's event window then
+// holds k holes below Hamilton's newest seq, and nothing else lost
+// anything: every GDS node saw every broadcast.
+TEST(DedupGapTest, MissedFloodsAreCountedAtTheCutServerOnly) {
+  World w;
+  ASSERT_TRUE(w.servers[0]->add_collection(config("A"), DataSet{}));
+  w.settle();
+  const NodeId host2 = w.servers[2]->id();
+  const NodeId host2_gds = w.tree.leaf_for(2)->id();
+  constexpr int kMissed = 3;
+  w.net.block_pair(host2, host2_gds);
+  for (int i = 0; i < kMissed; ++i) {
+    ASSERT_TRUE(w.servers[0]->add_documents("A", {}));
+    w.settle();
+  }
+  w.net.unblock_pair(host2, host2_gds);
+  ASSERT_TRUE(w.servers[0]->add_documents("A", {}));
+  w.settle(SimTime::seconds(1));
+
+  obs::MetricsRegistry reg;
+  for (std::size_t i = 0; i < w.servers.size(); ++i) {
+    w.alerting[i]->collect_metrics(reg);
+    EXPECT_EQ(reg.gauge("alerting.event_gaps",
+                        {{"server", w.servers[i]->name()}}),
+              i == 2 ? kMissed : 0)
+        << w.servers[i]->name();
+  }
+  EXPECT_EQ(w.alerting[2]->stats().events_received, 2u);
+  for (gds::GdsServer* node : w.tree.nodes) {
+    node->collect_metrics(reg);
+    EXPECT_EQ(reg.gauge("gds.dedup_gaps", {{"node", node->name()}}), 0)
+        << node->name();
+  }
+}
+
+// A long-running node keeps bounded state. Flooding 4N events leaves each
+// GDS node's and server's snapshot size, and its dedup window's origin
+// count, where N events left them — to within one window of seen records
+// per origin (a window's holes are snapshotted as the seqs above them).
+TEST(BoundedStateTest, SnapshotsStayFlatAsEventsGrow) {
+  constexpr int kN = 5000;
+  World w;
+  for (auto* server : w.servers) {
+    ASSERT_TRUE(server->add_collection(config("A"), DataSet{}));
+  }
+  w.settle();
+  struct Sizes {
+    std::vector<std::uint64_t> bytes;
+    std::vector<std::size_t> origins;
+  };
+  const auto measure = [&] {
+    Sizes sizes;
+    for (gds::GdsServer* node : w.tree.nodes) {
+      node->journal()->compact();
+      sizes.bytes.push_back(w.net.storage(node->id()).durable_size("gds.snap"));
+      sizes.origins.push_back(node->broadcast_window().origin_count());
+    }
+    for (std::size_t i = 0; i < w.servers.size(); ++i) {
+      w.servers[i]->journal()->compact();
+      sizes.bytes.push_back(
+          w.net.storage(w.servers[i]->id()).durable_size("node.snap"));
+      sizes.origins.push_back(w.alerting[i]->event_window().origin_count());
+    }
+    return sizes;
+  };
+  int published = 0;
+  const auto publish_until = [&](int total) {
+    while (published < total) {
+      for (auto* server : w.servers) {
+        ASSERT_TRUE(server->add_documents("A", {}));
+        ++published;
+      }
+      w.settle(SimTime::millis(20));
+    }
+    w.settle(SimTime::seconds(1));
+  };
+
+  publish_until(kN);
+  const Sizes after_n = measure();
+  publish_until(4 * kN);
+  const Sizes after_4n = measure();
+
+  // A seen record as a snapshot entry, with the longest origin name.
+  const std::uint64_t seen_record =
+      journal::kEntryHeaderBytes + journal::str_wire("Hamilton") + 8;
+  ASSERT_EQ(after_n.bytes.size(), after_4n.bytes.size());
+  for (std::size_t i = 0; i < after_n.bytes.size(); ++i) {
+    EXPECT_EQ(after_4n.origins[i], after_n.origins[i]) << "node " << i;
+    EXPECT_EQ(after_n.origins[i], w.servers.size()) << "node " << i;
+    const std::uint64_t slack =
+        after_n.origins[i] * transport::DedupWindow::kWidth * seen_record;
+    const std::uint64_t low = std::min(after_n.bytes[i], after_4n.bytes[i]);
+    const std::uint64_t high = std::max(after_n.bytes[i], after_4n.bytes[i]);
+    EXPECT_LE(high - low, slack)
+        << "node " << i << ": snapshot " << after_n.bytes[i] << " B after "
+        << kN << " events, " << after_4n.bytes[i] << " B after " << 4 * kN;
+  }
+  for (const AlertingService* service : w.alerting) {
+    EXPECT_EQ(service->stats().events_received,
+              static_cast<std::uint64_t>(4 * kN + w.servers.size()));
+    EXPECT_EQ(service->event_window().gaps(), 0u);
+  }
 }
 
 }  // namespace

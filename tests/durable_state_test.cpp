@@ -23,8 +23,10 @@
 
 #include "alerting/alerting_service.h"
 #include "alerting/client.h"
+#include "alerting/messages.h"
 #include "gds/gds_client.h"
 #include "gds/gds_server.h"
+#include "gds/messages.h"
 #include "gds/tree_builder.h"
 #include "gsnet/greenstone_server.h"
 #include "journal/journal.h"
@@ -195,9 +197,11 @@ TEST(DurableStateTest, GdsSnapshotAndLogRecoverTheSameState) {
     EXPECT_EQ(a, b) << from_log->name()
                     << ": log and snapshot recovered different state";
   }
-  // Snapshots carry the state-bearing records plus the two that exist
-  // only there (msg-id counter, ancestor ring).
-  EXPECT_EQ(snapshotted, (TypeSet{1, 3, 5, 8, 9, 12, 13}));
+  // Snapshots carry the state-bearing records plus the three that exist
+  // only there (msg-id counter, ancestor ring, dedup floor). Seen records
+  // (8) are snapshotted only above a floor, and this world's broadcasts
+  // leave no holes; ForcedWindowsRecoverTheSameState covers them.
+  EXPECT_EQ(snapshotted, (TypeSet{1, 3, 5, 9, 12, 13, 14}));
 }
 
 // A snapshot must restore the proper-ancestor set along with the ring: a
@@ -374,11 +378,118 @@ TEST(DurableStateTest, AlertingSnapshotAndLogRecoverTheSameState) {
     EXPECT_EQ(a, b) << from_log->name()
                     << ": log and snapshot recovered different state";
   }
-  // State-bearing records, plus the five that exist only in snapshots:
-  // server id counters (1), next_sub (82), channel peers (83, 85) and the
-  // delivery entry counter (84).
-  EXPECT_EQ(snapshotted, (TypeSet{1, 64, 66, 67, 69, 70, 71, 72, 75, 76, 78,
-                                  81, 82, 83, 84, 85}));
+  // State-bearing records, plus the seven that exist only in snapshots:
+  // server id counters (1), next_sub (82), channel peers (83, 85), the
+  // delivery entry counter (84) and the event and forward dedup floors
+  // (86, 87). Event seen records (70) are snapshotted only above a floor,
+  // and every server here saw every event; forward streams are sparse
+  // (London's seqs also number events no forward carries), so seen
+  // forwards (71) stay above theirs.
+  EXPECT_EQ(snapshotted, (TypeSet{1, 64, 66, 67, 69, 71, 72, 75, 76, 78, 81,
+                                  82, 83, 84, 85, 86, 87}));
+}
+
+// --- Dedup windows past their width ------------------------------------------
+
+/// Floods events of a made-up origin straight into a GDS node, under
+/// whatever seqs the test picks.
+class Injector : public sim::Node {
+ public:
+  void on_packet(NodeId, const sim::Packet&) override {}
+  void flood(NodeId gds_node, std::uint64_t seq) {
+    docmodel::Event event;
+    event.id = docmodel::EventId{"ghost", seq};
+    event.collection = CollectionRef{"ghost", "C"};
+    event.physical_origin = event.collection;
+    gds::BroadcastBody body;
+    body.origin_server = "ghost";
+    body.seq = seq;
+    body.payload_type =
+        static_cast<std::uint16_t>(wire::MessageType::kEventAnnounce);
+    body.payload = alerting::encode_event(event);
+    wire::Writer w;
+    body.encode(w);
+    network().send(id(), gds_node,
+                   wire::make_envelope(wire::MessageType::kGdsBroadcast,
+                                       name(), "", seq, std::move(w))
+                       .pack());
+  }
+};
+
+/// One GDS node and one alerting server, fed broadcasts whose seqs jump
+/// more than a window's width: the node's broadcast window and the
+/// server's event window both move their floors past unseen seqs and
+/// keep holes above them. With `compact_midway` both nodes snapshot
+/// halfway, so their recovery reads a snapshot plus a log.
+struct ForcedWindowWorld {
+  sim::Network net{5};
+  gds::GdsTree tree;
+  gsnet::GreenstoneServer* server = nullptr;
+  alerting::AlertingService* service = nullptr;
+
+  explicit ForcedWindowWorld(bool compact_midway) {
+    gds::GdsConfig gds_config;
+    gds_config.journal.compact_threshold_bytes = 0;
+    tree = gds::build_tree(net, 1, 1, gds_config);
+    gsnet::ServerConfig server_config;
+    server_config.journal.compact_threshold_bytes = 0;
+    server = net.make_node<gsnet::GreenstoneServer>("Hamilton", server_config);
+    auto owned = std::make_unique<alerting::AlertingService>();
+    service = owned.get();
+    server->set_extension(std::move(owned));
+    server->attach_gds(tree.root()->id());
+    auto* injector = net.make_node<Injector>("ghost");
+    net.start();
+    run();
+    for (const std::uint64_t seq : {1, 2, 5, 100, 90}) {
+      injector->flood(tree.root()->id(), seq);
+      run();
+    }
+    if (compact_midway) {
+      tree.root()->journal()->compact();
+      server->journal()->compact();
+    }
+    for (const std::uint64_t seq : {300, 250, 301, 200, 302}) {
+      injector->flood(tree.root()->id(), seq);
+      run();
+    }
+  }
+
+  void run() { net.run_until(net.now() + SimTime::millis(100)); }
+};
+
+TEST(DurableStateTest, ForcedWindowsRecoverTheSameState) {
+  ForcedWindowWorld log_world(/*compact_midway=*/false);
+  ForcedWindowWorld snap_world(/*compact_midway=*/true);
+  gds::GdsServer* gds_log = log_world.tree.root();
+  gds::GdsServer* gds_snap = snap_world.tree.root();
+  // Nine distinct seqs were seen (200 arrived below a forced floor and
+  // was refused), so every other seq up to the newest, 302, is a gap.
+  const std::uint64_t want_gaps = 302 - 9;
+  EXPECT_EQ(gds_log->stats().duplicates_suppressed, 1u);
+  EXPECT_EQ(gds_log->broadcast_window().gaps(), want_gaps);
+  EXPECT_EQ(log_world.service->event_window().gaps(), want_gaps);
+  EXPECT_EQ(log_world.service->stats().events_received, 9u);
+
+  const auto gds_a = crash_recover_reencode(log_world.net, gds_log, "gds.snap");
+  const auto gds_b =
+      crash_recover_reencode(snap_world.net, gds_snap, "gds.snap");
+  EXPECT_GT(gds_snap->journal()->stats().records_replayed, 0u)
+      << "the snapshot world's log held nothing past its snapshot";
+  EXPECT_EQ(gds_a, gds_b) << "log and snapshot+log recovered different state";
+  EXPECT_TRUE(entry_types(gds_a).contains(8)) << "no seen record held above "
+                                                 "the broadcast floor";
+  EXPECT_EQ(gds_snap->broadcast_window().gaps(), want_gaps);
+
+  const auto svc_a =
+      crash_recover_reencode(log_world.net, log_world.server, "node.snap");
+  const auto svc_b =
+      crash_recover_reencode(snap_world.net, snap_world.server, "node.snap");
+  EXPECT_GT(snap_world.server->journal()->stats().records_replayed, 0u);
+  EXPECT_EQ(svc_a, svc_b) << "log and snapshot+log recovered different state";
+  EXPECT_TRUE(entry_types(svc_a).contains(70)) << "no seen record held above "
+                                                  "the event floor";
+  EXPECT_EQ(snap_world.service->event_window().gaps(), want_gaps);
 }
 
 // A delivery policy lives on its subscription: cancelling the

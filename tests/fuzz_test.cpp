@@ -21,6 +21,7 @@
 #include "sim/storage.h"
 #include "retrieval/inverted_index.h"
 #include "retrieval/query_parser.h"
+#include "transport/dedup_window.h"
 #include "wire/envelope.h"
 
 namespace gsalert {
@@ -701,6 +702,51 @@ TEST_P(JournalFuzz, RecoverSurvivesMutatedLogs) {
     EXPECT_EQ(first.last_lsn, second.last_lsn);
     EXPECT_EQ(second.torn_bytes_dropped, 0u)
         << "first recovery left a torn tail behind";
+  }
+}
+
+// A dedup window's floor record (origin str, floor u64, passed u64) is
+// the one record that restores a floor without replaying its seqs, so a
+// damaged one must be refused: replay returns false on every truncation,
+// on random bytes that do not decode, and on a floor that claims to have
+// passed more seqs than lie below it.
+TEST_P(JournalFuzz, DedupFloorReplayRefusesDamagedRecords) {
+  constexpr std::uint8_t kSeen = 1;
+  constexpr std::uint8_t kFloor = 2;
+  Rng rng{GetParam().seed ^ 0xDED};
+  const auto floor_record = [](const std::string& origin, std::uint64_t floor,
+                               std::uint64_t passed) {
+    wire::Writer w;
+    w.str(origin);
+    w.u64(floor);
+    w.u64(passed);
+    return std::move(w).take();
+  };
+  const auto replays = [&](std::span<const std::byte> payload) {
+    transport::DedupWindow window{kSeen, kFloor};
+    wire::Reader r{payload};
+    return window.replay(kFloor, r);
+  };
+  for (int i = 0; i < 100; ++i) {
+    std::string origin = "host";
+    origin += std::to_string(rng.uniform_int(0, 9));
+    const auto floor = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
+    const auto passed = static_cast<std::uint64_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(floor)));
+    const std::vector<std::byte> good = floor_record(origin, floor, passed);
+    EXPECT_TRUE(replays(good));
+    const std::span<const std::byte> whole{good};
+    for (std::size_t cut = 0; cut < good.size(); ++cut) {
+      EXPECT_FALSE(replays(whole.first(cut))) << "truncated at " << cut;
+    }
+    EXPECT_FALSE(replays(floor_record(origin, floor, floor + 1)));
+
+    const std::vector<std::byte> junk = random_bytes(rng, 40);
+    wire::Reader check{junk};
+    (void)check.str();
+    const std::uint64_t junk_floor = check.u64();
+    const std::uint64_t junk_passed = check.u64();
+    EXPECT_EQ(replays(junk), check.ok() && junk_passed <= junk_floor);
   }
 }
 

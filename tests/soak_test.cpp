@@ -71,9 +71,10 @@ TEST_P(ChurnSoak, InvariantsHoldUnderChurn) {
 // trigger by whatever one event's commit appends on top. 2 KiB is
 // generous slack for the burstiest commit (a full event batch of
 // channel-send records) and still fails at once if compaction stops
-// firing (the logs then overshoot by more than 4 KiB). The 1 KiB floor
-// sits below most nodes' snapshots, so the snapshot-sized part of the
-// trigger is what this run exercises.
+// firing (the logs then overshoot by more than 4 KiB). The 256 B floor
+// sits below most nodes' snapshots (bounded dedup windows keep them
+// under 1 KiB), so the snapshot-sized part of the trigger is what this
+// run exercises.
 TEST(JournalGrowthSoak, CompactionBoundsLogSize) {
   ChaosRunConfig config;
   config.seed = 808;
@@ -88,7 +89,7 @@ TEST(JournalGrowthSoak, CompactionBoundsLogSize) {
   config.chaos.duration = SimTime::seconds(16);
   config.chaos.crashes = 3;
   config.chaos.blocks = 2;
-  config.journal_compact_bytes = 1024;
+  config.journal_compact_bytes = 256;
 
   const ChaosReport report = run_chaos(config);
   EXPECT_TRUE(report.ok()) << sim::format_violations(report.violations)

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "journal/journal.h"
 #include "sim/network.h"
 #include "sim/node.h"
 #include "transport/channel.h"
+#include "transport/dedup_window.h"
 #include "transport/endpoint.h"
 #include "transport/parking.h"
 #include "transport/policy.h"
@@ -104,6 +112,24 @@ class ChannelNode : public sim::Node {
   /// Re-inject the last stamped envelope (a network-level duplicate).
   void replay_last() { network().send(id(), peer_id_, last_sent_.pack()); }
 
+  /// Lose every transmission of `seq` (0: lose nothing).
+  void drop_seq(std::uint64_t seq) { drop_seq_ = seq; }
+
+  /// Crash-restart the channel set onto its durable state: floors and
+  /// unacked sends come back from a snapshot, the reorder buffer is lost.
+  void restart() {
+    wire::Writer image;
+    channels_.snapshot(journal::RecordSink{image});
+    channels_.clear_peers();
+    const std::vector<std::byte> bytes = std::move(image).take();
+    ASSERT_TRUE(journal::scan_entries(
+        bytes, [&](std::uint8_t type, std::span<const std::byte> payload) {
+          wire::Reader r{payload};
+          EXPECT_TRUE(channels_.replay(type, r));
+        }));
+    channels_.on_restart();
+  }
+
   void on_packet(NodeId from, const sim::Packet& packet) override {
     auto decoded = wire::unpack(packet);
     if (!decoded.ok()) return;
@@ -113,13 +139,12 @@ class ChannelNode : public sim::Node {
       return;
     }
     ensure();
+    // Ack only what the channel reports delivered, as the alerting
+    // service does.
     auto incoming = channels_.on_data(env);
-    network().send(id(), from,
-                   wire::make_envelope(wire::MessageType::kEventForwardAck,
-                                       name(), env.src, env.msg_id,
-                                       wire::Writer{})
-                       .pack());
+    if (incoming.duplicate) ack(from, env);
     for (const wire::Envelope& d : incoming.deliver) {
+      ack(from, d);
       delivered_.push_back(d.msg_id);
     }
   }
@@ -134,21 +159,33 @@ class ChannelNode : public sim::Node {
   }
 
  private:
+  void ack(NodeId to, const wire::Envelope& data) {
+    network().send(id(), to,
+                   wire::make_envelope(wire::MessageType::kEventForwardAck,
+                                       name(), data.src, data.msg_id,
+                                       wire::Writer{})
+                       .pack());
+  }
+
   void ensure() {
     if (channels_.attached()) return;
     channels_.set_retransmit_hook(
         [this](const std::string&, const wire::Envelope&) {
           retransmit_times_.push_back(network().now().as_micros());
         });
+    // Record types for restart()'s snapshot; no live log.
+    channels_.set_journal(nullptr, 1, 4);
     channels_.attach(&network(), id(), name(),
                      [this](const std::string&, const wire::Envelope& env) {
                        last_sent_ = env;
+                       if (env.msg_id == drop_seq_) return;
                        network().send(id(), peer_id_, env.pack());
                      },
                      jitter_seed_);
   }
 
   std::uint64_t jitter_seed_;
+  std::uint64_t drop_seq_ = 0;
   NodeId peer_id_{};
   ChannelSet channels_;
   wire::Envelope last_sent_;
@@ -285,6 +322,72 @@ TEST(ChannelTest, ReorderedDataDeliversInOrder) {
   EXPECT_EQ(rx.stats().dup_drops, 1u);
 }
 
+/// A bare receiving ChannelSet fed from peer "peer" with chan_base 1,
+/// acking by the on_data contract.
+struct Receiver {
+  ChannelSet rx;
+  std::vector<std::uint64_t> delivered;
+  std::vector<std::uint64_t> acked;
+
+  void feed(std::uint64_t seq) {
+    wire::Envelope env = wire::make_envelope(
+        wire::MessageType::kEventForward, "peer", "", seq, wire::Writer{});
+    env.chan_base = 1;
+    const ChannelSet::Incoming in = rx.on_data(env);
+    if (in.duplicate) acked.push_back(seq);
+    for (const wire::Envelope& d : in.deliver) {
+      delivered.push_back(d.msg_id);
+      acked.push_back(d.msg_id);
+    }
+  }
+};
+
+// A gap followed by more seqs than the reorder buffer holds: the arrival
+// past the cap is refused unacked (the sender keeps it), so the floor
+// never moves past the missing seq and every seq is delivered once, in
+// order, with no ack before its delivery.
+TEST(ChannelTest, OverflowRefusesInsteadOfSkippingTheGap) {
+  Receiver r;
+  const std::uint64_t last = ChannelSet::kReorderCap + 2;  // 66
+  for (std::uint64_t seq = 2; seq <= last; ++seq) r.feed(seq);
+  EXPECT_TRUE(r.delivered.empty());
+  EXPECT_TRUE(r.acked.empty()) << "a buffered seq was acked";
+  EXPECT_EQ(r.rx.stats().reorder_buffered, ChannelSet::kReorderCap);
+  EXPECT_EQ(r.rx.stats().reorder_overflows, 1u);
+
+  r.feed(1);     // plugs the gap: 1..65 deliver
+  r.feed(last);  // the sender's retransmit of the refused seq
+  std::vector<std::uint64_t> all;
+  for (std::uint64_t seq = 1; seq <= last; ++seq) all.push_back(seq);
+  EXPECT_EQ(r.delivered, all);
+  EXPECT_EQ(r.acked, all);
+}
+
+// The receiver buffers seq 3 while seq 2 is lost, sees 3 retransmitted,
+// and then crashes. Nothing buffered was acked, so the sender still holds
+// 3 and delivers it after the restart along with 2.
+TEST(ChannelTest, BufferedSeqSurvivesReceiverCrash) {
+  sim::Network net(13);
+  auto* a = net.make_node<ChannelNode>("a", 101);
+  auto* b = net.make_node<ChannelNode>("b", 202);
+  a->set_peer(b->id());
+  b->set_peer(a->id());
+  net.start();
+
+  a->drop_seq(2);
+  for (int i = 0; i < 3; ++i) a->send_data("b");
+  net.run_until(SimTime::seconds(3));  // 3 retransmitted, 2 still lost
+  ASSERT_EQ(b->delivered(), (std::vector<std::uint64_t>{1}));
+  ASSERT_GE(b->channels().stats().dup_drops, 1u);
+  EXPECT_EQ(a->channels().unacked_total(), 2u);
+
+  b->restart();
+  a->drop_seq(0);
+  net.run_until(SimTime::seconds(10));
+  EXPECT_EQ(b->delivered(), (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(a->channels().unacked_total(), 0u);
+}
+
 TEST(ChannelTest, BackoffSchedulesDesynchronize) {
   // Two senders with the same policy but different jitter seeds retry an
   // unacked message against a silent peer: their retransmit schedules must
@@ -322,6 +425,137 @@ TEST(ChannelTest, BackoffSchedulesDesynchronize) {
       prev = times[i];
     }
   }
+}
+
+// ---------- DedupWindow -----------------------------------------------------
+
+/// An exact reference: every seq a window accepted, per origin.
+using Accepted = std::map<std::string, std::set<std::uint64_t>>;
+
+/// Never-seen seqs at or below each origin's newest accepted one.
+std::uint64_t reference_gaps(const Accepted& accepted) {
+  std::uint64_t gaps = 0;
+  for (const auto& [origin, seqs] : accepted) {
+    gaps += *seqs.rbegin() - seqs.size();
+  }
+  return gaps;
+}
+
+// Seeded random arrivals from three origins against the exact reference.
+// Phase 1 keeps every arrival within the window's width of its origin's
+// newest seq (with forward jumps far past it), where decisions must match
+// the reference exactly. Phase 2 also replays seqs far below the newest:
+// the window may refuse a never-seen seq there, but never admits one
+// twice, and its gap count stays the reference's never-seen count.
+TEST(DedupWindowTest, MatchesExactSetWithinWidth) {
+  constexpr std::uint64_t kWidth = DedupWindow::kWidth;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng{seed};
+    DedupWindow window;
+    Accepted accepted;
+    std::map<std::string, std::uint64_t> newest;
+    std::uint64_t refused_unseen = 0;
+    const auto arrive = [&](bool within) {
+      std::string origin = "origin-";
+      origin += std::to_string(rng.uniform_int(0, 2));
+      std::uint64_t& top = newest[origin];
+      std::uint64_t seq = 0;
+      const double pick = rng.uniform();
+      if (pick < 0.45) {
+        seq = top + static_cast<std::uint64_t>(rng.uniform_int(1, 3));
+      } else if (pick < 0.5) {
+        seq = top + static_cast<std::uint64_t>(rng.uniform_int(60, 200));
+      } else {
+        const std::uint64_t reach = within ? kWidth - 1 : 4 * kWidth;
+        const std::uint64_t back = static_cast<std::uint64_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(reach)));
+        if (back >= top) return;
+        seq = top - back;
+      }
+      std::set<std::uint64_t>& seen = accepted[origin];
+      const bool unseen = !seen.contains(seq);
+      const bool fresh = window.insert(origin, seq);
+      // Within the width of the newest seq, the window is exact.
+      if (seq + kWidth > top) {
+        ASSERT_EQ(fresh, unseen) << "seed " << seed << " " << origin << "#"
+                                 << seq;
+      }
+      ASSERT_FALSE(fresh && !unseen) << "accepted twice: " << origin << "#"
+                                     << seq;
+      if (fresh) seen.insert(seq);
+      if (!fresh && unseen) refused_unseen += 1;
+      top = std::max(top, seq);
+      if (seen.empty()) accepted.erase(origin);
+      EXPECT_EQ(window.gaps(), reference_gaps(accepted)) << "seed " << seed;
+    };
+    for (int i = 0; i < 3000; ++i) arrive(/*within=*/true);
+    EXPECT_EQ(refused_unseen, 0u);
+    for (int i = 0; i < 3000; ++i) arrive(/*within=*/false);
+    EXPECT_GT(refused_unseen, 0u) << "phase 2 never reached past the width";
+    EXPECT_EQ(window.origin_count(), accepted.size());
+  }
+}
+
+/// A window's snapshot entries, each replayed unless `skip` says not.
+DedupWindow restored(const DedupWindow& from,
+                     const std::function<bool(std::uint8_t, wire::Reader)>&
+                         skip = nullptr) {
+  wire::Writer image;
+  from.snapshot(journal::RecordSink{image});
+  const std::vector<std::byte> bytes = std::move(image).take();
+  DedupWindow to{1, 2};
+  EXPECT_TRUE(journal::scan_entries(
+      bytes, [&](std::uint8_t type, std::span<const std::byte> payload) {
+        if (skip && skip(type, wire::Reader{payload})) return;
+        wire::Reader r{payload};
+        EXPECT_TRUE(to.replay(type, r));
+      }));
+  return to;
+}
+
+// covers(): a window lacking one seq above its floor, or with a lower
+// floor, does not cover one that has it, and the check names the first
+// missing (origin, seq). A forced floor move covers the seqs it passed.
+TEST(DedupWindowTest, CoversNamesTheFirstMissingSeq) {
+  DedupWindow full{1, 2};
+  for (std::uint64_t seq = 1; seq <= 10; ++seq) full.insert("a", seq);
+  for (const std::uint64_t seq : {1, 3, 5}) full.insert("b", seq);
+  DedupWindow::Missing missing;
+  EXPECT_TRUE(full.covers(full));
+  const DedupWindow copy = restored(full);
+  EXPECT_TRUE(copy.covers(full));
+  EXPECT_TRUE(full.covers(copy));
+
+  // One seq above the floor lost: b#5, whose seen record the restore
+  // dropped.
+  const DedupWindow holey =
+      restored(full, [](std::uint8_t type, wire::Reader r) {
+        const std::string origin = r.str();
+        return type == 1 && origin == "b" && r.u64() == 5;
+      });
+  EXPECT_FALSE(holey.covers(full, &missing));
+  EXPECT_EQ(missing.origin, "b");
+  EXPECT_EQ(missing.seq, 5u);
+  EXPECT_TRUE(full.covers(holey));
+
+  // A lower floor: "a" only through 7.
+  DedupWindow lower{1, 2};
+  for (std::uint64_t seq = 1; seq <= 7; ++seq) lower.insert("a", seq);
+  for (const std::uint64_t seq : {1, 3, 5}) lower.insert("b", seq);
+  EXPECT_FALSE(lower.covers(full, &missing));
+  EXPECT_EQ(missing.origin, "a");
+  EXPECT_EQ(missing.seq, 8u);
+  EXPECT_TRUE(full.covers(lower));
+
+  // Forcing the floor past b#5's neighbours covers everything below it.
+  DedupWindow forced = full;
+  EXPECT_TRUE(forced.insert("b", 5 + 2 * DedupWindow::kWidth));
+  EXPECT_TRUE(forced.covers(full));
+  EXPECT_FALSE(full.covers(forced, &missing));
+  EXPECT_EQ(missing.origin, "b");
+  EXPECT_EQ(missing.seq, 2u);
+  EXPECT_EQ(forced.gaps(), 5 + 2 * DedupWindow::kWidth - 4);
+  EXPECT_EQ(restored(forced).gaps(), forced.gaps());
 }
 
 // ---------- ParkingLot ------------------------------------------------------
