@@ -1,9 +1,9 @@
 #include "alerting/alerting_service.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/log.h"
+#include "obs/latency.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -210,7 +210,9 @@ void AlertingService::on_restarted() {
 
 // --- event pipeline -----------------------------------------------------------
 
-void AlertingService::filter_and_notify(const docmodel::Event& event) {
+void AlertingService::filter_and_notify(
+    const docmodel::Event& event,
+    std::shared_ptr<const docmodel::Event> shared_event, wire::Frame body) {
   GSALERT_PROFILE("alerting.filter_and_notify");
   profiles::EventContext ctx = profiles::EventContext::from(event);
   // §5: at the event's own host, query predicates run against the
@@ -220,30 +222,28 @@ void AlertingService::filter_and_notify(const docmodel::Event& event) {
   if (event.via.empty() && event.collection.host == server_->name()) {
     ctx.set_engine(server_->engine(event.collection.name));
   }
-  const auto match_t0 = std::chrono::steady_clock::now();
-  const std::vector<profiles::ProfileId> hits =
-      index_.match(ctx, &match_stats_);
-  match_cpu_us_.record(
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - match_t0)
-                              .count()) /
-      1000.0);
+  std::vector<profiles::ProfileId> hits;
+  {
+    const obs::StageTimer match_timer{match_cpu_us_};
+    hits = index_.match(ctx, &match_stats_);
+  }
   stats_.filter_matches += hits.size();
-  // Encode once, fan out many: the event body lands in one refcounted
-  // frame aliased across every matching subscriber; the subscription id
-  // rides the per-subscriber header (msg_id), so N matches cost exactly
-  // one body encode (gated in tests/perf_budget.txt). Both are built
-  // lazily — an event whose hits all point at vanished subscriptions
-  // encodes nothing.
-  std::shared_ptr<const docmodel::Event> shared_event;
-  wire::Frame body_frame;
+  // Encode once, fan out many: the event body is one refcounted frame
+  // aliased across every matching subscriber; the subscription id rides
+  // the per-subscriber header (msg_id), so N matches cost at most one
+  // body encode (gated in tests/perf_budget.txt). A flooded event brings
+  // its received bytes and costs none. Otherwise both are built lazily —
+  // an event whose hits all point at vanished subscriptions encodes
+  // nothing.
   for (profiles::ProfileId id : hits) {
     const auto it = subs_.find(id);
     if (it == subs_.end()) continue;
     const Subscription& sub = it->second;
     if (!shared_event) {
       shared_event = std::make_shared<const docmodel::Event>(event);
-      body_frame = wire::Frame{encode_event(event)};
+    }
+    if (body.empty()) {
+      body = wire::Frame{encode_event(event)};
       stats_.notify_body_encodes += 1;
     }
     const obs::TraceScope notify_scope{
@@ -253,7 +253,7 @@ void AlertingService::filter_and_notify(const docmodel::Event& event) {
                   {{"sub", std::to_string(id)},
                    {"client", std::to_string(sub.client.value())}})
             : obs::current_context()};
-    delivery_.offer(sub.client, id, sub.policy, shared_event, body_frame);
+    delivery_.offer(sub.client, id, sub.policy, shared_event, body);
   }
 }
 
@@ -324,10 +324,10 @@ void AlertingService::flush_batch() {
   } else {
     EventBatchBody body;
     body.entries.reserve(batch_.size());
-    for (PendingEvent& pending : batch_) {
+    for (const PendingEvent& pending : batch_) {
       body.entries.push_back(EventBatchBody::Entry{
           pending.ctx.trace_id, pending.ctx.span_id, pending.ctx.hop,
-          std::move(pending.bytes)});
+          pending.bytes});
     }
     wire::Writer w;
     body.encode(w);
@@ -387,7 +387,7 @@ void AlertingService::on_local_event(const docmodel::Event& event) {
 
 void AlertingService::on_gds_message(const std::string& /*origin_server*/,
                                      std::uint16_t payload_type,
-                                     std::span<const std::byte> payload) {
+                                     const wire::Frame& payload) {
   switch (static_cast<wire::MessageType>(payload_type)) {
     // Aux-profile and forward traffic relayed anonymously through the
     // GDS (no direct host reference): the payload is a full flattened
@@ -407,23 +407,20 @@ void AlertingService::on_gds_message(const std::string& /*origin_server*/,
       }
       return;
     }
-    case wire::MessageType::kEventAnnounce: {
-      auto event = decode_event(payload);
-      if (!event.ok()) return;
-      receive_flooded_event(event.value());
+    case wire::MessageType::kEventAnnounce:
+      receive_flooded_event(payload);
       return;
-    }
     case wire::MessageType::kEventBatch: {
       auto batch = EventBatchBody::decode(payload);
       if (!batch.ok()) return;
       for (const EventBatchBody::Entry& entry : batch.value().entries) {
-        auto event = decode_event(entry.event);
-        if (!event.ok()) continue;
         // Re-establish the context the event was published under so its
         // delivery (and any notify spans) attribute to the right trace.
         const obs::TraceScope entry_scope{obs::TraceContext{
             entry.trace_id, entry.span_id, entry.hop}};
-        receive_flooded_event(event.value());
+        receive_flooded_event(payload.slice(
+            static_cast<std::size_t>(entry.event.data() - payload.data()),
+            entry.event.size()));
       }
       return;
     }
@@ -432,7 +429,18 @@ void AlertingService::on_gds_message(const std::string& /*origin_server*/,
   }
 }
 
-void AlertingService::receive_flooded_event(const docmodel::Event& event) {
+void AlertingService::receive_flooded_event(const wire::Frame& bytes) {
+  // Decoded straight into the one shared event that filtering and the
+  // delivery stage hold (event and refcount in one allocation).
+  std::shared_ptr<const docmodel::Event> shared;
+  {
+    GSALERT_PROFILE("alerting.decode_event");
+    wire::Reader r{bytes};
+    shared = std::make_shared<const docmodel::Event>(
+        docmodel::Event::decode(r));
+    if (!r.done()) return;
+  }
+  const docmodel::Event& event = *shared;
   // Flooded events are filtered against local profiles only; forwarding
   // and re-broadcast happened at (or via) the event's own host.
   if (!seen_events_.insert(event.id.origin, event.id.seq, log())) {
@@ -444,7 +452,10 @@ void AlertingService::receive_flooded_event(const docmodel::Event& event) {
     return;
   }
   stats_.events_received += 1;
-  filter_and_notify(event);
+  // The received bytes are the notification body: encode_event of the
+  // decoded event, so nothing is re-encoded. Immediate sends forward the
+  // slice itself; the delivery stage copies it only to queue a hit.
+  filter_and_notify(event, std::move(shared), bytes);
 }
 
 // --- auxiliary profile management (super-collection side) ----------------------

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -83,10 +84,10 @@ class AlertingService : public gsnet::ServerExtension {
   /// Matcher instrumentation accumulated across every filtered event
   /// (eq probes, predicate/query cache hits, residual evaluations).
   const profiles::MatchStats& match_stats() const { return match_stats_; }
-  /// Wall-clock microseconds spent in index_.match per filtered event.
-  /// Deliberately NOT part of collect_metrics (seed-replay snapshots must
-  /// stay byte-identical); workload::Scenario merges it into the
-  /// Outcome's LatencyBreakdown instead.
+  /// Wall-clock microseconds spent in index_.match per filtered event
+  /// (an obs::StageTimer stage). Deliberately NOT part of collect_metrics
+  /// (seed-replay snapshots must stay byte-identical); workload::Scenario
+  /// merges it into the Outcome's LatencyBreakdown instead.
   const Histogram& match_cpu_us() const { return match_cpu_us_; }
   const profiles::ProfileIndex& index() const { return index_; }
   /// Export stats under `alerting.*{server=<name>}` plus gauges for the
@@ -157,7 +158,7 @@ class AlertingService : public gsnet::ServerExtension {
   bool handle_envelope(NodeId from, const wire::Envelope& env) override;
   void on_gds_message(const std::string& origin_server,
                       std::uint16_t payload_type,
-                      std::span<const std::byte> payload) override;
+                      const wire::Frame& payload) override;
   void on_local_event(const docmodel::Event& event) override;
   void on_build_begin() override;
   void on_build_complete() override;
@@ -185,7 +186,11 @@ class AlertingService : public gsnet::ServerExtension {
   };
 
   /// Filter an event against local profiles and notify matching clients.
-  void filter_and_notify(const docmodel::Event& event);
+  /// A flooded event passes its shared decode and received bytes; a local
+  /// or renamed one passes neither, and both are made on its first hit.
+  void filter_and_notify(const docmodel::Event& event,
+                         std::shared_ptr<const docmodel::Event> shared = {},
+                         wire::Frame body = {});
   /// Forward the event to every super-collection host whose auxiliary
   /// profile matches its physical collection.
   void forward_to_supers(const docmodel::Event& event);
@@ -197,9 +202,10 @@ class AlertingService : public gsnet::ServerExtension {
   /// kEventAnnounce under its original trace context, several as one
   /// kEventBatch flood.
   void flush_batch();
-  /// Handle an event that arrived via GDS flooding (plain or batched):
-  /// dedup, count, filter against local profiles.
-  void receive_flooded_event(const docmodel::Event& event);
+  /// Handle an event that arrived via GDS flooding (plain or batched) as
+  /// its encoded bytes: decode once, dedup, count, filter against local
+  /// profiles.
+  void receive_flooded_event(const wire::Frame& bytes);
   /// Process an event that this server is seeing for the first time
   /// (local build or arriving forward), end to end.
   void process_event(const docmodel::Event& event, bool broadcast);

@@ -5,6 +5,14 @@
 
 namespace gsalert::alerting {
 
+namespace {
+Result<docmodel::Event> decode_notified_event(
+    std::span<const std::byte> bytes) {
+  GSALERT_PROFILE("client.decode");
+  return decode_event(bytes);
+}
+}  // namespace
+
 void Client::subscribe(const std::string& profile_text,
                        SubscribeCallback callback) {
   if (!endpoint_.attached()) {
@@ -65,7 +73,7 @@ void Client::on_packet(NodeId from, const sim::Packet& packet) {
   if (env.type == wire::MessageType::kNotification) {
     // Encode-once wire shape: the body is the bare event payload (shared
     // frame at the sender); the subscription id rides msg_id.
-    auto event = decode_event(env.body);
+    auto event = decode_notified_event(env.body);
     if (!event.ok()) return;
     record_notification(from, env.msg_id, std::move(event).take());
     return;
@@ -89,7 +97,7 @@ void Client::on_packet(NodeId from, const sim::Packet& packet) {
     digests_received_ += 1;
     // Entries view env.body, which outlives the loop.
     for (const NotificationDigestBody::Entry& entry : body.value().entries) {
-      auto event = decode_event(entry.event);
+      auto event = decode_notified_event(entry.event);
       if (!event.ok()) continue;
       record_notification(from, entry.subscription_id,
                           std::move(event).take());
@@ -109,9 +117,9 @@ void Client::record_notification(NodeId from, SubscriptionId sub,
   // a migrated profile registration (snapshot restored at a second
   // server) legitimately notifies the same subscription id for the same
   // event from a different node.
-  const std::string key = std::to_string(from.value()) + "#" +
-                          std::to_string(sub) + "#" + event.id.str();
-  if (!seen_notifications_.insert(key).second) return;
+  if (!seen_notifications_.insert({from.value(), sub, event.id}).second) {
+    return;
+  }
   notifications_.push_back(
       ReceivedNotification{sub, std::move(event), network().now()});
 }

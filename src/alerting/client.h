@@ -84,8 +84,25 @@ class Client : public sim::Node {
   std::vector<ReceivedNotification> notifications_;
   NotificationSink sink_;
   // The server sends one notification per (subscription, event); a second
-  // arrival is a wire-level duplicate and is not recorded.
-  std::unordered_set<std::string> seen_notifications_;
+  // arrival from the same sender is a wire-level duplicate and is not
+  // recorded.
+  struct NotificationKey {
+    std::uint32_t sender = 0;
+    SubscriptionId sub = 0;
+    docmodel::EventId event;
+
+    bool operator==(const NotificationKey&) const = default;
+  };
+  struct NotificationKeyHash {
+    std::size_t operator()(const NotificationKey& k) const noexcept {
+      std::size_t h = std::hash<docmodel::EventId>{}(k.event);
+      h ^= k.sub + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      h ^= k.sender + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      return h;
+    }
+  };
+  std::unordered_set<NotificationKey, NotificationKeyHash>
+      seen_notifications_;
   // Channel-managed digests retransmit until acked; replays of a digest
   // we already processed are dropped wholesale by (sender, digest_seq).
   std::set<std::pair<std::uint32_t, std::uint64_t>> seen_digests_;

@@ -1,6 +1,7 @@
 #include "alerting/delivery.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "alerting/alerting_service.h"
@@ -117,7 +118,7 @@ bool DeliveryStage::credit_available(const ClientQueue& q) const {
 void DeliveryStage::offer(NodeId client, SubscriptionId sub,
                           DeliveryPolicy policy,
                           const std::shared_ptr<const docmodel::Event>& event,
-                          const wire::Frame& bytes) {
+                          wire::Frame& bytes) {
   GSALERT_PROFILE("delivery.offer");
   ensure_attached();
   ClientQueue& q = queue_for(client);
@@ -154,7 +155,7 @@ void DeliveryStage::offer(NodeId client, SubscriptionId sub,
 void DeliveryStage::enqueue(
     ClientQueue& q, SubscriptionId sub,
     const std::shared_ptr<const docmodel::Event>& event,
-    const wire::Frame& bytes, DeliveryMode mode, SimTime window) {
+    wire::Frame& bytes, DeliveryMode mode, SimTime window) {
   if (mode != DeliveryMode::kImmediate) {
     for (const QueueEntry& e : q.entries) {
       if (e.mode != DeliveryMode::kImmediate && e.sub == sub &&
@@ -167,6 +168,14 @@ void DeliveryStage::enqueue(
   if (config_.queue_capacity > 0 &&
       q.entries.size() >= config_.queue_capacity) {
     spill_one(q);
+  }
+  // A flooded event's bytes are a slice of the GDS deliver frame, which
+  // also holds the envelope and the rest of its batch. A queued entry can
+  // outlive the delivery by a window or a stall, so it keeps a copy of
+  // just the event, made once and shared by the event's later hits.
+  if (bytes.partial()) {
+    const std::span<const std::byte> view = bytes.span();
+    bytes = wire::Frame{std::vector<std::byte>(view.begin(), view.end())};
   }
   QueueEntry entry;
   entry.seq = next_entry_seq_++;

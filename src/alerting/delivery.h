@@ -107,10 +107,13 @@ class DeliveryStage {
 
   /// One match hit for subscription `sub`, delivered under its `policy`.
   /// `event` is shared across the fan-out for observers; `bytes` is the
-  /// encode-once event payload frame.
+  /// encode-once event payload frame. A queued hit must not pin a larger
+  /// frame: when `bytes` is a slice (a flooded event inside its GDS
+  /// deliver frame), queueing replaces it with a copy of just its bytes,
+  /// which the caller's later hits for the event then share.
   void offer(NodeId client, SubscriptionId sub, DeliveryPolicy policy,
              const std::shared_ptr<const docmodel::Event>& event,
-             const wire::Frame& bytes);
+             wire::Frame& bytes);
 
   /// Flush-timer + digest-channel timer dispatch; false when not ours.
   bool on_timer(std::uint64_t token);
@@ -170,7 +173,7 @@ class DeliveryStage {
   bool credit_available(const ClientQueue& q) const;
   void enqueue(ClientQueue& q, SubscriptionId sub,
                const std::shared_ptr<const docmodel::Event>& event,
-               const wire::Frame& bytes, DeliveryMode mode, SimTime window);
+               wire::Frame& bytes, DeliveryMode mode, SimTime window);
   void spill_one(ClientQueue& q);
   /// Send one kNotification straight to the wire (unmanaged immediate).
   void send_immediate(ClientQueue& q, SubscriptionId sub,

@@ -165,7 +165,7 @@ Result<EventBatchBody> EventBatchBody::decode(
     e.trace_id = r2.u64();
     e.span_id = r2.u64();
     e.hop = r2.u16();
-    e.event = r2.bytes();
+    e.event = r2.view_bytes();
     return e;
   });
   if (!r.done()) return malformed("EventBatchBody");

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/log.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace gsalert::gsnet {
@@ -321,6 +322,7 @@ void GreenstoneServer::on_packet(NodeId from, const sim::Packet& packet) {
 }
 
 void GreenstoneServer::dispatch_packet(NodeId from, const sim::Packet& packet) {
+  GSALERT_PROFILE("gsnet.dispatch");
   auto decoded = wire::unpack(packet);
   if (!decoded.ok()) {
     logf(LogLevel::kWarn, network().now(), name(), "malformed packet");
@@ -357,13 +359,16 @@ void GreenstoneServer::dispatch_packet(NodeId from, const sim::Packet& packet) {
       gds_.handle_resolve_reply(env);
       return;
     case wire::MessageType::kGdsDeliver: {
-      // Peek, don't decode: the payload stays a view into the shared body
-      // frame and is handed to the extension without a copy.
+      // Peek, don't decode: the payload is handed to the extension as a
+      // slice of the shared body frame, without a copy.
       auto body = gds::BroadcastView::peek(env.body);
       if (body.ok() && extension_) {
-        extension_->on_gds_message(body.value().origin_server,
-                                   body.value().payload_type,
-                                   body.value().payload);
+        const std::span<const std::byte> payload = body.value().payload;
+        extension_->on_gds_message(
+            body.value().origin_server, body.value().payload_type,
+            env.body.slice(
+                static_cast<std::size_t>(payload.data() - env.body.data()),
+                payload.size()));
       }
       return;
     }

@@ -5,13 +5,14 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <string>
 
 #include "common/types.h"
 #include "docmodel/collection.h"
 #include "docmodel/event.h"
 #include "wire/codec.h"
 #include "wire/envelope.h"
+#include "wire/frame.h"
 
 namespace gsalert::journal {
 class RecordSink;
@@ -34,11 +35,16 @@ class ServerExtension {
   }
 
   /// A message delivered through the GDS (broadcast, multicast or relay).
-  /// The payload is a view into the delivery packet's shared body frame —
-  /// valid only for the duration of the call; copy to retain.
+  /// The payload is a slice of the delivery packet's shared, immutable
+  /// body frame. The extension may retain it (copying a Frame bumps a
+  /// refcount), but a retained slice keeps the whole deliver frame alive:
+  /// the envelope and, for a batch, every other event in it. The alerting
+  /// service sends a flooded event's received bytes on to its clients as
+  /// the notification body, and copies just the event's bytes before
+  /// queueing them for longer.
   virtual void on_gds_message(const std::string& /*origin_server*/,
                               std::uint16_t /*payload_type*/,
-                              std::span<const std::byte> /*payload*/) {}
+                              const wire::Frame& /*payload*/) {}
 
   /// A local collection (re)build produced an event. Runs synchronously as
   /// the paper's "additional step in the build process" — its cost is what

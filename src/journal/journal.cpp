@@ -1,11 +1,11 @@
 #include "journal/journal.h"
 
 #include <cassert>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
 #include "journal/crc32c.h"
+#include "obs/latency.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -125,13 +125,10 @@ void Journal::end_record() {
 void Journal::commit() {
   if (!dirty_) return;
   GSALERT_PROFILE("journal.commit");
-  const auto t0 = std::chrono::steady_clock::now();
-  storage_.flush(log_);
-  fsync_us_.record(
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count()) /
-      1000.0);
+  {
+    const obs::StageTimer fsync_timer{fsync_us_};
+    storage_.flush(log_);
+  }
   dirty_ = false;
   stats_.commits += 1;
   maybe_compact();

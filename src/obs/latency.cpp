@@ -6,6 +6,17 @@
 
 namespace gsalert::obs {
 
+StageTimer::StageTimer(Histogram& hist)
+    : hist_(hist), t0_(std::chrono::steady_clock::now()) {}
+
+StageTimer::~StageTimer() {
+  hist_.record(
+      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - t0_)
+                              .count()) /
+      1000.0);
+}
+
 // ---------- LatencyBreakdown ------------------------------------------------
 
 void LatencyBreakdown::merge(const LatencyBreakdown& other) {

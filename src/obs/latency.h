@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -50,6 +51,20 @@ struct LatencyBreakdown {
   /// `labels`. Always emits every series (count=0 when a stage never
   /// fired) so the bench sentinel can hold a fixed schema.
   void export_to(MetricsRegistry& registry, const Labels& labels = {}) const;
+};
+
+/// Times one wall-clock stage sample (match CPU, journal fsync) into
+/// `hist`, in microseconds, from construction to destruction.
+class StageTimer {
+ public:
+  explicit StageTimer(Histogram& hist);
+  ~StageTimer();
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  Histogram& hist_;
+  std::chrono::steady_clock::time_point t0_;
 };
 
 /// Span sink computing the sim-time half of a LatencyBreakdown from the

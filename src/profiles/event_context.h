@@ -6,32 +6,48 @@
 // the event's documents (their metadata, or their terms for "text").
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/interner.h"
 #include "docmodel/event.h"
 #include "retrieval/engine.h"
 
 namespace gsalert::profiles {
 
-/// Names of the macro-level attributes.
+/// The macro-level attributes, in the order EventContext keeps their
+/// values.
+inline constexpr std::array<std::string_view, 6> kMacroAttributes = {
+    "host", "collection", "ref", "type", "origin_host", "origin_ref"};
+inline constexpr std::size_t kMacroCount = kMacroAttributes.size();
+
 bool is_macro_attribute(std::string_view attribute);
 
 class EventContext {
  public:
+  /// One metadata entry of an event document, viewed in place.
+  struct DocValue {
+    std::string_view attribute;
+    std::string_view value;
+  };
+
+  /// The context views `event` (documents included), which must outlive
+  /// any doc-level evaluation; the macro values are lowercased copies.
   static EventContext from(const docmodel::Event& event);
 
   /// Value of a macro attribute ("" if the attribute is not macro-level).
   const std::string& macro(std::string_view attribute) const;
+  /// The macro values, lowercased, in kMacroAttributes order.
+  const std::array<std::string, kMacroCount>& macros() const {
+    return macros_;
+  }
 
   const std::vector<docmodel::Document>& docs() const { return *docs_; }
-  const docmodel::Event& event() const { return *event_; }
 
   /// Attach the collection's retrieval engine (paper §5: the filter reuses
   /// "the system's own retrieval functionalities"). When present, query
@@ -59,44 +75,24 @@ class EventContext {
 
   std::uint64_t query_cache_hits() const { return query_cache_hits_; }
 
-  /// The event's macro attributes translated into `interner`'s symbol
-  /// space, computed once per event (pairs whose attribute or value the
-  /// interner has never seen are dropped — no profile can match them).
-  /// This is what makes an equality probe one integer hash: the strings
-  /// are hashed here, never in the probe loop.
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>>& macro_symbols(
-      const StringInterner& interner) const;
-
-  /// Per-event micro index over the documents: attribute -> lowercase
-  /// value -> present. Built lazily on the first doc-level predicate and
-  /// amortized across all candidate evaluations for this event ("equality
-  /// preferred" applied at the micro level too). Includes metadata,
-  /// "text" terms and the pseudo-attribute "doc_id".
-  struct DocIndex {
-    std::unordered_map<std::string,
-                       std::unordered_map<std::string, std::vector<DocumentId>>>
-        values;
-  };
-  const DocIndex& doc_index() const;
+  /// The documents' metadata entries named `attribute`, sorted by
+  /// lowercased value: binary searches in a view of every entry, sorted
+  /// by attribute then lowercased value and built on the first call in
+  /// one allocation.
+  std::span<const DocValue> doc_values(std::string_view attribute) const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> attrs_;
+  std::array<std::string, kMacroCount> macros_;
   const std::vector<docmodel::Document>* docs_ = nullptr;
-  const docmodel::Event* event_ = nullptr;
   const retrieval::Engine* engine_ = nullptr;
-  mutable std::shared_ptr<const DocIndex> doc_index_;
+  mutable std::vector<DocValue> doc_values_;
+  mutable bool doc_values_built_ = false;
 
   // Query-result caches, keyed by canonical query text (Query::str()).
   mutable std::unordered_map<std::string, retrieval::PostingList>
       search_cache_;
   mutable std::unordered_map<std::string, bool> scan_cache_;
   mutable std::uint64_t query_cache_hits_ = 0;
-
-  // Macro attrs in symbol space, valid for one (interner, size) state;
-  // the size guard re-translates after the interner learned new strings.
-  mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> macro_syms_;
-  mutable const StringInterner* sym_owner_ = nullptr;
-  mutable std::size_t sym_owner_size_ = 0;
 };
 
 }  // namespace gsalert::profiles

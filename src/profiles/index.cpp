@@ -1,11 +1,19 @@
 #include "profiles/index.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
+
+#include "obs/profiler.h"
 
 namespace gsalert::profiles {
 
 namespace {
+
+// Macro slot whose value a slot usually repeats: origin_host and
+// origin_ref equal host and ref unless the event was renamed.
+constexpr std::array<std::size_t, kMacroCount> kUsuallySameAs = {0, 1, 2,
+                                                                 3, 0, 2};
 
 /// splitmix64 finalizer: packed symbol pairs are near-sequential, so they
 /// need real mixing before masking into a power-of-two table.
@@ -267,16 +275,39 @@ Status ProfileIndex::remove(ProfileId id) {
 
 std::vector<ProfileId> ProfileIndex::match(const EventContext& ctx,
                                            MatchStats* stats) const {
+  GSALERT_PROFILE("profiles.match");
   ++epoch_;
   std::vector<ConjIdx> candidates;
 
-  // Phase 1 — equality hash joins. The event's macro attributes were
-  // translated to symbols once (all string hashing lives in that step);
-  // each probe below is one integer hash into the flat table.
-  const auto& syms = ctx.macro_symbols(interner_);
+  // Phase 1 — equality hash joins. The event's macro attributes are
+  // translated to packed symbol keys first, each distinct value looked up
+  // once (all string hashing lives in that step); each probe below is
+  // one integer hash into the flat table. A pair whose attribute or value
+  // the interner never saw is dropped: no profile can match it.
+  if (macro_attr_syms_size_ != interner_.size()) {
+    for (std::size_t i = 0; i < kMacroCount; ++i) {
+      macro_attr_syms_[i] = interner_.find(kMacroAttributes[i]);
+    }
+    macro_attr_syms_size_ = interner_.size();
+  }
+  const auto& macros = ctx.macros();
+  std::array<std::uint32_t, kMacroCount> value_syms{};
+  std::array<std::uint64_t, kMacroCount> keys;
+  std::size_t n_keys = 0;
+  for (std::size_t i = 0; i < kMacroCount; ++i) {
+    if (macro_attr_syms_[i] == StringInterner::kNoSymbol) continue;
+    const std::size_t same = kUsuallySameAs[i];
+    value_syms[i] = same < i && macro_attr_syms_[same] !=
+                                    StringInterner::kNoSymbol &&
+                            macros[same] == macros[i]
+                        ? value_syms[same]
+                        : interner_.find(macros[i]);
+    if (value_syms[i] == StringInterner::kNoSymbol) continue;
+    keys[n_keys++] = pack_key(macro_attr_syms_[i], value_syms[i]);
+  }
   const std::uint64_t hashes_before = interner_.hash_count();
-  for (const auto& [attr_sym, value_sym] : syms) {
-    const std::size_t slot_idx = find_slot(pack_key(attr_sym, value_sym));
+  for (std::size_t k = 0; k < n_keys; ++k) {
+    const std::size_t slot_idx = find_slot(keys[k]);
     if (slot_idx == kNoSlot) continue;
     const Bucket& b = buckets_[slots_[slot_idx].bucket];
     for (std::uint32_t i = 0; i < b.len; ++i) {

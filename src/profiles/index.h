@@ -21,6 +21,7 @@
 //      query cost one engine search / document scan per event.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -28,6 +29,7 @@
 
 #include "common/error.h"
 #include "common/interner.h"
+#include "profiles/event_context.h"
 #include "profiles/profile.h"
 
 namespace gsalert::profiles {
@@ -171,6 +173,12 @@ class ProfileIndex {
 
   std::unordered_map<ProfileId, ProfileEntry> by_profile_;
   std::vector<std::uint32_t> slot_free_list_;
+
+  // Symbols of the macro attribute names, resolved once per interner
+  // size (the interner only grows, so an unchanged size is an unchanged
+  // answer).
+  mutable std::array<std::uint32_t, kMacroCount> macro_attr_syms_{};
+  mutable std::size_t macro_attr_syms_size_ = kNoSlot;  // never resolved
 
   // Epoch-stamped hit counters, reset in O(1) per match.
   mutable std::vector<std::uint32_t> hit_count_;

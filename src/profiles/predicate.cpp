@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <span>
 
 #include "common/strings.h"
 
@@ -56,6 +58,60 @@ bool Predicate::is_doc_level() const {
 
 namespace {
 
+constexpr std::string_view kDocIdAttribute = "doc_id";
+
+/// Doc-level EQ / IN / wildcard: does some document carry a matching
+/// value under `p.attribute`? Metadata values compare lowercased, found
+/// in the event's sorted metadata view; "text" also matches the
+/// documents' terms and "doc_id" their decimal ids, as they are.
+bool any_doc_value(const Predicate& p, Op pos, const EventContext& ctx) {
+  const std::string_view attribute = p.attribute;
+  const bool wildcard = pos == Op::kWildcard;
+  const bool text = attribute == retrieval::kTextAttribute;
+  const bool doc_id = attribute == kDocIdAttribute;
+  const std::span<const EventContext::DocValue> meta =
+      ctx.doc_values(attribute);
+  const std::span<const std::string> keys =
+      pos == Op::kIn ? std::span<const std::string>(p.values)
+                     : std::span<const std::string>(&p.value, 1);
+  for (const std::string& key : keys) {
+    if (wildcard) {
+      for (const EventContext::DocValue& e : meta) {
+        if (wildcard_match_lower(key, e.value)) return true;
+      }
+    } else {
+      const auto it = std::lower_bound(
+          meta.begin(), meta.end(), key,
+          [](const EventContext::DocValue& e, std::string_view k) {
+            return compare_lower(e.value, k) < 0;
+          });
+      if (it != meta.end() && equals_lower(it->value, key)) return true;
+    }
+    if (!text && !doc_id) continue;
+    DocumentId id = 0;
+    if (doc_id && !wildcard) {
+      // A key names the document whose std::to_string(id) it is. Parse
+      // it once rather than format every document's id per key: events
+      // carry up to hundreds of documents.
+      (void)std::from_chars(key.data(), key.data() + key.size(), id);
+      if (std::to_string(id) != key) continue;
+    }
+    const auto matches = [&](const std::string& actual) {
+      return wildcard ? wildcard_match(key, actual) : actual == key;
+    };
+    for (const docmodel::Document& doc : ctx.docs()) {
+      if (text && std::any_of(doc.terms.begin(), doc.terms.end(), matches)) {
+        return true;
+      }
+      if (doc_id &&
+          (wildcard ? matches(std::to_string(doc.id)) : doc.id == id)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 bool value_op_matches(Op op, const Predicate& p, const std::string& value) {
   switch (op) {
     case Op::kEq:
@@ -97,32 +153,7 @@ bool Predicate::eval(const EventContext& ctx) const {
       const bool any = query != nullptr && ctx.any_doc_matches(*query);
       return is_negative_op(op) ? !any : any;
     }
-    // EQ / IN / wildcard over documents: answered from the per-event
-    // micro index, amortized across every candidate for this event.
-    const auto& index = ctx.doc_index().values;
-    const auto attr_it = index.find(attribute);
-    bool any = false;
-    if (attr_it != index.end()) {
-      switch (pos) {
-        case Op::kEq:
-          any = attr_it->second.contains(value);
-          break;
-        case Op::kIn:
-          any = std::any_of(values.begin(), values.end(),
-                            [&](const std::string& v) {
-                              return attr_it->second.contains(v);
-                            });
-          break;
-        case Op::kWildcard:
-          any = std::any_of(attr_it->second.begin(), attr_it->second.end(),
-                            [&](const auto& entry) {
-                              return wildcard_match(value, entry.first);
-                            });
-          break;
-        default:
-          break;
-      }
-    }
+    const bool any = any_doc_value(*this, pos, ctx);
     return is_negative_op(op) ? !any : any;
   }
   const std::string& actual = ctx.macro(attribute);

@@ -51,10 +51,11 @@ bool attribute_matches(const docmodel::Document& doc,
     }
     return false;
   }
+  // Metadata values match lowercased, compared in place.
   for (const auto& [attr, val] : doc.metadata.entries()) {
     if (attr != attribute) continue;
-    const std::string lowered = to_lower(val);
-    if (wildcard ? wildcard_match(value, lowered) : lowered == value) {
+    if (wildcard ? wildcard_match_lower(value, val)
+                 : equals_lower(val, value)) {
       return true;
     }
   }

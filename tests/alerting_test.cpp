@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,8 @@
 #include "journal/journal.h"
 #include "obs/metrics_registry.h"
 #include "sim/network.h"
+#include "wire/codec.h"
+#include "wire/envelope.h"
 
 namespace gsalert::alerting {
 namespace {
@@ -41,6 +44,30 @@ CollectionConfig config(const std::string& name,
   return c;
 }
 
+/// A client that also keeps the event bytes of every notification it
+/// receives: a kNotification body, or each entry of a digest.
+class BodyRecordingClient : public Client {
+ public:
+  void on_packet(NodeId from, const sim::Packet& packet) override {
+    auto env = wire::unpack(packet);
+    if (env.ok() && env.value().type == wire::MessageType::kNotification) {
+      const std::span<const std::byte> body = env.value().body;
+      bodies.emplace_back(body.begin(), body.end());
+    } else if (env.ok() && env.value().type ==
+                               wire::MessageType::kNotificationDigest) {
+      auto digest = NotificationDigestBody::decode(env.value().body);
+      if (digest.ok()) {
+        for (const auto& entry : digest.value().entries) {
+          bodies.emplace_back(entry.event.begin(), entry.event.end());
+        }
+      }
+    }
+    Client::on_packet(from, packet);
+  }
+
+  std::vector<std::vector<std::byte>> bodies;
+};
+
 /// A world of Greenstone servers with alerting, wired to a Figure-2-style
 /// GDS tree, with one client per server.
 struct World {
@@ -48,7 +75,7 @@ struct World {
   gds::GdsTree tree;
   std::vector<gsnet::GreenstoneServer*> servers;
   std::vector<AlertingService*> alerting;
-  std::vector<Client*> clients;
+  std::vector<BodyRecordingClient*> clients;
 
   explicit World(int n_servers = 4, AlertingConfig config = {}) {
     tree = gds::build_figure2_tree(net);
@@ -61,7 +88,7 @@ struct World {
       server->set_extension(std::move(service));
       server->attach_gds(tree.leaf_for(static_cast<std::size_t>(i))->id());
       servers.push_back(server);
-      auto* client = net.make_node<Client>("client-" + host);
+      auto* client = net.make_node<BodyRecordingClient>("client-" + host);
       client->set_home(server->id());
       clients.push_back(client);
     }
@@ -701,6 +728,81 @@ TEST(DedupGapTest, MissedFloodsAreCountedAtTheCutServerOnly) {
     node->collect_metrics(reg);
     EXPECT_EQ(reg.gauge("gds.dedup_gaps", {{"node", node->name()}}), 0)
         << node->name();
+  }
+}
+
+// Encode once: a receiving server sends on the flooded bytes it received
+// (a kEventAnnounce payload or a kEventBatch entry) as the notification
+// body, so every body a client gets is encode_event of the event it
+// decodes to, receivers encode nothing and the origin encodes once per
+// event with hits. With managed delivery, a queued entry's journal record
+// (type 76) carries the same bytes.
+TEST(EncodeOnceTest, ReceiversSendOnTheFloodedBytes) {
+  constexpr std::uint8_t kJDelivEnq = 76;
+  for (const std::size_t credits : {std::size_t{0}, std::size_t{4}}) {
+    SCOPED_TRACE("credits=" + std::to_string(credits));
+    AlertingConfig cfg;
+    cfg.delivery.credits = credits;
+    World w{4, cfg};
+    SubscriptionId at_host2 = 0;
+    for (std::size_t i = 0; i < w.clients.size(); ++i) {
+      w.clients[i]->subscribe("host = hamilton",
+                              [&, i](Result<SubscriptionId> r) {
+                                if (i == 2 && r.ok()) at_host2 = r.value();
+                              });
+    }
+    w.settle();
+    if (credits > 0) {
+      // A coalescing subscription queues its hits, journaling each entry.
+      ASSERT_TRUE(w.alerting[2]->set_delivery_policy(
+          at_host2, {DeliveryMode::kCoalesce, SimTime::millis(50)}));
+    }
+    // One event (a kEventAnnounce flood), then a rebuild raising three
+    // (one kEventBatch flood).
+    ASSERT_TRUE(w.servers[0]->add_collection(
+        config("A"), DataSet{{doc(1, "Digital Alerting", "Hinze"),
+                              doc(2, "T2", "c")}}));
+    w.settle(SimTime::seconds(1));
+    ASSERT_TRUE(w.servers[0]->rebuild_collection(
+        "A", DataSet{{doc(1, "T changed", "c"), doc(3, "T3", "c")}}));
+    w.settle(SimTime::seconds(1));
+    ASSERT_EQ(w.alerting[0]->stats().batches_sent, 1u);
+
+    for (const BodyRecordingClient* client : w.clients) {
+      EXPECT_EQ(client->notifications().size(), 4u) << client->name();
+      EXPECT_EQ(client->bodies.size(), 4u) << client->name();
+      for (const std::vector<std::byte>& body : client->bodies) {
+        auto event = decode_event(body);
+        ASSERT_TRUE(event.ok()) << client->name();
+        EXPECT_EQ(encode_event(event.value()), body) << client->name();
+      }
+    }
+    EXPECT_EQ(w.alerting[0]->stats().notify_body_encodes, 4u);
+    for (std::size_t i = 1; i < w.alerting.size(); ++i) {
+      EXPECT_EQ(w.alerting[i]->stats().notify_body_encodes, 0u) << i;
+      EXPECT_EQ(w.alerting[i]->stats().notifications_sent, 4u) << i;
+    }
+    if (credits == 0) continue;
+    std::size_t enqueued = 0;
+    journal::scan_records(
+        w.net.storage(w.servers[2]->id()).read("node.log"),
+        [&](std::uint8_t type, std::span<const std::byte> payload,
+            std::uint64_t) {
+          if (type != kJDelivEnq) return;
+          wire::Reader r{payload};
+          (void)r.u32();  // client node
+          (void)r.str();  // client name
+          (void)r.u64();  // entry seq
+          EXPECT_EQ(r.u64(), at_host2);
+          const std::span<const std::byte> bytes = r.view_bytes();
+          EXPECT_TRUE(r.done());
+          auto event = decode_event(bytes);
+          ASSERT_TRUE(event.ok());
+          EXPECT_EQ(encode_event(event.value()),
+                    std::vector<std::byte>(bytes.begin(), bytes.end()));
+          ++enqueued;
+        });
+    EXPECT_EQ(enqueued, 4u);
   }
 }
 

@@ -489,6 +489,36 @@ TEST(StringsTest, ToLower) {
   EXPECT_EQ(to_lower("Hamilton.D"), "hamilton.d");
 }
 
+TEST(StringsTest, LowerHelpersAgreeWithToLower) {
+  // Every byte value, short strings so prefixes and case-only differences
+  // collide often: each helper must answer what comparing to_lower()
+  // copies answers.
+  std::mt19937 gen{7};
+  const std::string alphabet = "aAbBzZ@[`{*?09 \x80\xC3\xFF";
+  auto random_text = [&](std::size_t max_len) {
+    std::string out(std::uniform_int_distribution<std::size_t>{0, max_len}(gen),
+                    ' ');
+    for (char& c : out) {
+      c = gen() % 4 == 0
+              ? static_cast<char>(gen() % 256)
+              : alphabet[gen() % alphabet.size()];
+    }
+    return out;
+  };
+  const auto sign = [](int v) { return (v > 0) - (v < 0); };
+  for (int i = 0; i < 20000; ++i) {
+    const std::string a = random_text(4);
+    const std::string b = i % 3 == 0 ? to_lower(a) : random_text(4);
+    EXPECT_EQ(sign(compare_lower(a, b)), sign(to_lower(a).compare(to_lower(b))))
+        << a << " vs " << b;
+    EXPECT_EQ(equals_lower(a, b), to_lower(a) == b) << a << " vs " << b;
+    const std::string pattern = random_text(3);
+    EXPECT_EQ(wildcard_match_lower(pattern, a),
+              wildcard_match(pattern, to_lower(a)))
+        << pattern << " vs " << a;
+  }
+}
+
 TEST(StringsTest, WildcardExact) {
   EXPECT_TRUE(wildcard_match("abc", "abc"));
   EXPECT_FALSE(wildcard_match("abc", "abd"));

@@ -4,6 +4,7 @@
 // property (docs/DELIVERY.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,6 +20,7 @@
 #include "gsnet/greenstone_server.h"
 #include "sim/network.h"
 #include "wire/envelope.h"
+#include "wire/frame.h"
 
 namespace gsalert::alerting {
 namespace {
@@ -150,6 +152,55 @@ TEST(DeliveryCoalesceTest, WindowBatchesBurstIntoOneDigest) {
   EXPECT_EQ(w.alerting->delivery().stats().digest_notifications, 3u);
   EXPECT_EQ(w.clients[0]->digests_received(), 1u);
   EXPECT_EQ(w.clients[0]->notifications().size(), 3u);
+}
+
+// A flooded event's bytes reach the stage as a slice of the GDS deliver
+// frame. An immediate send forwards the slice as it is; a queued hit
+// copies just the event once, so the queue never keeps the deliver frame
+// (envelope, other batch entries) alive, and later hits share the copy.
+TEST(DeliveryCoalesceTest, QueuedSliceDoesNotPinItsDeliverFrame) {
+  World w{3};
+  std::vector<SubscriptionId> subs;
+  for (std::size_t i = 0; i < w.clients.size(); ++i) {
+    subs.push_back(w.subscribe(i, "host = london"));
+    ASSERT_NE(subs.back(), 0u);
+  }
+  auto event = std::make_shared<docmodel::Event>();
+  event->id = {"London", 7};
+  event->collection = {"London", "E"};
+  event->physical_origin = event->collection;
+  event->docs = {doc(1, "T")};
+  const std::vector<std::byte> encoded = encode_event(*event);
+  // The event's bytes with 16 bytes of other content on either side.
+  std::vector<std::byte> packet(encoded.size() + 32, std::byte{0xEE});
+  std::copy(encoded.begin(), encoded.end(), packet.begin() + 16);
+  const wire::Frame deliver{std::move(packet)};
+
+  wire::Frame sent = deliver.slice(16, encoded.size());
+  w.alerting->delivery().offer(w.clients[0]->id(), subs[0], {}, event, sent);
+  EXPECT_TRUE(sent.partial()) << "an immediate send copied the slice";
+
+  const DeliveryPolicy coalesce{DeliveryMode::kCoalesce,
+                                SimTime::millis(100)};
+  wire::Frame queued = deliver.slice(16, encoded.size());
+  for (std::size_t i = 1; i < w.clients.size(); ++i) {
+    w.alerting->delivery().offer(w.clients[i]->id(), subs[i], coalesce, event,
+                                 queued);
+  }
+  EXPECT_FALSE(queued.partial());
+  EXPECT_EQ(queued.span().size(), encoded.size());
+  // The local copy plus the two queue entries: one copy, shared.
+  EXPECT_EQ(queued.use_count(), 3);
+  EXPECT_EQ(w.alerting->delivery().queue_depth_total(), 2u);
+
+  sent = wire::Frame{};
+  w.settle(SimTime::seconds(1));
+  EXPECT_EQ(deliver.use_count(), 1) << "something still holds the frame";
+  for (Client* client : w.clients) {
+    ASSERT_EQ(client->notifications().size(), 1u);
+    EXPECT_EQ(client->notifications()[0].event.id, event->id);
+    EXPECT_EQ(encode_event(client->notifications()[0].event), encoded);
+  }
 }
 
 TEST(DeliverySpillTest, CapacityDropsOldestCoalescibleFirst) {

@@ -7,16 +7,19 @@
 // compared to the flooded payload volume (which rides in bytes_shared).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alerting/alerting_service.h"
 #include "alerting/client.h"
+#include "common/histogram.h"
 #include "docmodel/event.h"
 #include "gds/gds_client.h"
 #include "gds/tree_builder.h"
@@ -29,6 +32,7 @@
 #include "profiles/parser.h"
 #include "sim/network.h"
 #include "sim/storage.h"
+#include "support/counting_allocator.h"
 #include "wire/codec.h"
 #include "wire/envelope.h"
 #include "workload/scenario.h"
@@ -164,7 +168,7 @@ TEST(PerfSmokeTest, BroadcastSendPathStaysWithinBudget) {
 // work must scale with the number of DISTINCT residual predicates, not
 // the number of profiles, and the interned eq index must spend zero
 // string hashes inside its probe loop (they all happen once per event in
-// EventContext::macro_symbols).
+// ProfileIndex::match's macro translation, before the probes).
 TEST(PerfSmokeTest, FilterMatchingStaysWithinBudget) {
   const auto budget = load_budget(GSALERT_PERF_BUDGET_FILE);
   ASSERT_FALSE(budget.empty());
@@ -517,6 +521,152 @@ TEST(PerfSmokeTest, DeliveryWritersPerNotificationStayWithinBudget) {
   EXPECT_LE(per_100, budget.at("max_delivery_writers_per_100_notifications"))
       << "the delivery path constructs more Writers per notification than "
          "budgeted — a journal record or digest entry copy is back";
+}
+
+// Flood allocation gate: a small flood-shaped world (multi-region WAN,
+// adaptive GDS tree, 2 clients x 20 generated profiles per server) rebuilds
+// every collection with 3 fresh documents. Heap allocations are counted
+// while the network runs (GDS relay, each receiving server's decode,
+// filter and notify, the clients), not inside publish_rebuild, whose
+// origin build and ground-truth pass are not the flood path.
+//
+// The world is seeded; only the wall-clock stage histograms (match CPU
+// per filtered event, journal fsync per commit) see the host's timings.
+// A histogram grows by one allocation that records a sample and adds at
+// least one bucket, so two runs may differ by at most the stage
+// histograms' growth bound: per histogram, the lesser of the samples
+// and the buckets it added.
+struct FloodAllocations {
+  std::uint64_t allocations = 0;
+  std::uint64_t event_servers = 0;  // (event, receiving server) pairs
+  std::uint64_t notifications = 0;
+  std::uint64_t stage_growth_bound = 0;
+};
+
+// (samples, buckets) of every stage histogram, keyed by address.
+using StageHistograms =
+    std::map<const Histogram*, std::pair<std::uint64_t, std::uint64_t>>;
+
+StageHistograms stage_histograms(workload::Scenario& scenario) {
+  StageHistograms out;
+  const auto add = [&](const Histogram& h) {
+    out[&h] = {h.count(), h.heap_bytes() / sizeof(std::uint64_t)};
+  };
+  for (const alerting::AlertingService* service : scenario.gsalert()) {
+    add(service->match_cpu_us());
+  }
+  for (gsnet::GreenstoneServer* server : scenario.servers()) {
+    if (const journal::Journal* j = server->journal()) add(j->fsync_us());
+  }
+  for (const gds::GdsServer* node : scenario.gds_tree().nodes) {
+    if (const journal::Journal* j = node->journal()) add(j->fsync_us());
+  }
+  return out;
+}
+
+std::uint64_t stage_growth_bound(const StageHistograms& before,
+                                 const StageHistograms& after) {
+  std::uint64_t bound = 0;
+  for (const auto& [hist, now] : after) {
+    const auto it = before.find(hist);
+    const auto then = it == before.end()
+                          ? std::pair<std::uint64_t, std::uint64_t>{0, 0}
+                          : it->second;
+    bound += std::min(now.first - then.first, now.second - then.second);
+  }
+  return bound;
+}
+
+FloodAllocations run_flood_allocation_world(int servers, int rebuilds) {
+  workload::ScenarioConfig config;
+  config.n_servers = servers;
+  config.clients_per_server = 2;
+  config.collections_per_server = 2;
+  config.sim_topology = "multi-region";
+  config.adaptive_tree = true;
+  config.seed = 5;
+  workload::Scenario scenario{config};
+  scenario.setup_collections();
+  scenario.subscribe_all(20);
+  scenario.settle(SimTime::seconds(3));
+
+  const StageHistograms stages_before = stage_histograms(scenario);
+  const test_support::AllocCounts before = test_support::alloc_counts();
+  for (int i = 0; i < rebuilds; ++i) {
+    const auto server = static_cast<std::size_t>(i % servers);
+    std::string coll = "C";
+    coll += std::to_string((i / servers) % 2);
+    scenario.publish_rebuild(server, coll, 3);
+    const test_support::CountAllocations counting;
+    scenario.settle(SimTime::millis(20));
+  }
+  {
+    const test_support::CountAllocations counting;
+    scenario.settle(SimTime::seconds(2));
+  }
+  FloodAllocations out;
+  out.allocations =
+      test_support::alloc_counts().allocations - before.allocations;
+  out.stage_growth_bound =
+      stage_growth_bound(stages_before, stage_histograms(scenario));
+  out.event_servers = static_cast<std::uint64_t>(rebuilds) *
+                      static_cast<std::uint64_t>(servers - 1);
+  for (const alerting::Client* client : scenario.clients()) {
+    out.notifications += client->notifications().size();
+  }
+  const workload::Outcome outcome = scenario.outcome();
+  EXPECT_EQ(outcome.false_negatives, 0u);
+  EXPECT_EQ(outcome.false_positives, 0u);
+  return out;
+}
+
+TEST(PerfSmokeTest, FloodAllocationsStayWithinBudget) {
+  const auto budget = load_budget(GSALERT_PERF_BUDGET_FILE);
+  for (const char* key :
+       {"flood_servers", "flood_rebuilds", "max_flood_allocs_per_event_server",
+        "max_flood_allocs_per_notification"}) {
+    ASSERT_TRUE(budget.count(key)) << "budget file missing key: " << key;
+  }
+  const int servers = static_cast<int>(budget.at("flood_servers"));
+  const int rebuilds = static_cast<int>(budget.at("flood_rebuilds"));
+
+  const FloodAllocations first = run_flood_allocation_world(servers, rebuilds);
+  const FloodAllocations second =
+      run_flood_allocation_world(servers, rebuilds);
+  EXPECT_EQ(first.notifications, second.notifications);
+  const std::uint64_t spread = first.allocations > second.allocations
+                                   ? first.allocations - second.allocations
+                                   : second.allocations - first.allocations;
+  EXPECT_LE(spread,
+            std::max(first.stage_growth_bound, second.stage_growth_bound))
+      << "two runs of the same seeded world differ by more allocations "
+         "than the wall-clock stage histograms can account for ("
+      << first.allocations << " vs " << second.allocations << ")";
+  ASSERT_GT(first.notifications, 0u);
+
+  const double per_event_server =
+      static_cast<double>(first.allocations) /
+      static_cast<double>(first.event_servers);
+  const double per_notification =
+      static_cast<double>(first.allocations) /
+      static_cast<double>(first.notifications);
+  std::printf(
+      "perf-smoke flood allocations: %llu over %llu (event, server) pairs "
+      "and %llu notifications: %.1f per (event, server), %.1f per "
+      "notification; second run %llu; stage histogram growth bound %llu / "
+      "%llu\n",
+      static_cast<unsigned long long>(first.allocations),
+      static_cast<unsigned long long>(first.event_servers),
+      static_cast<unsigned long long>(first.notifications), per_event_server,
+      per_notification, static_cast<unsigned long long>(second.allocations),
+      static_cast<unsigned long long>(first.stage_growth_bound),
+      static_cast<unsigned long long>(second.stage_growth_bound));
+  EXPECT_LE(per_event_server,
+            static_cast<double>(
+                budget.at("max_flood_allocs_per_event_server")));
+  EXPECT_LE(per_notification,
+            static_cast<double>(
+                budget.at("max_flood_allocs_per_notification")));
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "docmodel/event.h"
 #include "profiles/event_context.h"
 #include "profiles/index.h"
@@ -639,6 +643,126 @@ TEST(ProfileIndexChurnTest, TenThousandRemoveReAddCyclesStayBounded) {
   EXPECT_EQ(sorted(index.match(ctx)), sorted(naive));
 }
 
+// ---------- property: doc-level EQ / IN / wildcard ---------------------------
+
+// Reference for doc-level EQ, IN and wildcard predicates: the per-event
+// index the matcher once built, attribute -> values, holding every
+// metadata value lowercased, the raw terms under "text" and the decimal
+// ids under "doc_id" (metadata attributes literally named "text" or
+// "doc_id" land in the same sets).
+using ReferenceDocIndex = std::map<std::string, std::set<std::string>>;
+
+ReferenceDocIndex reference_doc_index(const Event& e) {
+  ReferenceDocIndex index;
+  for (const Document& d : e.docs) {
+    index["doc_id"].insert(std::to_string(d.id));
+    for (const auto& [attr, value] : d.metadata.entries()) {
+      index[attr].insert(to_lower(value));
+    }
+    for (const std::string& term : d.terms) index["text"].insert(term);
+  }
+  return index;
+}
+
+bool reference_eval(const Predicate& p, const ReferenceDocIndex& index) {
+  bool any = false;
+  const auto it = index.find(p.attribute);
+  if (it != index.end()) {
+    const std::set<std::string>& values = it->second;
+    switch (positive_op(p.op)) {
+      case Op::kEq:
+        any = values.contains(p.value);
+        break;
+      case Op::kIn:
+        any = std::any_of(p.values.begin(), p.values.end(),
+                          [&](const std::string& v) {
+                            return values.contains(v);
+                          });
+        break;
+      case Op::kWildcard:
+        any = std::any_of(values.begin(), values.end(),
+                          [&](const std::string& v) {
+                            return wildcard_match(p.value, v);
+                          });
+        break;
+      default:
+        ADD_FAILURE() << "not a doc-level EQ/IN/wildcard: " << p.str();
+    }
+  }
+  return is_negative_op(p.op) ? !any : any;
+}
+
+TEST(DocLevelSemanticsProperty, EvalAgreesWithReferenceIndex) {
+  // Attributes repeat within a document, and metadata may use the names
+  // "text" and "doc_id" (or differ from a profile's only by case).
+  static const std::vector<std::string> attrs{
+      "creator", "creator", "title", "text", "doc_id", "Creator", "subject"};
+  static const std::vector<std::string> values{
+      "Hinze", "hinze", "HINZE", "Smith-Jones", "lee", "", "7", "007",
+      "M\xC3\xBCller", "Alerting", "digital library"};
+  static const std::vector<std::string> terms{"alerting", "Alerting",
+                                              "music", "7", "library"};
+  static const std::vector<std::string> pred_attrs{
+      "creator", "title", "text", "doc_id", "subject", "Creator"};
+  static const std::vector<std::string> pred_values{
+      "hinze", "Hinze", "smith-jones", "lee", "", "7", "007", "0", "00",
+      "+7", "12", "18446744073709551623", "m\xC3\xBCller", "M\xC3\xBCller",
+      "alerting", "Alerting", "music", "digital library"};
+  static const std::vector<std::string> patterns{
+      "hin*", "*ing", "?usic", "*", "al*ing", "Al*", "m*ller", "*-*", "1?",
+      "digital*", ""};
+  static const std::vector<Op> ops{Op::kEq,       Op::kNeq, Op::kWildcard,
+                                   Op::kNotWildcard, Op::kIn, Op::kNotIn};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng{seed};
+    for (int round = 0; round < 40; ++round) {
+      Event e;
+      e.id = {"Hamilton", static_cast<std::uint64_t>(round) + 1};
+      e.collection = {"Hamilton", "D"};
+      e.physical_origin = e.collection;
+      const int ndocs = static_cast<int>(rng.uniform_int(0, 4));
+      for (int i = 0; i < ndocs; ++i) {
+        Document d;
+        d.id = static_cast<DocumentId>(rng.uniform_int(0, 12));
+        const int nmeta = static_cast<int>(rng.uniform_int(0, 5));
+        for (int m = 0; m < nmeta; ++m) {
+          d.metadata.add(attrs[rng.index(attrs.size())],
+                         values[rng.index(values.size())]);
+        }
+        const int nterms = static_cast<int>(rng.uniform_int(0, 4));
+        for (int t = 0; t < nterms; ++t) {
+          d.terms.push_back(terms[rng.index(terms.size())]);
+        }
+        e.docs.push_back(d);
+      }
+      const EventContext ctx = EventContext::from(e);
+      const ReferenceDocIndex index = reference_doc_index(e);
+      for (int k = 0; k < 30; ++k) {
+        Predicate p;
+        p.op = ops[rng.index(ops.size())];
+        p.attribute = pred_attrs[rng.index(pred_attrs.size())];
+        switch (positive_op(p.op)) {
+          case Op::kWildcard:
+            p.value = patterns[rng.index(patterns.size())];
+            break;
+          case Op::kIn: {
+            const int n = static_cast<int>(rng.uniform_int(1, 3));
+            for (int v = 0; v < n; ++v) {
+              p.values.push_back(pred_values[rng.index(pred_values.size())]);
+            }
+            break;
+          }
+          default:
+            p.value = pred_values[rng.index(pred_values.size())];
+        }
+        ASSERT_TRUE(p.is_doc_level());
+        EXPECT_EQ(p.eval(ctx), reference_eval(p, index))
+            << p.str() << " seed=" << seed << " round=" << round;
+      }
+    }
+  }
+}
+
 // ---------- property: index == naive, over random profiles/events --------------
 
 struct FuzzParam {
@@ -705,6 +829,19 @@ std::string random_profile_text(Rng& rng) {
   return text;
 }
 
+// `text` with each letter's case flipped at random: metadata arrives in
+// whatever case its collection used, and matching must fold it.
+std::string mixed_case(Rng& rng, std::string text) {
+  for (char& c : text) {
+    if (rng.chance(0.3)) {
+      c = static_cast<char>(std::islower(static_cast<unsigned char>(c))
+                                ? std::toupper(static_cast<unsigned char>(c))
+                                : std::tolower(static_cast<unsigned char>(c)));
+    }
+  }
+  return text;
+}
+
 Event random_event(Rng& rng) {
   static const std::vector<std::string> hosts{"Hamilton", "London", "Berlin",
                                               "Waikato"};
@@ -723,8 +860,9 @@ Event random_event(Rng& rng) {
   for (int i = 0; i < ndocs; ++i) {
     Document d;
     d.id = static_cast<DocumentId>(rng.uniform_int(100, 110));
-    d.metadata.add("creator", creators[rng.index(creators.size())]);
-    d.metadata.add("title", terms[rng.index(terms.size())]);
+    d.metadata.add("creator",
+                   mixed_case(rng, creators[rng.index(creators.size())]));
+    d.metadata.add("title", mixed_case(rng, terms[rng.index(terms.size())]));
     const int nterms = static_cast<int>(rng.uniform_int(1, 3));
     for (int t = 0; t < nterms; ++t) {
       d.terms.push_back(terms[rng.index(terms.size())]);
