@@ -110,9 +110,7 @@ std::string join_via(const std::vector<std::string>& via) {
 AlertingService::AlertingService(AlertingConfig config)
     : config_(config),
       seen_events_(kJEventSeen, kJEventFloor),
-      seen_forwards_(kJForwardSeen, kJForwardFloor) {
-  delivery_.configure(config_.delivery);
-}
+      seen_forwards_(kJForwardSeen, kJForwardFloor) {}
 
 // --- subscriptions ------------------------------------------------------
 
@@ -543,7 +541,9 @@ bool AlertingService::handle_envelope(NodeId from, const wire::Envelope& env) {
       return true;
     case wire::MessageType::kAuxProfileAck:
     case wire::MessageType::kEventForwardAck:
-      handle_ack(env);
+      // The ack echoes the channel sequence in msg_id; the peer is named by
+      // the ack's source (works for both direct and GDS-relayed acks).
+      channels_.on_ack(env.src, env.msg_id);
       return true;
     case wire::MessageType::kNotificationAck:
       // Client ack for a channel-managed digest: env.src is the client
@@ -717,12 +717,6 @@ void AlertingService::apply_event_forward(const wire::Envelope& env) {
                             {"via", join_via(renamed.via)}})
           : obs::current_context()};
   process_event(renamed, /*broadcast=*/true);
-}
-
-void AlertingService::handle_ack(const wire::Envelope& env) {
-  // The ack echoes the channel sequence in msg_id; the peer is named by
-  // the ack's source (works for both direct and GDS-relayed acks).
-  channels_.on_ack(env.src, env.msg_id);
 }
 
 // --- durability / migration -----------------------------------------------------------
@@ -908,7 +902,8 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
       return true;
     }
     default:
-      // 72..74 and 83 belong to channels_; the delivery stage owns the rest.
+      // 72..74 and 83 belong to channels_; the delivery stage owns 76..80
+      // and 84.
       return channels_.replay(type, r) || delivery_.replay_journal(type, r);
   }
 }
@@ -933,10 +928,6 @@ void AlertingService::attempt_delivery(const std::string& host,
 
 void AlertingService::ensure_channels() {
   if (channels_.attached()) return;
-  channels_.set_retransmit_hook(
-      [this](const std::string&, const wire::Envelope&) {
-        stats_.retries += 1;
-      });
   channels_.set_journal([this] { return log(); }, kJChanSend, kJChanPeer);
   channels_.attach(
       &server_->net(), server_->id(), server_->name(),
@@ -976,7 +967,6 @@ void AlertingService::collect_metrics(obs::MetricsRegistry& registry) const {
   registry.counter("alerting.renames", labels) = stats_.renames;
   registry.counter("alerting.rename_loops_cut", labels) =
       stats_.rename_loops_cut;
-  registry.counter("alerting.retries", labels) = stats_.retries;
   registry.counter("alerting.batches_sent", labels) = stats_.batches_sent;
   registry.counter("alerting.batched_events", labels) =
       stats_.batched_events;

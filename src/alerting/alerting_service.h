@@ -57,7 +57,6 @@ struct AlertingStats {
   std::uint64_t aux_forwards = 0;         // events forwarded sub -> super
   std::uint64_t renames = 0;              // events renamed at a super host
   std::uint64_t rename_loops_cut = 0;
-  std::uint64_t retries = 0;              // outbox resends
   std::uint64_t batches_sent = 0;         // kEventBatch floods (2+ events)
   std::uint64_t batched_events = 0;       // events shipped inside batches
 };
@@ -112,11 +111,6 @@ class AlertingService : public gsnet::ServerExtension {
   /// policy is deleted with its subscription. kNotFound, with nothing
   /// journaled, for an unknown or cancelled id.
   Status set_delivery_policy(SubscriptionId sub, DeliveryPolicy policy);
-  /// Notifications accepted by the delivery stage but not yet on a
-  /// client, as "client#sub#origin#seq" keys (crash-durability check).
-  std::vector<std::string> pending_delivery_keys() const {
-    return delivery_.pending_keys();
-  }
   /// --- durable-state views (crash-durability checker) -------------------
   /// Live subscription ids, sorted. Across a crash-restart this set may
   /// only shrink by explicit cancellations.
@@ -218,7 +212,6 @@ class AlertingService : public gsnet::ServerExtension {
   void apply_aux_add(const wire::Envelope& env);
   void apply_aux_remove(const wire::Envelope& env);
   void apply_event_forward(const wire::Envelope& env);
-  void handle_ack(const wire::Envelope& env);
 
   /// Acknowledge `env` back to its sender: directly when we saw the
   /// sender's node, else anonymously by name through the GDS relay.
@@ -271,9 +264,9 @@ class AlertingService : public gsnet::ServerExtension {
   // Reliable delivery: one seq/ack/retransmit channel per peer host.
   transport::ChannelSet channels_;
 
-  // Per-subscriber delivery stage (declared after config_ so the ctor
-  // can feed it config_.delivery).
-  DeliveryStage delivery_{*this};
+  // Per-subscriber delivery stage (declared after config_, which it
+  // reads at construction).
+  DeliveryStage delivery_{*this, config_.delivery};
 
   // Events published during the current build, waiting to be flushed as
   // one batch. Each entry remembers the trace context that was active at

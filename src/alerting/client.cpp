@@ -89,8 +89,7 @@ void Client::on_packet(NodeId from, const sim::Packet& packet) {
                               env.src, env.msg_id, wire::Writer{});
       network().send(id(), from, ack.pack());
     }
-    if (!seen_digests_.emplace(from.value(), body.value().digest_seq)
-             .second) {
+    if (!first_digest_arrival(from, env)) {
       digest_replays_ += 1;
       return;
     }
@@ -103,6 +102,15 @@ void Client::on_packet(NodeId from, const sim::Packet& packet) {
                           std::move(event).take());
     }
   }
+}
+
+bool Client::first_digest_arrival(NodeId from, const wire::Envelope& env) {
+  SeenDigests& seen = seen_digests_[from.value()];
+  if (env.chan_base > seen.floor + 1) {
+    seen.floor = env.chan_base - 1;
+    seen.above.erase(seen.above.begin(), seen.above.upper_bound(seen.floor));
+  }
+  return env.msg_id > seen.floor && seen.above.insert(env.msg_id).second;
 }
 
 void Client::record_notification(NodeId from, SubscriptionId sub,

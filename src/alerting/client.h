@@ -7,6 +7,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "sim/network.h"
 #include "sim/node.h"
 #include "transport/endpoint.h"
+#include "wire/envelope.h"
 
 namespace gsalert::alerting {
 
@@ -103,12 +105,20 @@ class Client : public sim::Node {
   };
   std::unordered_set<NotificationKey, NotificationKeyHash>
       seen_notifications_;
-  // Channel-managed digests retransmit until acked; replays of a digest
-  // we already processed are dropped wholesale by (sender, digest_seq).
-  std::set<std::pair<std::uint32_t, std::uint64_t>> seen_digests_;
+  // Replayed digests are dropped wholesale by (sender, msg_id): the
+  // channel seq of a managed digest, whose every seq below chan_base was
+  // acked, hence received, so only seqs above the highest chan_base - 1
+  // are kept; an unmanaged digest's msg id, kept exactly (no chan_base).
+  struct SeenDigests {
+    std::uint64_t floor = 0;
+    std::set<std::uint64_t> above;
+  };
+  std::unordered_map<std::uint32_t, SeenDigests> seen_digests_;
   std::uint64_t digests_received_ = 0;
   std::uint64_t digest_replays_ = 0;
 
+  /// First arrival of this digest from `from`? Records it either way.
+  bool first_digest_arrival(NodeId from, const wire::Envelope& env);
   void record_notification(NodeId from, SubscriptionId sub,
                            docmodel::Event event);
 };

@@ -1,6 +1,7 @@
 #include "alerting/delivery.h"
 
 #include <algorithm>
+#include <iterator>
 #include <span>
 #include <utility>
 
@@ -11,30 +12,38 @@
 namespace gsalert::alerting {
 
 namespace {
-// Journal record types (64..254 are extension records; 64..75 and 82..83
-// belong to AlertingService itself — see docs/DURABILITY.md).
-constexpr std::uint8_t kJDelivEnq = 76;  // node u32, name str, seq u64,
-                                         // sub u64, event bytes
-constexpr std::uint8_t kJDelivDone = 77;   // seq u64 (sent or spilled)
-constexpr std::uint8_t kJDChanSend = 78;   // 78..80: channel_ send/ack/floor
-constexpr std::uint8_t kJDigestSeq = 81;   // seq u64
-constexpr std::uint8_t kJDelivEntrySeq = 84;  // next_entry_seq u64 (snapshots)
-constexpr std::uint8_t kJDChanPeer = 85;   // channel_ peer (snapshots)
-
-using journal::str_wire;
+// Journal records (64..254 are extension records; 64..75 and 82..83
+// belong to AlertingService itself — see docs/DURABILITY.md). Only enq
+// records carry a notification's bytes; digest seq 0 means waiting (enq)
+// or an unmanaged digest (ship).
+constexpr std::uint8_t kJDelivEnq = 76;  // client u32, entry seq u64, sub
+                                         // u64, digest seq u64, event bytes
+constexpr std::uint8_t kJDelivSpill = 77;       // entry seq u64
+constexpr std::uint8_t kJDelivShip = 78;        // client u32, digest seq u64
+constexpr std::uint8_t kJDelivAck = 79;         // client u32, digest seq u64
+constexpr std::uint8_t kJDelivNextDigest = 80;  // client u32, seq u64 (snap.)
+constexpr std::uint8_t kJDelivEntrySeq = 84;    // next entry seq u64 (snap.)
 
 // One encoder per record shape; live appends and snapshots share them.
-void put_enqueued(const journal::RecordSink& out, NodeId node,
-                  const std::string& name, std::uint64_t seq,
-                  SubscriptionId sub, std::span<const std::byte> event) {
-  out.put(kJDelivEnq, 4 + str_wire(name) + 8 + 8 + 4 + event.size(),
+void put_enqueued(const journal::RecordSink& out, NodeId client,
+                  std::uint64_t seq, SubscriptionId sub, std::uint64_t digest,
+                  std::span<const std::byte> event) {
+  out.put(kJDelivEnq, 4 + 8 + 8 + 8 + 4 + event.size(),
           [&](wire::Writer& w) {
-            w.u32(node.value());
-            w.str(name);
+            w.u32(client.value());
             w.u64(seq);
             w.u64(sub);
+            w.u64(digest);
             w.bytes(event);
           });
+}
+
+void put_client_seq(const journal::RecordSink& out, std::uint8_t type,
+                    NodeId client, std::uint64_t seq) {
+  out.put(type, 4 + 8, [&](wire::Writer& w) {
+    w.u32(client.value());
+    w.u64(seq);
+  });
 }
 
 std::string pending_key(NodeId client, SubscriptionId sub,
@@ -44,21 +53,10 @@ std::string pending_key(NodeId client, SubscriptionId sub,
 }
 }  // namespace
 
-void DeliveryStage::configure(const DeliveryConfig& config) {
-  config_ = config;
-}
-
-SimTime DeliveryStage::window_of(const DeliveryPolicy& policy) const {
-  return policy.window.as_micros() > 0 ? policy.window
-                                       : config_.default_window;
-}
-
 void DeliveryStage::ensure_attached() {
   if (channel_.attached() || owner_.server_ == nullptr) return;
   gsnet::GreenstoneServer* server = owner_.server_;
   channel_.set_timer_token(kChannelToken);
-  channel_.set_journal([this] { return owner_.log(); }, kJDChanSend,
-                       kJDChanPeer);
   channel_.attach(
       &server->net(), server->id(), server->name(),
       [this](const std::string& peer, const wire::Envelope& env) {
@@ -71,19 +69,19 @@ void DeliveryStage::ensure_attached() {
       0xDE11FE27ULL ^ server->id().value());
 }
 
-DeliveryStage::ClientQueue& DeliveryStage::queue_for(NodeId client) {
-  const sim::Node* node = owner_.server_->net().node(client);
-  const std::string& name = node->name();
-  ClientQueue& q = queues_[name];
+DeliveryStage::ClientQueue* DeliveryStage::queue_for(NodeId client,
+                                                     bool create) {
+  const sim::Node* node = owner_.server_ != nullptr
+                              ? owner_.server_->net().node(client)
+                              : nullptr;
+  if (node == nullptr) return nullptr;
+  const auto it = queues_.find(node->name());
+  if (it != queues_.end()) return &it->second;
+  if (!create) return nullptr;
+  ClientQueue& q = queues_[node->name()];
   q.node = client;
-  if (q.name.empty()) q.name = name;
-  return q;
-}
-
-std::uint64_t DeliveryStage::alloc_digest_seq() {
-  digest_seq_ += 1;
-  owner_.log().put_u64(kJDigestSeq, digest_seq_);
-  return digest_seq_;
+  q.name = node->name();
+  return &q;
 }
 
 void DeliveryStage::note_sent(const ClientQueue& q, SubscriptionId sub,
@@ -97,9 +95,7 @@ void DeliveryStage::note_sent(const ClientQueue& q, SubscriptionId sub,
 void DeliveryStage::send_immediate(ClientQueue& q, SubscriptionId sub,
                                    const docmodel::Event& event,
                                    const wire::Frame& bytes) {
-  if (owner_.notification_observer_) {
-    owner_.notification_observer_(q.node, sub, event);
-  }
+  note_sent(q, sub, event);
   // The subscription id rides msg_id (fixed-width header field), so the
   // body stays the shared encode-once event frame: no per-subscriber
   // encode, no per-subscriber body allocation.
@@ -107,12 +103,18 @@ void DeliveryStage::send_immediate(ClientQueue& q, SubscriptionId sub,
       wire::make_envelope(wire::MessageType::kNotification,
                           owner_.server_->name(), "", sub, bytes);
   owner_.server_->send_to(q.node, env);
-  owner_.stats_.notifications_sent += 1;
   stats_.sent_immediate += 1;
 }
 
-bool DeliveryStage::credit_available(const ClientQueue& q) const {
-  return channel_.unacked_to(q.name) < config_.credits;
+void DeliveryStage::stall(ClientQueue& q) {
+  q.stalled = true;
+  stats_.stalls += 1;
+  if (obs::active()) {
+    obs::emit_span("delivery-stall", owner_.server_->name(),
+                   owner_.server_->net().now(),
+                   {{"client", q.name},
+                    {"unacked", std::to_string(q.inflight.size())}});
+  }
 }
 
 void DeliveryStage::offer(NodeId client, SubscriptionId sub,
@@ -121,35 +123,43 @@ void DeliveryStage::offer(NodeId client, SubscriptionId sub,
                           wire::Frame& bytes) {
   GSALERT_PROFILE("delivery.offer");
   ensure_attached();
-  ClientQueue& q = queue_for(client);
+  ClientQueue& q = *queue_for(client, /*create=*/true);
   if (policy.mode == DeliveryMode::kImmediate) {
     if (!managed()) {
       send_immediate(q, sub, *event, bytes);
       return;
     }
-    if (!q.stalled && credit_available(q)) {
+    if (!q.stalled && q.inflight.size() < config_.credits) {
       // Digest-of-one on the reliable channel: same framing as windowed
-      // delivery, so the client's ack/dedup path is uniform.
-      ship(q, {{sub, bytes.span()}});
+      // delivery, so the client's ack/dedup path is uniform. One record.
+      std::vector<QueueEntry> one;
+      one.push_back(make_entry(sub, event, bytes, DeliveryMode::kImmediate));
+      const std::uint64_t entry_seq = one.front().seq;
       note_sent(q, sub, *event);
+      const std::uint64_t digest = ship(q, std::move(one));
+      put_enqueued(owner_.log(), q.node, entry_seq, sub, digest, bytes.span());
       stats_.sent_immediate += 1;
       return;
     }
-    if (!q.stalled) {
-      q.stalled = true;
-      stats_.stalls += 1;
-      if (obs::active()) {
-        obs::emit_span("delivery-stall", owner_.server_->name(),
-                       owner_.server_->net().now(),
-                       {{"client", q.name},
-                        {"unacked",
-                         std::to_string(channel_.unacked_to(q.name))}});
-      }
-    }
+    if (!q.stalled) stall(q);
     enqueue(q, sub, event, bytes, DeliveryMode::kImmediate, SimTime::zero());
     return;
   }
-  enqueue(q, sub, event, bytes, policy.mode, window_of(policy));
+  enqueue(q, sub, event, bytes, policy.mode,
+          policy.window.as_micros() > 0 ? policy.window
+                                        : config_.default_window);
+}
+
+DeliveryStage::QueueEntry DeliveryStage::make_entry(
+    SubscriptionId sub, const std::shared_ptr<const docmodel::Event>& event,
+    wire::Frame& bytes, DeliveryMode mode) {
+  // A flooded event's bytes are a slice of the GDS deliver frame, which
+  // also holds the envelope and the rest of its batch.
+  if (bytes.partial()) {
+    const std::span<const std::byte> view = bytes.span();
+    bytes = wire::Frame{std::vector<std::byte>(view.begin(), view.end())};
+  }
+  return QueueEntry{next_entry_seq_++, sub, event->id, event, bytes, mode};
 }
 
 void DeliveryStage::enqueue(
@@ -169,28 +179,18 @@ void DeliveryStage::enqueue(
       q.entries.size() >= config_.queue_capacity) {
     spill_one(q);
   }
-  // A flooded event's bytes are a slice of the GDS deliver frame, which
-  // also holds the envelope and the rest of its batch. A queued entry can
-  // outlive the delivery by a window or a stall, so it keeps a copy of
-  // just the event, made once and shared by the event's later hits.
-  if (bytes.partial()) {
-    const std::span<const std::byte> view = bytes.span();
-    bytes = wire::Frame{std::vector<std::byte>(view.begin(), view.end())};
-  }
-  QueueEntry entry;
-  entry.seq = next_entry_seq_++;
-  entry.sub = sub;
-  entry.event_id = event->id;
-  entry.event = event;
-  entry.bytes = bytes;
-  entry.mode = mode;
-  put_enqueued(owner_.log(), q.node, q.name, entry.seq, sub, bytes.span());
+  QueueEntry entry = make_entry(sub, event, bytes, mode);
+  put_enqueued(owner_.log(), q.node, entry.seq, sub, 0, bytes.span());
   q.entries.push_back(std::move(entry));
   stats_.enqueued += 1;
   stats_.max_queue_depth =
       std::max<std::uint64_t>(stats_.max_queue_depth, q.entries.size());
-  if (mode != DeliveryMode::kImmediate) {
-    arm_flush(q, owner_.server_->net().now() + window);
+  const SimTime due = owner_.server_->net().now() + window;
+  if (mode != DeliveryMode::kImmediate &&
+      (!q.flush_armed || due < q.flush_due)) {
+    q.flush_armed = true;
+    q.flush_due = due;
+    arm_timer(due);
   }
 }
 
@@ -207,36 +207,47 @@ void DeliveryStage::spill_one(ClientQueue& q) {
                     {"sub", std::to_string(victim->sub)},
                     {"event", victim->event_id.str()}});
   }
-  owner_.log().put_u64(kJDelivDone, victim->seq);
+  owner_.log().put_u64(kJDelivSpill, victim->seq);
   q.entries.erase(victim);
   stats_.spilled += 1;
 }
 
-void DeliveryStage::ship(ClientQueue& q,
-                         std::vector<NotificationDigestBody::Entry> entries) {
+wire::Envelope DeliveryStage::digest_envelope(
+    const std::vector<QueueEntry>& entries) const {
   NotificationDigestBody body;
-  body.digest_seq = alloc_digest_seq();
-  body.entries = std::move(entries);
+  body.entries.reserve(entries.size());
+  for (const QueueEntry& e : entries) {
+    body.entries.push_back({e.sub, e.bytes.span()});
+  }
   wire::Writer w;
   body.encode(w);
-  wire::Envelope env =
-      wire::make_envelope(wire::MessageType::kNotificationDigest,
-                          owner_.server_->name(), "", 0, std::move(w));
-  if (obs::active()) {
-    obs::emit_span("delivery-flush", owner_.server_->name(),
-                   owner_.server_->net().now(),
-                   {{"client", q.name},
-                    {"entries", std::to_string(body.entries.size())},
-                    {"digest", std::to_string(body.digest_seq)}});
-  }
+  return wire::make_envelope(wire::MessageType::kNotificationDigest,
+                             owner_.server_->name(), "", 0, std::move(w));
+}
+
+std::uint64_t DeliveryStage::ship(ClientQueue& q,
+                                  std::vector<QueueEntry> entries) {
+  wire::Envelope env = digest_envelope(entries);
+  stats_.digests_sent += 1;
+  stats_.digest_notifications += entries.size();
+  std::uint64_t digest = 0;
   if (managed()) {
-    channel_.send(q.name, std::move(env));
+    digest = channel_.send(q.name, std::move(env));
+    q.next_digest = digest + 1;
   } else {
     env.msg_id = owner_.server_->next_msg_id();
     owner_.server_->send_to(q.node, env);
   }
-  stats_.digests_sent += 1;
-  stats_.digest_notifications += body.entries.size();
+  if (obs::active()) {
+    obs::emit_span(
+        "delivery-flush", owner_.server_->name(),
+        owner_.server_->net().now(),
+        {{"client", q.name},
+         {"entries", std::to_string(entries.size())},
+         {"digest", std::to_string(managed() ? digest : env.msg_id)}});
+  }
+  if (managed()) q.inflight.emplace(digest, std::move(entries));
+  return digest;
 }
 
 void DeliveryStage::flush(ClientQueue& q) {
@@ -246,18 +257,8 @@ void DeliveryStage::flush(ClientQueue& q) {
     q.stalled = false;
     return;
   }
-  if (managed() && !credit_available(q)) {
-    if (!q.stalled) {
-      q.stalled = true;
-      stats_.stalls += 1;
-      if (obs::active()) {
-        obs::emit_span("delivery-stall", owner_.server_->name(),
-                       owner_.server_->net().now(),
-                       {{"client", q.name},
-                        {"unacked",
-                         std::to_string(channel_.unacked_to(q.name))}});
-      }
-    }
+  if (managed() && q.inflight.size() >= config_.credits) {
+    if (!q.stalled) stall(q);
     return;
   }
   if (q.stalled) {
@@ -270,25 +271,12 @@ void DeliveryStage::flush(ClientQueue& q) {
                       {"entries", std::to_string(q.entries.size())}});
     }
   }
-  std::vector<NotificationDigestBody::Entry> entries;
-  entries.reserve(q.entries.size());
-  for (const QueueEntry& e : q.entries) {
-    entries.push_back({e.sub, e.bytes.span()});
-  }
-  ship(q, std::move(entries));
-  for (const QueueEntry& e : q.entries) {
-    note_sent(q, e.sub, *e.event);
-    owner_.log().put_u64(kJDelivDone, e.seq);
-  }
+  std::vector<QueueEntry> entries(std::make_move_iterator(q.entries.begin()),
+                                  std::make_move_iterator(q.entries.end()));
   q.entries.clear();
-}
-
-void DeliveryStage::arm_flush(ClientQueue& q, SimTime due) {
-  if (!q.flush_armed || due < q.flush_due) {
-    q.flush_armed = true;
-    q.flush_due = due;
-    arm_timer(due);
-  }
+  for (const QueueEntry& e : entries) note_sent(q, e.sub, *e.event);
+  const std::uint64_t digest = ship(q, std::move(entries));
+  put_client_seq(owner_.log(), kJDelivShip, q.node, digest);
 }
 
 void DeliveryStage::arm_timer(SimTime due) {
@@ -327,6 +315,9 @@ void DeliveryStage::on_ack(const std::string& peer, std::uint64_t seq) {
   const auto it = queues_.find(peer);
   if (it == queues_.end()) return;
   ClientQueue& q = it->second;
+  // The client acks every replay too; only the first ack retires.
+  if (q.inflight.erase(seq) == 0) return;
+  put_client_seq(owner_.log(), kJDelivAck, q.node, seq);
   if (!q.stalled) return;
   if (q.entries.empty()) {
     q.stalled = false;
@@ -334,10 +325,19 @@ void DeliveryStage::on_ack(const std::string& peer, std::uint64_t seq) {
   }
   // Hysteresis: resume only once the window has drained to half the
   // credits, not on the first freed credit.
-  if (channel_.unacked_to(peer) <= config_.credits / 2) flush(q);
+  if (q.inflight.size() <= config_.credits / 2) flush(q);
 }
 
 void DeliveryStage::on_restart() {
+  // The digest channel journals nothing: each recovered in-flight digest
+  // goes back under its original seq, encoded from its entries in their
+  // order (the body the client may already hold).
+  for (const auto& [name, q] : queues_) {
+    for (const auto& [digest, entries] : q.inflight) {
+      channel_.restore(name, digest + 1, 0, digest_envelope(entries));
+    }
+    if (q.next_digest > 1) channel_.restore(name, q.next_digest, 0);
+  }
   channel_.on_restart();
   timer_armed_ = false;
   const SimTime next = earliest_flush();
@@ -371,58 +371,100 @@ std::size_t DeliveryStage::queue_depth_max() const {
 std::vector<std::string> DeliveryStage::pending_keys() const {
   std::vector<std::string> out;
   for (const auto& [name, q] : queues_) {
+    for (const auto& [digest, entries] : q.inflight) {
+      for (const QueueEntry& e : entries) {
+        out.push_back(pending_key(q.node, e.sub, e.event_id));
+      }
+    }
     for (const QueueEntry& e : q.entries) {
       out.push_back(pending_key(q.node, e.sub, e.event_id));
     }
   }
-  channel_.for_each_unacked([&](const std::string& peer, std::uint64_t,
-                                const wire::Envelope& env) {
-    if (env.type != wire::MessageType::kNotificationDigest) return;
-    auto body = NotificationDigestBody::decode(env.body);
-    if (!body.ok()) return;
-    const auto it = queues_.find(peer);
-    const NodeId client = it != queues_.end()
-                              ? it->second.node
-                              : owner_.server_->net().find_node(peer);
-    for (const NotificationDigestBody::Entry& entry : body.value().entries) {
-      auto event = decode_event(entry.event);
-      if (!event.ok()) continue;
-      out.push_back(
-          pending_key(client, entry.subscription_id, event.value().id));
-    }
-  });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 // --- durability -----------------------------------------------------------
+//
+// Replay parses and checks a whole record before it changes anything, so
+// a damaged record is refused and applies nothing.
 
-bool DeliveryStage::restore_entry(NodeId node, const std::string& name,
-                                  std::uint64_t entry_seq, SubscriptionId sub,
-                                  std::vector<std::byte> event_bytes) {
+bool DeliveryStage::restore_entry(wire::Reader& r) {
+  const NodeId client{r.u32()};
+  const std::uint64_t entry_seq = r.u64();
+  const SubscriptionId sub = r.u64();
+  const std::uint64_t digest = r.u64();
+  std::vector<std::byte> event_bytes = r.bytes();
   auto event = decode_event(event_bytes);
-  if (!event.ok()) return false;
-  ClientQueue& q = queues_[name];
-  q.node = node;
-  if (q.name.empty()) q.name = name;
-  QueueEntry entry;
-  entry.seq = entry_seq;
-  entry.sub = sub;
-  entry.event_id = event.value().id;
-  entry.event =
-      std::make_shared<const docmodel::Event>(std::move(event).take());
-  entry.bytes = wire::Frame{std::move(event_bytes)};
+  ClientQueue* q = r.done() && event.ok() ? queue_for(client, true) : nullptr;
+  if (q == nullptr) return false;
   // Policy records replay before queue entries (snapshot order, and in the
   // log a policy precedes the hits it shaped).
   const auto owner_sub = owner_.subs_.find(sub);
-  entry.mode = owner_sub != owner_.subs_.end() ? owner_sub->second.policy.mode
-                                               : DeliveryMode::kImmediate;
-  q.entries.push_back(std::move(entry));
-  if (entry_seq >= next_entry_seq_) next_entry_seq_ = entry_seq + 1;
+  const auto shared =
+      std::make_shared<const docmodel::Event>(std::move(event).take());
+  QueueEntry entry{entry_seq, sub, shared->id, shared,
+                   wire::Frame{std::move(event_bytes)},
+                   owner_sub != owner_.subs_.end()
+                       ? owner_sub->second.policy.mode
+                       : DeliveryMode::kImmediate};
+  next_entry_seq_ = std::max(next_entry_seq_, entry_seq + 1);
+  if (digest != 0) {
+    q->inflight[digest].push_back(std::move(entry));
+    q->next_digest = std::max(q->next_digest, digest + 1);
+    return true;
+  }
+  q->entries.push_back(std::move(entry));
   // Recovered backlog flushes as soon as the restart re-arms timers.
-  q.flush_armed = true;
-  q.flush_due = SimTime::zero();
+  q->flush_armed = true;
+  q->flush_due = SimTime::zero();
+  return true;
+}
+
+bool DeliveryStage::replay_journal(std::uint8_t type, wire::Reader& r) {
+  if (type == kJDelivEnq) return restore_entry(r);
+  if (type == kJDelivSpill || type == kJDelivEntrySeq) {
+    const std::uint64_t seq = r.u64();
+    if (!r.done()) return false;
+    if (type == kJDelivEntrySeq) {
+      next_entry_seq_ = std::max(next_entry_seq_, seq);
+      return true;
+    }
+    for (auto& [name, q] : queues_) {
+      const auto it = std::find_if(
+          q.entries.begin(), q.entries.end(),
+          [seq](const QueueEntry& e) { return e.seq == seq; });
+      if (it != q.entries.end()) {
+        q.entries.erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
+  if (type != kJDelivShip && type != kJDelivAck && type != kJDelivNextDigest) {
+    return false;
+  }
+  const NodeId client{r.u32()};
+  const std::uint64_t seq = r.u64();
+  ClientQueue* q = r.done() ? queue_for(client, type == kJDelivNextDigest)
+                            : nullptr;
+  if (q == nullptr) return false;
+  if (type == kJDelivAck) return q->inflight.erase(seq) > 0;
+  if (type == kJDelivNextDigest) {
+    q->next_digest = std::max(q->next_digest, seq);
+    return true;
+  }
+  // A flush ships every waiting entry, and never under a seq in flight.
+  if (q->entries.empty() || (seq != 0 && q->inflight.contains(seq))) {
+    return false;
+  }
+  if (seq != 0) {
+    q->inflight[seq].assign(std::make_move_iterator(q->entries.begin()),
+                            std::make_move_iterator(q->entries.end()));
+    q->next_digest = std::max(q->next_digest, seq + 1);
+  }
+  q->entries.clear();
   return true;
 }
 
@@ -430,7 +472,6 @@ void DeliveryStage::clear() {
   queues_.clear();
   channel_.clear_peers();
   next_entry_seq_ = 1;
-  digest_seq_ = 0;
   timer_armed_ = false;
 }
 
@@ -438,47 +479,20 @@ void DeliveryStage::snapshot(
     const journal::RecordSink& out,
     const std::function<void()>& put_policies) const {
   out.put_u64(kJDelivEntrySeq, next_entry_seq_);
-  out.put_u64(kJDigestSeq, digest_seq_);
   // Policies first: a replayed queue entry takes its subscription's mode.
   put_policies();
   for (const auto& [name, q] : queues_) {
-    for (const QueueEntry& e : q.entries) {
-      put_enqueued(out, q.node, name, e.seq, e.sub, e.bytes.span());
+    if (q.next_digest > 1) {
+      put_client_seq(out, kJDelivNextDigest, q.node, q.next_digest);
     }
-  }
-  channel_.snapshot(out);
-}
-
-bool DeliveryStage::replay_journal(std::uint8_t type, wire::Reader& r) {
-  switch (type) {
-    case kJDelivEnq: {
-      const NodeId node{r.u32()};
-      const std::string name = r.str();
-      const std::uint64_t seq = r.u64();
-      const SubscriptionId sub = r.u64();
-      std::vector<std::byte> bytes = r.bytes();
-      return r.ok() && restore_entry(node, name, seq, sub, std::move(bytes));
-    }
-    case kJDelivDone: {
-      const std::uint64_t seq = r.u64();
-      if (!r.ok()) return false;
-      for (auto& [name, q] : queues_) {
-        std::erase_if(q.entries,
-                      [seq](const QueueEntry& e) { return e.seq == seq; });
+    for (const auto& [digest, entries] : q.inflight) {
+      for (const QueueEntry& e : entries) {
+        put_enqueued(out, q.node, e.seq, e.sub, digest, e.bytes.span());
       }
-      return true;
     }
-    case kJDigestSeq:
-    case kJDelivEntrySeq: {
-      const std::uint64_t seq = r.u64();
-      if (!r.ok()) return false;
-      std::uint64_t& counter =
-          type == kJDigestSeq ? digest_seq_ : next_entry_seq_;
-      counter = std::max(counter, seq);
-      return true;
+    for (const QueueEntry& e : q.entries) {
+      put_enqueued(out, q.node, e.seq, e.sub, 0, e.bytes.span());
     }
-    default:
-      return channel_.replay(type, r);
   }
 }
 

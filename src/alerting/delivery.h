@@ -22,11 +22,12 @@
 // lookup per hit yields both the client and the policy, and cancelling
 // the subscription deletes its policy.
 //
-// Durability mirrors the channel outbox: queued entries journal
-// enq/done records (types 76..81), snapshots write the live queues and
-// the digest channel as the same records (plus 84..85 for the counters
-// and channel peers), and pending_keys() exposes everything accepted but
-// not yet on a client for the chaos crash-durability superset check.
+// Durability: an entry stays queued until the client acks the digest that
+// shipped it, and its enq record is the only one carrying its bytes (types
+// 76..79; snapshots add 80 and 84). The digest channel journals nothing: a
+// restart rebuilds each in-flight digest from its entries. pending_keys()
+// exposes everything accepted but not yet acked for the chaos
+// crash-durability superset check.
 #pragma once
 
 #include <cstdint>
@@ -95,10 +96,9 @@ class DeliveryStage {
   static constexpr std::uint64_t kChannelToken = 1ULL << 58;
   static constexpr std::uint64_t kFlushToken = 1ULL << 59;
 
-  explicit DeliveryStage(AlertingService& owner) : owner_(owner) {}
+  DeliveryStage(AlertingService& owner, const DeliveryConfig& config)
+      : owner_(owner), config_(config) {}
 
-  void configure(const DeliveryConfig& config);
-  const DeliveryConfig& config() const { return config_; }
   /// Bind the digest channel + timers to the owner's network (idempotent;
   /// the service calls this from its own ensure_channels).
   void ensure_attached();
@@ -117,16 +117,16 @@ class DeliveryStage {
 
   /// Flush-timer + digest-channel timer dispatch; false when not ours.
   bool on_timer(std::uint64_t token);
-  /// kNotificationAck from a client (peer = client node name).
+  /// kNotificationAck (peer = client node name): retires digest `seq`.
   void on_ack(const std::string& peer, std::uint64_t seq);
-  /// Re-arm timers after a node restart.
+  /// After a restart: recovered digests back on the channel, timers armed.
   void on_restart();
-  /// Drop queued entries for a cancelled subscription. Deliberately not
+  /// Drop waiting entries for a cancelled subscription. Deliberately not
   /// journaled: replaying the cancellation record re-drops them.
   void drop_subscription(SubscriptionId sub);
 
+  /// Waiting (not in-flight) entries, summed and per deepest client.
   std::size_t queue_depth_total() const;
-  /// Current deepest per-client queue (the perf_budget bound).
   std::size_t queue_depth_max() const;
   /// Unacked digests on the managed channel.
   std::size_t inflight() const { return channel_.unacked_total(); }
@@ -135,16 +135,15 @@ class DeliveryStage {
     return channel_.stats();
   }
 
-  /// "client#sub#origin#seq" keys for every notification accepted but not
-  /// yet on a client: queued entries plus unacked digest envelopes.
-  /// Sorted and deduplicated (crash-durability superset check).
+  /// "client#sub#origin#seq" keys for every queued entry, waiting or in
+  /// flight. Sorted and deduplicated (crash-durability superset check).
   std::vector<std::string> pending_keys() const;
 
   // --- durability (driven by AlertingService's extension hooks) ---------
   void clear();
-  /// Full state as records: counters, then the subscriptions' policy
+  /// Full state as records: the entry counter, the subscriptions' policy
   /// records (written by `put_policies`, since the owner keeps policies on
-  /// its subscriptions), queue entries, channel.
+  /// its subscriptions), then per client its next digest seq and entries.
   void snapshot(const journal::RecordSink& out,
                 const std::function<void()>& put_policies) const;
   /// Apply one of the stage's records; false when not ours or malformed.
@@ -152,7 +151,7 @@ class DeliveryStage {
 
  private:
   struct QueueEntry {
-    std::uint64_t seq = 0;  // server-wide entry id (journal enq/done key)
+    std::uint64_t seq = 0;  // server-wide entry id (journal spill key)
     SubscriptionId sub = 0;
     docmodel::EventId event_id;
     std::shared_ptr<const docmodel::Event> event;  // for the observer
@@ -162,15 +161,22 @@ class DeliveryStage {
   struct ClientQueue {
     NodeId node;
     std::string name;
-    std::deque<QueueEntry> entries;
+    std::deque<QueueEntry> entries;  // waiting for a flush
+    // Shipped entries by digest (channel) seq, in digest order, until acked.
+    std::map<std::uint64_t, std::vector<QueueEntry>> inflight;
+    std::uint64_t next_digest = 1;  // the channel's next seq to this client
     SimTime flush_due = SimTime::zero();
     bool flush_armed = false;
     bool stalled = false;  // waiting for the credit window to drain
   };
 
-  ClientQueue& queue_for(NodeId client);
-  SimTime window_of(const DeliveryPolicy& policy) const;
-  bool credit_available(const ClientQueue& q) const;
+  /// The queue of `client` (made when `create`); nullptr when none.
+  ClientQueue* queue_for(NodeId client, bool create);
+  void stall(ClientQueue& q);
+  /// A queue entry for one hit; copies a sliced `bytes` first (see offer).
+  QueueEntry make_entry(SubscriptionId sub,
+                        const std::shared_ptr<const docmodel::Event>& event,
+                        wire::Frame& bytes, DeliveryMode mode);
   void enqueue(ClientQueue& q, SubscriptionId sub,
                const std::shared_ptr<const docmodel::Event>& event,
                wire::Frame& bytes, DeliveryMode mode, SimTime window);
@@ -178,30 +184,24 @@ class DeliveryStage {
   /// Send one kNotification straight to the wire (unmanaged immediate).
   void send_immediate(ClientQueue& q, SubscriptionId sub,
                       const docmodel::Event& event, const wire::Frame& bytes);
-  /// Encode `entries` (views of queued frames) as one kNotificationDigest
-  /// and put it on the wire (managed: reliable channel; unmanaged:
-  /// fire-and-forget).
-  void ship(ClientQueue& q,
-            std::vector<NotificationDigestBody::Entry> entries);
-  /// Ship every queued entry of `q` as one digest (credit permitting).
+  /// Send `entries` as one kNotificationDigest: managed, in flight under
+  /// the returned channel seq; unmanaged, fire-and-forget (returns 0).
+  std::uint64_t ship(ClientQueue& q, std::vector<QueueEntry> entries);
+  wire::Envelope digest_envelope(const std::vector<QueueEntry>& entries) const;
+  /// Ship every waiting entry of `q` as one digest (credit permitting).
   void flush(ClientQueue& q);
-  void arm_flush(ClientQueue& q, SimTime due);
   void arm_timer(SimTime due);
   SimTime earliest_flush() const;
-  std::uint64_t alloc_digest_seq();
   void note_sent(const ClientQueue& q, SubscriptionId sub,
                  const docmodel::Event& event);
-  bool restore_entry(NodeId node, const std::string& name,
-                     std::uint64_t entry_seq, SubscriptionId sub,
-                     std::vector<std::byte> event_bytes);
+  bool restore_entry(wire::Reader& r);
 
   AlertingService& owner_;
   DeliveryConfig config_;
   // Keyed by client node name; on_timer flushes in this order.
   std::map<std::string, ClientQueue> queues_;
-  transport::ChannelSet channel_;              // managed digest delivery
+  transport::ChannelSet channel_;  // managed digest delivery (volatile)
   std::uint64_t next_entry_seq_ = 1;
-  std::uint64_t digest_seq_ = 0;
   bool timer_armed_ = false;
   SimTime timer_target_ = SimTime::zero();
   DeliveryStats stats_;

@@ -76,10 +76,9 @@ Result<NotificationBody> NotificationBody::decode(
 }
 
 void NotificationDigestBody::encode(wire::Writer& w) const {
-  std::size_t estimate = 8 + 4;  // digest_seq + entry count
+  std::size_t estimate = 4;  // entry count
   for (const Entry& e : entries) estimate += 8 + 4 + e.event.size();
   w.reserve(estimate);
-  w.u64(digest_seq);
   w.seq(entries, [](wire::Writer& w2, const Entry& e) {
     w2.u64(e.subscription_id);
     w2.bytes(e.event);
@@ -90,7 +89,6 @@ Result<NotificationDigestBody> NotificationDigestBody::decode(
     std::span<const std::byte> body) {
   wire::Reader r{body};
   NotificationDigestBody out;
-  out.digest_seq = r.u64();
   out.entries = r.seq<Entry>([](wire::Reader& r2) {
     Entry e;
     e.subscription_id = r2.u64();

@@ -53,8 +53,10 @@ struct NotificationBody {
 /// Several notifications for one client coalesced into a single message
 /// (delivery stage coalesce-window / periodic-digest modes). Entries carry
 /// pre-encoded event bytes so the sender can alias the encode-once frame
-/// without a re-encode. `digest_seq` is unique per (server, digest) so the
-/// client can drop retransmitted digests wholesale.
+/// without a re-encode. The body carries no identity of its own: the
+/// envelope's msg_id names the digest (the channel seq of a
+/// credit-managed digest, the server's msg id of an unmanaged one), and
+/// the client drops a retransmitted digest wholesale by (sender, msg_id).
 ///
 /// Entry bytes are views, never copies: the sender's point at its queued
 /// event frames, and decode()'s point into the decoded buffer, which must
@@ -64,7 +66,6 @@ struct NotificationDigestBody {
     SubscriptionId subscription_id = 0;
     std::span<const std::byte> event;  // encode_event() bytes
   };
-  std::uint64_t digest_seq = 0;
   std::vector<Entry> entries;
 
   void encode(wire::Writer& w) const;

@@ -190,7 +190,6 @@ bool ChannelSet::on_timer(std::uint64_t token) {
               std::to_string((now - entry.first_sent).as_millis())}});
       }
       stamp_and_transmit(peer, state, seq, entry);
-      if (retransmit_hook_) retransmit_hook_(peer, entry.env);
       entry.rto = grow_rto(entry.rto, kPolicy.backoff, kPolicy.max_rto);
       entry.due = now + jittered(entry.rto, kPolicy.jitter, rng_);
     }
@@ -234,16 +233,7 @@ bool ChannelSet::replay(std::uint8_t type, wire::Reader& r) {
     const std::vector<std::byte> flat = r.bytes();
     auto env = wire::unpack(flat);
     if (!r.ok() || !env.ok()) return false;
-    // Back in the retransmit set under its original seq; due/rto restart
-    // at the policy's initial values.
-    PeerState& state = peers_[peer];
-    Unacked entry;
-    entry.env = std::move(env).take();
-    entry.rto = kPolicy.initial_rto;
-    entry.first_sent = net_ ? net_->now() : SimTime::zero();
-    entry.due = entry.first_sent + jittered(entry.rto, kPolicy.jitter, rng_);
-    state.unacked.insert_or_assign(value, std::move(entry));
-    state.next_seq = std::max(state.next_seq, value + 1);
+    restore(peer, value + 1, 0, std::move(env).take());
     return true;
   }
   if (ack) {
@@ -256,10 +246,25 @@ bool ChannelSet::replay(std::uint8_t type, wire::Reader& r) {
   // A floor record carries the floor; a peer record next_seq, then floor.
   const std::uint64_t new_floor = floor ? value : r.u64();
   if (!r.ok()) return false;
-  PeerState& state = peers_[peer];
-  if (!floor) state.next_seq = std::max(state.next_seq, value);
-  state.floor = std::max(state.floor, new_floor);
+  restore(peer, floor ? 1 : value, new_floor);
   return true;
+}
+
+void ChannelSet::restore(const std::string& peer, std::uint64_t next_seq,
+                         std::uint64_t floor,
+                         std::optional<wire::Envelope> unacked) {
+  PeerState& state = peers_[peer];
+  state.next_seq = std::max(state.next_seq, next_seq);
+  state.floor = std::max(state.floor, floor);
+  if (!unacked) return;
+  // Back in the retransmit set under its original seq; due/rto restart
+  // at the policy's initial values.
+  Unacked entry;
+  entry.env = std::move(*unacked);
+  entry.rto = kPolicy.initial_rto;
+  entry.first_sent = net_ ? net_->now() : SimTime::zero();
+  entry.due = entry.first_sent + jittered(entry.rto, kPolicy.jitter, rng_);
+  state.unacked.insert_or_assign(next_seq - 1, std::move(entry));
 }
 
 void ChannelSet::on_restart() {
@@ -274,19 +279,6 @@ std::size_t ChannelSet::unacked_total() const {
   std::size_t total = 0;
   for (const auto& [peer, state] : peers_) total += state.unacked.size();
   return total;
-}
-
-std::size_t ChannelSet::unacked_to(const std::string& peer) const {
-  const auto it = peers_.find(peer);
-  return it == peers_.end() ? 0 : it->second.unacked.size();
-}
-
-void ChannelSet::for_each_unacked(
-    const std::function<void(const std::string& peer, std::uint64_t seq,
-                             const wire::Envelope& env)>& fn) const {
-  for (const auto& [peer, state] : peers_) {
-    for (const auto& [seq, entry] : state.unacked) fn(peer, seq, entry.env);
-  }
 }
 
 }  // namespace gsalert::transport

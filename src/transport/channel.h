@@ -16,15 +16,17 @@
 // journals its own records (one per send / ack / floor advance, at type
 // numbers its owner assigns), writes its full state as the same records
 // into snapshots, and rebuilds itself on recovery from clear_peers() +
-// replay(). The receiver acks a seq only once it is delivered (or is at
-// or below the floor), so everything in its reorder buffer is still the
-// sender's: the buffer is volatile, a crash drops it, the sender's
-// retransmits re-fill it, and the floor keeps redelivery duplicate-free.
+// replay(); a set with no journal is rebuilt by its owner via restore().
+// The receiver acks a seq only once it is delivered (or is at or below
+// the floor), so everything in its reorder buffer is still the sender's:
+// the buffer is volatile, a crash drops it, the sender's retransmits
+// re-fill it, and the floor keeps redelivery duplicate-free.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,9 +64,6 @@ class ChannelSet {
   /// or GDS relay — the channel does not route).
   using TransmitFn =
       std::function<void(const std::string& peer, const wire::Envelope&)>;
-  /// Observer fired once per retransmit (stats bridges, tests).
-  using RetransmitHook =
-      std::function<void(const std::string& peer, const wire::Envelope&)>;
 
   void attach(sim::Network* net, NodeId self, std::string self_name,
               TransmitFn transmit, std::uint64_t jitter_seed);
@@ -73,9 +72,6 @@ class ChannelSet {
   /// node owns more than one ChannelSet: each must dispatch its own
   /// timer. Set before the first send().
   void set_timer_token(std::uint64_t token) { timer_token_ = token; }
-  void set_retransmit_hook(RetransmitHook hook) {
-    retransmit_hook_ = std::move(hook);
-  }
 
   /// --- Durability ---------------------------------------------------------
   /// Journal every durable-state mutation through `log` as records of
@@ -93,7 +89,13 @@ class ChannelSet {
   /// get fresh retransmit deadlines). False when `type` is not ours or
   /// the payload does not decode.
   bool replay(std::uint8_t type, wire::Reader& r);
-  /// Drop all per-peer state; replay rebuilds it.
+  /// Recovery (replay(), or an owner rebuilding an unjournaled set after
+  /// attach()): raise `peer`'s next seq and floor to at least these;
+  /// `unacked` goes back under seq `next_seq - 1`, due afresh.
+  void restore(const std::string& peer, std::uint64_t next_seq,
+               std::uint64_t floor,
+               std::optional<wire::Envelope> unacked = std::nullopt);
+  /// Drop all per-peer state; replay or restore rebuilds it.
   void clear_peers() { peers_.clear(); }
 
   /// Stamp (seq, chan_base) onto `env`, store it for retransmission and
@@ -127,14 +129,6 @@ class ChannelSet {
   void on_restart();
 
   std::size_t unacked_total() const;
-  /// Outstanding (sent, unacked) count toward one peer — the delivery
-  /// stage's in-flight credit usage.
-  std::size_t unacked_to(const std::string& peer) const;
-  /// Visit every unacked envelope (recovery audits, pending-state
-  /// snapshots). Order: peer name, then seq.
-  void for_each_unacked(
-      const std::function<void(const std::string& peer, std::uint64_t seq,
-                               const wire::Envelope& env)>& fn) const;
   const ChannelStats& stats() const { return stats_; }
 
  private:
@@ -164,7 +158,6 @@ class ChannelSet {
   NodeId self_;
   std::string self_name_;
   TransmitFn transmit_;
-  RetransmitHook retransmit_hook_;
   std::function<journal::RecordSink()> log_;
   std::uint8_t first_type_ = 0;
   std::uint8_t peer_type_ = 0;

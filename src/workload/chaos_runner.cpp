@@ -352,8 +352,9 @@ class PostHealCompletenessChecker : public sim::InvariantChecker {
 // --- delivery-no-duplicate --------------------------------------------------
 
 /// A user must never see the same notification twice, whatever the wire
-/// did: digest retransmits, crash re-flushes (fresh digest_seq, same
-/// entries) and duplicated packets all have to collapse in the client's
+/// did: digest retransmits (same channel seq, same body, also across a
+/// server restart), re-flushes of recovered waiting entries (a fresh
+/// digest) and duplicated packets all have to collapse in the client's
 /// dedup ledgers. Scans every client log for a repeated
 /// (subscription, event) pair — across senders too, since chaos profiles
 /// never migrate between servers.
@@ -459,7 +460,7 @@ class DurabilityChecker : public sim::InvariantChecker {
           if (!cancelled.contains(sub)) pending_want.push_back(key);
         }
         std::vector<std::string> pending_have =
-            services[i]->pending_delivery_keys();
+            services[i]->delivery().pending_keys();
         append_delivered_keys(pending_have);
         require_superset(out, servers[i]->name() + " pending delivery",
                          pending_want, pending_have);
@@ -498,7 +499,7 @@ class DurabilityChecker : public sim::InvariantChecker {
                   services[i]->event_window(),
                   services[i]->forward_window(),
                   services[i]->delivery().managed()
-                      ? services[i]->pending_delivery_keys()
+                      ? services[i]->delivery().pending_keys()
                       : std::vector<std::string>{}};
       return;
     }

@@ -499,7 +499,7 @@ TEST(RecoveryTest, AuxProfileInstallSurvivesPartition) {
   w.settle(SimTime::seconds(3));
   EXPECT_EQ(w.alerting[1]->aux_profiles_for("E").size(), 1u);
   EXPECT_EQ(w.alerting[0]->outbox_size(), 0u);
-  EXPECT_GT(w.alerting[0]->stats().retries, 0u);
+  EXPECT_GT(w.alerting[0]->channel_stats().retransmits, 0u);
 }
 
 TEST(RecoveryTest, ForwardedEventDelayedNotLostAcrossPartition) {
@@ -791,9 +791,9 @@ TEST(EncodeOnceTest, ReceiversSendOnTheFloodedBytes) {
           if (type != kJDelivEnq) return;
           wire::Reader r{payload};
           (void)r.u32();  // client node
-          (void)r.str();  // client name
           (void)r.u64();  // entry seq
           EXPECT_EQ(r.u64(), at_host2);
+          EXPECT_EQ(r.u64(), 0u);  // digest seq: queued, not yet shipped
           const std::span<const std::byte> bytes = r.view_bytes();
           EXPECT_TRUE(r.done());
           auto event = decode_event(bytes);

@@ -1,12 +1,13 @@
 // Delivery-stage tests: encode-once fan-out, credit backpressure with
 // watermark hysteresis, coalesce/digest windows, spill policy, digest
-// replay dedup at the client, and the digest-vs-immediate equivalence
-// property (docs/DELIVERY.md).
+// replay dedup at the client, in-flight digests across a server crash,
+// and the digest-vs-immediate equivalence property (docs/DELIVERY.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -238,7 +239,6 @@ TEST(DeliveryDigestReplayTest, ClientDropsReplayedDigestWholesale) {
   net.start();
 
   NotificationDigestBody body;
-  body.digest_seq = 7;
   std::vector<std::vector<std::byte>> events;  // the entries' bytes
   for (std::uint64_t i = 1; i <= 2; ++i) {
     docmodel::Event event;
@@ -260,6 +260,109 @@ TEST(DeliveryDigestReplayTest, ClientDropsReplayedDigestWholesale) {
   EXPECT_EQ(client->notifications().size(), 2u);
   EXPECT_EQ(client->digests_received(), 1u);
   EXPECT_EQ(client->digest_replays_dropped(), 1u);
+}
+
+// --- in-flight digests across a server crash ---------------------------------
+
+/// A client with a tap on its last hop: it records every digest that
+/// reaches it (channel seq and body bytes) and, while `lose_digests` is
+/// set, loses it right behind the tap, as a lossy link would.
+class TappedClient : public Client {
+ public:
+  struct Arrival {
+    std::uint64_t seq = 0;
+    std::vector<std::byte> body;
+  };
+
+  void on_packet(NodeId from, const sim::Packet& packet) override {
+    auto env = wire::unpack(packet);
+    if (env.ok() &&
+        env.value().type == wire::MessageType::kNotificationDigest) {
+      const std::span<const std::byte> body = env.value().body;
+      digests.push_back({env.value().msg_id, {body.begin(), body.end()}});
+      if (lose_digests) return;
+    }
+    Client::on_packet(from, packet);
+  }
+
+  bool lose_digests = false;
+  std::vector<Arrival> digests;
+};
+
+// The queue is the in-flight digests' only durable home: the digest
+// channel journals nothing, and a restarted server rebuilds each unacked
+// digest from its entries. Digest 1 reaches the client, whose ack dies
+// with the server; digest 2 never reaches the client. After the restart
+// and the heal both go out again under their original seqs with the
+// bodies they first had, the client drops digest 1 as a replay and acks
+// it, and each notification arrives once.
+TEST(DeliveryCrashTest, InFlightDigestsSurviveACrashWithTheSameBytes) {
+  sim::Network net{13};
+  const gds::GdsTree tree = gds::build_figure2_tree(net);
+  auto* server = net.make_node<gsnet::GreenstoneServer>("Hamilton");
+  AlertingConfig config;
+  config.delivery.credits = 4;
+  auto owned = std::make_unique<AlertingService>(config);
+  AlertingService* alerting = owned.get();
+  server->set_extension(std::move(owned));
+  server->attach_gds(tree.leaf_for(0)->id());
+  auto* client = net.make_node<TappedClient>("client-0");
+  client->set_home(server->id());
+  net.set_path(server->id(), client->id(),
+               {.latency = SimTime::millis(10)});
+  net.start();
+  const auto run = [&](SimTime d) { net.run_until(net.now() + d); };
+  run(SimTime::millis(300));
+  ASSERT_TRUE(
+      server->add_collection(coll_config("A"), DataSet{{doc(1, "T")}}));
+  run(SimTime::seconds(1));
+  const auto sub = alerting->subscribe_local(
+      client->id(), "host = hamilton AND type = collection_rebuilt");
+  ASSERT_TRUE(sub.ok());
+
+  ASSERT_TRUE(server->rebuild_collection("A", DataSet{{doc(2, "T")}}));
+  run(SimTime::millis(15));  // digest 1 arrived, its ack is on the wire
+  ASSERT_EQ(client->notifications().size(), 1u);
+  client->lose_digests = true;
+  ASSERT_TRUE(server->rebuild_collection("A", DataSet{{doc(3, "T")}}));
+  ASSERT_EQ(alerting->delivery().inflight(), 2u);
+  net.crash(server->id());  // the ack in flight to it is lost
+  run(SimTime::millis(15));  // digest 2 arrived and was lost
+  ASSERT_EQ(client->digests.size(), 2u);
+  const std::vector<TappedClient::Arrival> first = client->digests;
+  EXPECT_EQ(first[0].seq, 1u);
+  EXPECT_EQ(first[1].seq, 2u);
+
+  net.block_pair(server->id(), client->id());
+  net.restart(server->id());
+  EXPECT_EQ(alerting->delivery().inflight(), 2u);
+  EXPECT_EQ(alerting->delivery().pending_keys().size(), 2u);
+  run(SimTime::seconds(3));  // retransmits die on the blocked link
+  client->lose_digests = false;
+  client->digests.clear();
+  net.unblock_pair(server->id(), client->id());
+  run(SimTime::seconds(5));
+
+  std::set<std::uint64_t> resent;
+  for (const TappedClient::Arrival& arrival : client->digests) {
+    ASSERT_TRUE(arrival.seq == 1 || arrival.seq == 2) << arrival.seq;
+    EXPECT_EQ(arrival.body, first[arrival.seq - 1].body)
+        << "digest " << arrival.seq << " changed its bytes across the crash";
+    resent.insert(arrival.seq);
+  }
+  EXPECT_EQ(resent, (std::set<std::uint64_t>{1, 2}));
+  EXPECT_GE(client->digest_replays_dropped(), 1u);
+  EXPECT_EQ(client->digests_received(), 2u);
+  std::set<std::string> keys;
+  for (const auto& received : client->notifications()) {
+    EXPECT_EQ(received.subscription_id, sub.value());
+    EXPECT_TRUE(keys.insert(received.event.id.str()).second)
+        << "event " << received.event.id.str() << " arrived twice";
+  }
+  EXPECT_EQ(keys.size(), 2u);
+  EXPECT_EQ(alerting->delivery().queue_depth_total(), 0u);
+  EXPECT_EQ(alerting->delivery().inflight(), 0u);
+  EXPECT_TRUE(alerting->delivery().pending_keys().empty());
 }
 
 // --- property: digest mode == immediate mode modulo dedup -------------------

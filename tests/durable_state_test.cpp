@@ -267,8 +267,9 @@ docmodel::CollectionConfig collection(const std::string& name,
 /// distributed collections (Hamilton.D and Hamilton.F include London.E).
 /// The workload installs aux profiles and withdraws F's, forwards and
 /// renames events,
-/// subscribes, cancels, queues digest-policy notifications, and ends with
-/// a queued entry and an unacked digest still in flight.
+/// subscribes, cancels, queues digest-policy notifications (one of which
+/// spills), and ends with a queued entry and unacked digests still in
+/// flight.
 struct AlertingWorld {
   sim::Network net{33};
   gds::GdsTree tree;
@@ -283,6 +284,7 @@ struct AlertingWorld {
     alerting::AlertingConfig config;
     config.delivery.credits = 2;
     config.delivery.default_window = SimTime::millis(200);
+    config.delivery.queue_capacity = 1;
     const std::vector<std::string> hosts{"Hamilton", "London", "Host2",
                                          "Host3"};
     for (std::size_t i = 0; i < hosts.size(); ++i) {
@@ -328,13 +330,19 @@ struct AlertingWorld {
     EXPECT_TRUE(servers[0]->remove_sub_collection("F",
                                                   CollectionRef{"London", "E"}));
     run(SimTime::seconds(2));
-    // End with state in flight: London's forward to Hamilton and Host3's
-    // digest go unacked, and Hamilton's digest window has not closed yet.
+    // End with state in flight: London's forwards to Hamilton and Host3's
+    // digests go unacked, and Hamilton's digest window has not closed
+    // yet. Its queue holds one entry, so the second rebuild's hit spills
+    // the first.
     net.block_pair(servers[1]->id(), servers[0]->id());
     net.block_pair(servers[3]->id(), clients[3]->id());
     EXPECT_TRUE(servers[1]->rebuild_collection(
         "E", docmodel::DataSet{{doc(5, "Old E doc"), doc(6, "New E doc"),
                                 doc(7, "Newer")}}));
+    run(SimTime::millis(50));
+    EXPECT_TRUE(servers[1]->rebuild_collection(
+        "E", docmodel::DataSet{{doc(5, "Old E doc"), doc(6, "New E doc"),
+                                doc(7, "Newer"), doc(8, "Newest")}}));
     run(SimTime::millis(50));
   }
 
@@ -350,21 +358,29 @@ TEST(DurableStateTest, AlertingSnapshotAndLogRecoverTheSameState) {
         log_types(log_world.net.storage(server->id()), "node.log");
     logged.insert(types.begin(), types.end());
   }
-  // 64..81 minus 80: the digest channel only sends, so its floor record
-  // is never written.
-  TypeSet want = range(64, 81);
-  want.erase(80);
-  EXPECT_EQ(logged, want) << "a live alerting record type went unwritten";
+  EXPECT_EQ(logged, range(64, 79))
+      << "a live alerting record type went unwritten";
 
   TypeSet snapshotted;
+  std::set<bool> enq_in_flight;  // both shapes of the enq record (76)
   for (std::size_t i = 0; i < log_world.servers.size(); ++i) {
     gsnet::GreenstoneServer* from_log = log_world.servers[i];
     gsnet::GreenstoneServer* from_snap = snap_world.servers[i];
     from_snap->journal()->compact();
     sim::Storage& snap_storage = snap_world.net.storage(from_snap->id());
-    const TypeSet types =
-        entry_types(snapshot_payload(snap_storage, "node.snap"));
+    const std::vector<std::byte> payload =
+        snapshot_payload(snap_storage, "node.snap");
+    const TypeSet types = entry_types(payload);
     snapshotted.insert(types.begin(), types.end());
+    journal::scan_entries(
+        payload, [&](std::uint8_t type, std::span<const std::byte> entry) {
+          if (type != 76) return;
+          wire::Reader r{entry};
+          (void)r.u32();  // client
+          (void)r.u64();  // entry seq
+          (void)r.u64();  // subscription
+          enq_in_flight.insert(r.u64() != 0);  // digest seq, 0 = waiting
+        });
     ASSERT_EQ(snap_storage.durable_size("node.log"), 0u);
 
     const auto a =
@@ -379,14 +395,16 @@ TEST(DurableStateTest, AlertingSnapshotAndLogRecoverTheSameState) {
                     << ": log and snapshot recovered different state";
   }
   // State-bearing records, plus the seven that exist only in snapshots:
-  // server id counters (1), next_sub (82), channel peers (83, 85), the
-  // delivery entry counter (84) and the event and forward dedup floors
-  // (86, 87). Event seen records (70) are snapshotted only above a floor,
-  // and every server here saw every event; forward streams are sparse
-  // (London's seqs also number events no forward carries), so seen
-  // forwards (71) stay above theirs.
-  EXPECT_EQ(snapshotted, (TypeSet{1, 64, 66, 67, 69, 71, 72, 75, 76, 78, 81,
-                                  82, 83, 84, 85, 86, 87}));
+  // server id counters (1), the delivery stage's next digest seqs (80),
+  // next_sub (82), channel peers (83), the delivery entry counter (84)
+  // and the event and forward dedup floors (86, 87). Event seen records
+  // (70) are snapshotted only above a floor, and every server here saw
+  // every event; forward streams are sparse (London's seqs also number
+  // events no forward carries), so seen forwards (71) stay above theirs.
+  // Queue entries, waiting and in flight, are enq records (76).
+  EXPECT_EQ(snapshotted, (TypeSet{1, 64, 66, 67, 69, 71, 72, 75, 76, 80, 82,
+                                  83, 84, 86, 87}));
+  EXPECT_EQ(enq_in_flight, (std::set<bool>{false, true}));
 }
 
 // --- Dedup windows past their width ------------------------------------------

@@ -6,21 +6,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "alerting/alerting_service.h"
+#include "alerting/client.h"
 #include "alerting/messages.h"
 #include "baselines/messages.h"
 #include "common/rng.h"
 #include "docmodel/event.h"
 #include "gds/messages.h"
+#include "gsnet/greenstone_server.h"
 #include "gsnet/messages.h"
 #include "journal/journal.h"
 #include "profiles/parser.h"
 #include "sim/storage.h"
 #include "retrieval/inverted_index.h"
 #include "retrieval/query_parser.h"
+#include "sim/network.h"
 #include "transport/dedup_window.h"
 #include "wire/envelope.h"
 
@@ -175,7 +180,6 @@ TEST_P(WireFuzz, DigestEntryViewsStayInBounds) {
   for (int i = 0; i < 300; ++i) {
     std::vector<std::vector<std::byte>> events;
     alerting::NotificationDigestBody body;
-    body.digest_seq = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
     const int entries = static_cast<int>(rng.uniform_int(0, 4));
     for (int e = 0; e < entries; ++e) {
       events.push_back(alerting::encode_event(random_event(rng)));
@@ -747,6 +751,125 @@ TEST_P(JournalFuzz, DedupFloorReplayRefusesDamagedRecords) {
     const std::uint64_t junk_floor = check.u64();
     const std::uint64_t junk_passed = check.u64();
     EXPECT_EQ(replays(junk), check.ok() && junk_passed <= junk_floor);
+  }
+}
+
+// The delivery stage's records. An in-flight entry's enq record is the
+// only durable copy of a notification the client has not acked, so a
+// damaged one must be refused whole: AlertingService::replay_journal
+// returns false on every truncation, on a valid record with junk behind
+// it and on random bytes, and the service's re-encoded durable state does
+// not change. (Random bytes are refused unless they happen to form a
+// well-formed record; of these shapes only the 8-byte counter can.)
+class DeliveryReplayWorld {
+ public:
+  DeliveryReplayWorld() {
+    auto* server = net_.make_node<gsnet::GreenstoneServer>("srv");
+    alerting::AlertingConfig config;
+    config.delivery.credits = 4;
+    auto owned = std::make_unique<alerting::AlertingService>(config);
+    service_ = owned.get();
+    server->set_extension(std::move(owned));
+    for (const char* name : {"c0", "c1"}) {
+      clients_.push_back(net_.make_node<alerting::Client>(name)->id());
+    }
+  }
+
+  NodeId client(std::size_t i) const { return clients_[i]; }
+  bool replay(std::uint8_t type, std::span<const std::byte> payload) {
+    wire::Reader r{payload};
+    return service_->replay_journal(type, r);
+  }
+  std::vector<std::byte> durable() const {
+    wire::Writer w;
+    service_->encode_durable(journal::RecordSink{w});
+    return std::move(w).take();
+  }
+
+ private:
+  sim::Network net_{3};
+  alerting::AlertingService* service_ = nullptr;
+  std::vector<NodeId> clients_;
+};
+
+TEST_P(JournalFuzz, DeliveryReplayRefusesDamagedRecords) {
+  constexpr std::uint8_t kEnq = 76;
+  constexpr std::uint8_t kSpill = 77;
+  constexpr std::uint8_t kShip = 78;
+  constexpr std::uint8_t kAck = 79;
+  constexpr std::uint8_t kNextDigest = 80;
+  constexpr std::uint8_t kEntryCounter = 84;
+  Rng rng{GetParam().seed ^ 0xDE1};
+  const auto enq = [](NodeId client, std::uint64_t seq, SubscriptionId sub,
+                      std::uint64_t digest,
+                      const std::vector<std::byte>& event) {
+    wire::Writer w;
+    w.u32(client.value());
+    w.u64(seq);
+    w.u64(sub);
+    w.u64(digest);
+    w.bytes(event);
+    return std::move(w).take();
+  };
+  const auto client_seq = [](NodeId client, std::uint64_t seq) {
+    wire::Writer w;
+    w.u32(client.value());
+    w.u64(seq);
+    return std::move(w).take();
+  };
+  const auto u64 = [](std::uint64_t value) {
+    wire::Writer w;
+    w.u64(value);
+    return std::move(w).take();
+  };
+  for (int round = 0; round < 8; ++round) {
+    const std::vector<std::byte> event =
+        alerting::encode_event(random_event(rng));
+    const auto sub = static_cast<SubscriptionId>(rng.uniform_int(1, 1000));
+    // Client c0 has waiting entry 1 and entry 2 in flight in digest 3.
+    DeliveryReplayWorld world;
+    ASSERT_TRUE(world.replay(kEnq, enq(world.client(0), 1, sub, 0, event)));
+    ASSERT_TRUE(world.replay(kEnq, enq(world.client(0), 2, sub, 3, event)));
+    const std::vector<std::byte> before = world.durable();
+    struct Shape {
+      const char* name;
+      std::uint8_t type;
+      std::vector<std::byte> good;
+    };
+    const std::vector<Shape> shapes = {
+        {"enq waiting", kEnq, enq(world.client(1), 5, sub, 0, event)},
+        {"enq in flight", kEnq, enq(world.client(1), 6, sub, 1, event)},
+        {"ship", kShip, client_seq(world.client(0), 4)},
+        {"ack", kAck, client_seq(world.client(0), 3)},
+        {"spill", kSpill, u64(1)},
+        {"entry counter", kEntryCounter, u64(100)},
+        {"next digest seq", kNextDigest, client_seq(world.client(0), 10)},
+    };
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(shape.name);
+      const std::span<const std::byte> whole{shape.good};
+      for (std::size_t cut = 0; cut < whole.size(); ++cut) {
+        EXPECT_FALSE(world.replay(shape.type, whole.first(cut)))
+            << "truncated at " << cut;
+      }
+      std::vector<std::byte> tailed = shape.good;
+      const std::vector<std::byte> tail = random_bytes(rng, 16);
+      tailed.insert(tailed.end(), tail.begin(), tail.end());
+      tailed.push_back(std::byte{0});
+      EXPECT_FALSE(world.replay(shape.type, tailed));
+      const std::vector<std::byte> junk = random_bytes(rng, 40);
+      if (shape.type != kEntryCounter || junk.size() != 8) {
+        EXPECT_FALSE(world.replay(shape.type, junk));
+      }
+      ASSERT_EQ(world.durable(), before) << "a refused record applied";
+
+      // The intact record applies and changes the state.
+      DeliveryReplayWorld fresh;
+      ASSERT_TRUE(fresh.replay(kEnq, enq(fresh.client(0), 1, sub, 0, event)));
+      ASSERT_TRUE(fresh.replay(kEnq, enq(fresh.client(0), 2, sub, 3, event)));
+      EXPECT_TRUE(fresh.replay(shape.type, shape.good));
+      EXPECT_NE(fresh.durable(), before);
+    }
   }
 }
 

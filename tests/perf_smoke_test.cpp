@@ -429,137 +429,21 @@ TEST(PerfSmokeTest, JournalAppendsConstructNoWriters) {
       << "the journal's frame buffer grows after warm-up";
 }
 
-// Delivery fan-out budget: one server with credit-managed delivery and
-// immediate / coalesce / digest policies mixed by subscription id (the
-// perfbench storm shape, small). Counts every wire::Writer constructed on
-// the publish -> notify path, journal records and client acks included,
-// per notification delivered.
-TEST(PerfSmokeTest, DeliveryWritersPerNotificationStayWithinBudget) {
-  const auto budget = load_budget(GSALERT_PERF_BUDGET_FILE);
-  ASSERT_FALSE(budget.empty());
-  for (const char* key :
-       {"delivery_subscriptions", "delivery_events",
-        "max_delivery_writers_per_100_notifications"}) {
-    ASSERT_TRUE(budget.count(key)) << "budget file missing key: " << key;
-  }
-  const std::uint64_t subscriptions = budget.at("delivery_subscriptions");
-  const int events = static_cast<int>(budget.at("delivery_events"));
-
-  sim::Network net{11};
-  net.set_default_path(
-      {.latency = SimTime::millis(10), .jitter = SimTime::millis(4)});
-  auto* server = net.make_node<gsnet::GreenstoneServer>("Hamilton");
-  alerting::AlertingConfig config;
-  config.delivery.credits = 4;
-  config.delivery.default_window = SimTime::millis(100);
-  auto owned = std::make_unique<alerting::AlertingService>(config);
-  alerting::AlertingService* service = owned.get();
-  server->set_extension(std::move(owned));
-  std::uint64_t notifications = 0;
-  std::vector<alerting::Client*> clients;
-  for (int i = 0; i < 8; ++i) {
-    std::string name = "c";
-    name += std::to_string(i);
-    auto* client = net.make_node<alerting::Client>(name);
-    client->set_home(server->id());
-    client->set_notification_sink(
-        [&](SubscriptionId, const docmodel::Event&, SimTime) {
-          ++notifications;
-        });
-    clients.push_back(client);
-  }
-  net.start();
-  net.run_until(SimTime::seconds(1));
-  for (std::uint64_t i = 0; i < subscriptions; ++i) {
-    std::string profile = "ref = hamilton.c";
-    profile += std::to_string(i % 4);
-    const auto sub =
-        service->subscribe_local(clients[i % clients.size()]->id(), profile);
-    ASSERT_TRUE(sub.ok());
-    if (sub.value() % 3 == 1) {
-      ASSERT_TRUE(service->set_delivery_policy(
-          sub.value(), {alerting::DeliveryMode::kCoalesce,
-                        SimTime::millis(100)}));
-    } else if (sub.value() % 3 == 2) {
-      ASSERT_TRUE(service->set_delivery_policy(
-          sub.value(),
-          {alerting::DeliveryMode::kDigest, SimTime::millis(300)}));
-    }
-  }
-
-  wire::reset_writer_stats();
-  for (int e = 0; e < events; ++e) {
-    docmodel::Event event;
-    event.id = {server->name(), static_cast<std::uint64_t>(e + 1)};
-    event.type = docmodel::EventType::kCollectionRebuilt;
-    std::string coll = "c";
-    coll += std::to_string(e % 4);
-    event.collection = {"Hamilton", coll};
-    event.physical_origin = event.collection;
-    event.build_version = static_cast<std::uint64_t>(e + 2);
-    server->extension()->on_local_event(event);
-    net.run_until(net.now() + SimTime::millis(e % 4 == 3 ? 200 : 20));
-  }
-  for (int i = 0; i < 40 && (service->delivery().queue_depth_total() > 0 ||
-                             service->delivery().inflight() > 0);
-       ++i) {
-    net.run_until(net.now() + SimTime::millis(500));
-  }
-  ASSERT_EQ(service->delivery().queue_depth_total(), 0u);
-  ASSERT_EQ(service->delivery().inflight(), 0u);
-  ASSERT_EQ(notifications, service->stats().notifications_sent);
-  ASSERT_GT(notifications, 0u);
-
-  const std::uint64_t writers = wire::writer_stats().writers;
-  const std::uint64_t per_100 = writers * 100 / notifications;
-  std::printf(
-      "perf-smoke delivery: notifications=%llu writers=%llu "
-      "writers/100 notifications=%llu\n",
-      static_cast<unsigned long long>(notifications),
-      static_cast<unsigned long long>(writers),
-      static_cast<unsigned long long>(per_100));
-  EXPECT_LE(per_100, budget.at("max_delivery_writers_per_100_notifications"))
-      << "the delivery path constructs more Writers per notification than "
-         "budgeted — a journal record or digest entry copy is back";
-}
-
-// Flood allocation gate: a small flood-shaped world (multi-region WAN,
-// adaptive GDS tree, 2 clients x 20 generated profiles per server) rebuilds
-// every collection with 3 fresh documents. Heap allocations are counted
-// while the network runs (GDS relay, each receiving server's decode,
-// filter and notify, the clients), not inside publish_rebuild, whose
-// origin build and ground-truth pass are not the flood path.
+// Wall-clock stage histograms (match CPU per filtered event, journal
+// fsync per commit) see the host's timings, so a seeded world's
+// allocation count does not repeat exactly: a histogram grows by one
+// allocation that records a sample and adds at least one bucket, so two
+// runs may differ by at most the stage histograms' growth bound: per
+// histogram, the lesser of the samples and the buckets it added.
 //
-// The world is seeded; only the wall-clock stage histograms (match CPU
-// per filtered event, journal fsync per commit) see the host's timings.
-// A histogram grows by one allocation that records a sample and adds at
-// least one bucket, so two runs may differ by at most the stage
-// histograms' growth bound: per histogram, the lesser of the samples
-// and the buckets it added.
-struct FloodAllocations {
-  std::uint64_t allocations = 0;
-  std::uint64_t event_servers = 0;  // (event, receiving server) pairs
-  std::uint64_t notifications = 0;
-  std::uint64_t stage_growth_bound = 0;
-};
-
 // (samples, buckets) of every stage histogram, keyed by address.
 using StageHistograms =
     std::map<const Histogram*, std::pair<std::uint64_t, std::uint64_t>>;
 
-StageHistograms stage_histograms(workload::Scenario& scenario) {
+StageHistograms stage_histograms(const std::vector<const Histogram*>& all) {
   StageHistograms out;
-  const auto add = [&](const Histogram& h) {
-    out[&h] = {h.count(), h.heap_bytes() / sizeof(std::uint64_t)};
-  };
-  for (const alerting::AlertingService* service : scenario.gsalert()) {
-    add(service->match_cpu_us());
-  }
-  for (gsnet::GreenstoneServer* server : scenario.servers()) {
-    if (const journal::Journal* j = server->journal()) add(j->fsync_us());
-  }
-  for (const gds::GdsServer* node : scenario.gds_tree().nodes) {
-    if (const journal::Journal* j = node->journal()) add(j->fsync_us());
+  for (const Histogram* h : all) {
+    out[h] = {h->count(), h->heap_bytes() / sizeof(std::uint64_t)};
   }
   return out;
 }
@@ -575,6 +459,213 @@ std::uint64_t stage_growth_bound(const StageHistograms& before,
     bound += std::min(now.first - then.first, now.second - then.second);
   }
   return bound;
+}
+
+/// The spread of two runs' allocation counts.
+std::uint64_t spread(std::uint64_t a, std::uint64_t b) {
+  return a > b ? a - b : b - a;
+}
+
+// Delivery fan-out budget: one server with credit-managed delivery and
+// immediate / coalesce / digest policies mixed by subscription id (the
+// perfbench storm shape, small). Per notification delivered, it counts
+// every wire::Writer constructed on the publish -> notify path (journal
+// records and client acks included), the journal records and bytes the
+// server appends, and the heap allocations made while events are
+// published and delivered. The world runs twice: journal counts repeat
+// exactly, allocations within the stage histograms' growth bound.
+struct DeliveryCosts {
+  std::uint64_t notifications = 0;
+  std::uint64_t writers = 0;
+  std::uint64_t journal_records = 0;
+  std::uint64_t journal_bytes = 0;
+  std::uint64_t allocations = 0;
+  std::uint64_t stage_growth_bound = 0;
+};
+
+DeliveryCosts run_delivery_world(std::uint64_t subscriptions, int events) {
+  sim::Network net{11};
+  net.set_default_path(
+      {.latency = SimTime::millis(10), .jitter = SimTime::millis(4)});
+  auto* server = net.make_node<gsnet::GreenstoneServer>("Hamilton");
+  alerting::AlertingConfig config;
+  config.delivery.credits = 4;
+  config.delivery.default_window = SimTime::millis(100);
+  auto owned = std::make_unique<alerting::AlertingService>(config);
+  alerting::AlertingService* service = owned.get();
+  server->set_extension(std::move(owned));
+  DeliveryCosts out;
+  std::vector<alerting::Client*> clients;
+  for (int i = 0; i < 8; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    auto* client = net.make_node<alerting::Client>(name);
+    client->set_home(server->id());
+    client->set_notification_sink(
+        [&](SubscriptionId, const docmodel::Event&, SimTime) {
+          ++out.notifications;
+        });
+    clients.push_back(client);
+  }
+  net.start();
+  net.run_until(SimTime::seconds(1));
+  for (std::uint64_t i = 0; i < subscriptions; ++i) {
+    std::string profile = "ref = hamilton.c";
+    profile += std::to_string(i % 4);
+    const auto sub =
+        service->subscribe_local(clients[i % clients.size()]->id(), profile);
+    EXPECT_TRUE(sub.ok());
+    if (!sub.ok()) return out;
+    if (sub.value() % 3 == 1) {
+      EXPECT_TRUE(service->set_delivery_policy(
+          sub.value(), {alerting::DeliveryMode::kCoalesce,
+                        SimTime::millis(100)}));
+    } else if (sub.value() % 3 == 2) {
+      EXPECT_TRUE(service->set_delivery_policy(
+          sub.value(),
+          {alerting::DeliveryMode::kDigest, SimTime::millis(300)}));
+    }
+  }
+
+  const journal::JournalStats journal_before = server->journal()->stats();
+  const std::vector<const Histogram*> stages{&service->match_cpu_us(),
+                                             &server->journal()->fsync_us()};
+  const StageHistograms stages_before = stage_histograms(stages);
+  const test_support::AllocCounts allocs_before = test_support::alloc_counts();
+  wire::reset_writer_stats();
+  for (int e = 0; e < events; ++e) {
+    docmodel::Event event;
+    event.id = {server->name(), static_cast<std::uint64_t>(e + 1)};
+    event.type = docmodel::EventType::kCollectionRebuilt;
+    std::string coll = "c";
+    coll += std::to_string(e % 4);
+    event.collection = {"Hamilton", coll};
+    event.physical_origin = event.collection;
+    event.build_version = static_cast<std::uint64_t>(e + 2);
+    const test_support::CountAllocations counting;
+    server->extension()->on_local_event(event);
+    net.run_until(net.now() + SimTime::millis(e % 4 == 3 ? 200 : 20));
+  }
+  {
+    const test_support::CountAllocations counting;
+    for (int i = 0; i < 40 && (service->delivery().queue_depth_total() > 0 ||
+                               service->delivery().inflight() > 0);
+         ++i) {
+      net.run_until(net.now() + SimTime::millis(500));
+    }
+  }
+  out.allocations =
+      test_support::alloc_counts().allocations - allocs_before.allocations;
+  out.stage_growth_bound =
+      stage_growth_bound(stages_before, stage_histograms(stages));
+  out.writers = wire::writer_stats().writers;
+  const journal::JournalStats& journal_after = server->journal()->stats();
+  out.journal_records = journal_after.appends - journal_before.appends;
+  out.journal_bytes =
+      journal_after.bytes_appended - journal_before.bytes_appended;
+  EXPECT_EQ(service->delivery().queue_depth_total(), 0u);
+  EXPECT_EQ(service->delivery().inflight(), 0u);
+  EXPECT_EQ(out.notifications, service->stats().notifications_sent);
+  return out;
+}
+
+TEST(PerfSmokeTest, DeliveryWritersPerNotificationStayWithinBudget) {
+  const auto budget = load_budget(GSALERT_PERF_BUDGET_FILE);
+  ASSERT_FALSE(budget.empty());
+  for (const char* key :
+       {"delivery_subscriptions", "delivery_events",
+        "max_delivery_writers_per_100_notifications",
+        "max_delivery_journal_records_per_notification",
+        "max_delivery_journal_bytes_per_notification",
+        "max_delivery_allocs_per_notification"}) {
+    ASSERT_TRUE(budget.count(key)) << "budget file missing key: " << key;
+  }
+  const std::uint64_t subscriptions = budget.at("delivery_subscriptions");
+  const int events = static_cast<int>(budget.at("delivery_events"));
+
+  const DeliveryCosts first = run_delivery_world(subscriptions, events);
+  const DeliveryCosts second = run_delivery_world(subscriptions, events);
+  ASSERT_GT(first.notifications, 0u);
+  EXPECT_EQ(first.notifications, second.notifications);
+  EXPECT_EQ(first.journal_records, second.journal_records);
+  EXPECT_EQ(first.journal_bytes, second.journal_bytes);
+  EXPECT_LE(spread(first.allocations, second.allocations),
+            std::max(first.stage_growth_bound, second.stage_growth_bound))
+      << "two runs of the same seeded world differ by more allocations "
+         "than the wall-clock stage histograms can account for ("
+      << first.allocations << " vs " << second.allocations << ")";
+
+  const auto per_notification = [&](std::uint64_t total) {
+    return static_cast<double>(total) /
+           static_cast<double>(first.notifications);
+  };
+  const std::uint64_t per_100 = first.writers * 100 / first.notifications;
+  std::printf(
+      "perf-smoke delivery: notifications=%llu writers=%llu "
+      "writers/100 notifications=%llu; journal %llu records, %llu bytes "
+      "(%.2f records, %.1f bytes per notification); allocations %llu "
+      "(%.1f per notification), second run %llu, stage histogram growth "
+      "bound %llu / %llu\n",
+      static_cast<unsigned long long>(first.notifications),
+      static_cast<unsigned long long>(first.writers),
+      static_cast<unsigned long long>(per_100),
+      static_cast<unsigned long long>(first.journal_records),
+      static_cast<unsigned long long>(first.journal_bytes),
+      per_notification(first.journal_records),
+      per_notification(first.journal_bytes),
+      static_cast<unsigned long long>(first.allocations),
+      per_notification(first.allocations),
+      static_cast<unsigned long long>(second.allocations),
+      static_cast<unsigned long long>(first.stage_growth_bound),
+      static_cast<unsigned long long>(second.stage_growth_bound));
+  EXPECT_LE(per_100, budget.at("max_delivery_writers_per_100_notifications"))
+      << "the delivery path constructs more Writers per notification than "
+         "budgeted — a journal record or digest entry copy is back";
+  EXPECT_LE(per_notification(first.journal_records),
+            static_cast<double>(
+                budget.at("max_delivery_journal_records_per_notification")))
+      << "the delivery stage journals more records per notification than "
+         "budgeted";
+  EXPECT_LE(per_notification(first.journal_bytes),
+            static_cast<double>(
+                budget.at("max_delivery_journal_bytes_per_notification")))
+      << "the delivery stage journals more bytes per notification than "
+         "budgeted — a notification's bytes are journaled twice again";
+  EXPECT_LE(per_notification(first.allocations),
+            static_cast<double>(
+                budget.at("max_delivery_allocs_per_notification")));
+}
+
+// Flood allocation gate: a small flood-shaped world (multi-region WAN,
+// adaptive GDS tree, 2 clients x 20 generated profiles per server) rebuilds
+// every collection with 3 fresh documents. Heap allocations are counted
+// while the network runs (GDS relay, each receiving server's decode,
+// filter and notify, the clients), not inside publish_rebuild, whose
+// origin build and ground-truth pass are not the flood path. The world is
+// seeded; two runs may differ only by the stage histograms' growth.
+struct FloodAllocations {
+  std::uint64_t allocations = 0;
+  std::uint64_t event_servers = 0;  // (event, receiving server) pairs
+  std::uint64_t notifications = 0;
+  std::uint64_t stage_growth_bound = 0;
+};
+
+StageHistograms stage_histograms(workload::Scenario& scenario) {
+  std::vector<const Histogram*> all;
+  for (const alerting::AlertingService* service : scenario.gsalert()) {
+    all.push_back(&service->match_cpu_us());
+  }
+  for (gsnet::GreenstoneServer* server : scenario.servers()) {
+    if (const journal::Journal* j = server->journal()) {
+      all.push_back(&j->fsync_us());
+    }
+  }
+  for (const gds::GdsServer* node : scenario.gds_tree().nodes) {
+    if (const journal::Journal* j = node->journal()) {
+      all.push_back(&j->fsync_us());
+    }
+  }
+  return stage_histograms(all);
 }
 
 FloodAllocations run_flood_allocation_world(int servers, int rebuilds) {
@@ -634,10 +725,7 @@ TEST(PerfSmokeTest, FloodAllocationsStayWithinBudget) {
   const FloodAllocations second =
       run_flood_allocation_world(servers, rebuilds);
   EXPECT_EQ(first.notifications, second.notifications);
-  const std::uint64_t spread = first.allocations > second.allocations
-                                   ? first.allocations - second.allocations
-                                   : second.allocations - first.allocations;
-  EXPECT_LE(spread,
+  EXPECT_LE(spread(first.allocations, second.allocations),
             std::max(first.stage_growth_bound, second.stage_growth_bound))
       << "two runs of the same seeded world differ by more allocations "
          "than the wall-clock stage histograms can account for ("

@@ -169,15 +169,16 @@ class ChannelNode : public sim::Node {
 
   void ensure() {
     if (channels_.attached()) return;
-    channels_.set_retransmit_hook(
-        [this](const std::string&, const wire::Envelope&) {
-          retransmit_times_.push_back(network().now().as_micros());
-        });
     // Record types for restart()'s snapshot; no live log.
     channels_.set_journal(nullptr, 1, 4);
     channels_.attach(&network(), id(), name(),
                      [this](const std::string&, const wire::Envelope& env) {
                        last_sent_ = env;
+                       // A seq sent before is going out again.
+                       if (!sent_.insert(env.msg_id).second) {
+                         retransmit_times_.push_back(
+                             network().now().as_micros());
+                       }
                        if (env.msg_id == drop_seq_) return;
                        network().send(id(), peer_id_, env.pack());
                      },
@@ -190,6 +191,7 @@ class ChannelNode : public sim::Node {
   ChannelSet channels_;
   wire::Envelope last_sent_;
   std::vector<std::uint64_t> delivered_;
+  std::set<std::uint64_t> sent_;
   std::vector<std::int64_t> retransmit_times_;
 };
 
