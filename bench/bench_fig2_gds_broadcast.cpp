@@ -38,9 +38,6 @@ class SinkServer : public sim::Node {
       ++delivered_;
     }
   }
-  void on_timer(std::uint64_t token) override {
-    if (token == gds::GdsClient::kRefreshTimer) client_.on_refresh_timer();
-  }
   void broadcast(std::size_t payload_bytes) {
     client_.broadcast(0x7777,
                       std::vector<std::byte>(payload_bytes, std::byte{0x5A}));

@@ -944,11 +944,6 @@ void AlertingService::send_reliable(const std::string& host,
   channels_.send(host, std::move(env));
 }
 
-void AlertingService::on_timer_token(std::uint64_t token) {
-  if (channels_.on_timer(token)) return;
-  (void)delivery_.on_timer(token);
-}
-
 void AlertingService::collect_metrics(obs::MetricsRegistry& registry) const {
   const obs::Labels labels{{"server", server_->name()}};
   registry.counter("alerting.events_published", labels) =

@@ -160,7 +160,6 @@ class AlertingService : public gsnet::ServerExtension {
   void on_collection_removed(const CollectionRef& ref) override;
   void on_started() override;
   void on_restarted() override;
-  void on_timer_token(std::uint64_t token) override;
   void on_recovered() override;
   void encode_durable(const journal::RecordSink& out) const override;
   bool replay_journal(std::uint8_t type, wire::Reader& r) override;

@@ -16,8 +16,7 @@ Result<docmodel::Event> decode_notified_event(
 void Client::subscribe(const std::string& profile_text,
                        SubscribeCallback callback) {
   if (!endpoint_.attached()) {
-    endpoint_.attach(&network(), id(), name(), kEndpointTag,
-                     0xC11E27ULL ^ id().value());
+    endpoint_.attach(&network(), id(), name(), 0xC11E27ULL ^ id().value());
   }
   SubscribeBody body{profile_text};
   wire::Writer w;
@@ -131,7 +130,5 @@ void Client::record_notification(NodeId from, SubscriptionId sub,
   notifications_.push_back(
       ReceivedNotification{sub, std::move(event), network().now()});
 }
-
-void Client::on_timer(std::uint64_t token) { endpoint_.on_timer(token); }
 
 }  // namespace gsalert::alerting

@@ -52,9 +52,11 @@ class Client : public sim::Node {
   void clear_notifications() { notifications_.clear(); }
 
   /// Streaming sink for subscriber-scale benches: when set, notifications
-  /// are handed to the callback instead of being stored (and the
-  /// per-notification dedup ledger is skipped — sink users run loss-free
-  /// unmanaged workloads where wire duplicates cannot occur).
+  /// are handed to the callback instead of being stored, and the
+  /// per-notification dedup ledger is skipped. Sink users run networks
+  /// without loss or duplication, credit-managed (perfbench `storm`) or
+  /// not; a replayed digest is still dropped by (sender, msg_id) before
+  /// the sink.
   using NotificationSink =
       std::function<void(SubscriptionId, const docmodel::Event&, SimTime)>;
   void set_notification_sink(NotificationSink sink) {
@@ -70,12 +72,12 @@ class Client : public sim::Node {
     return endpoint_.stats();
   }
 
+  /// Subscribes pending at a crash are dropped: their timers died with
+  /// it, so their callbacks never fire.
+  void on_recover() override { endpoint_.cancel_all(); }
   void on_packet(NodeId from, const sim::Packet& packet) override;
-  void on_timer(std::uint64_t token) override;
 
  private:
-  static constexpr std::uint8_t kEndpointTag = 1;
-
   NodeId home_;
   std::uint64_t next_request_ = 1;
   // Pending subscribe requests (retries + deadline) live in the endpoint;

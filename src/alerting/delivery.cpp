@@ -56,7 +56,6 @@ std::string pending_key(NodeId client, SubscriptionId sub,
 void DeliveryStage::ensure_attached() {
   if (channel_.attached() || owner_.server_ == nullptr) return;
   gsnet::GreenstoneServer* server = owner_.server_;
-  channel_.set_timer_token(kChannelToken);
   channel_.attach(
       &server->net(), server->id(), server->name(),
       [this](const std::string& peer, const wire::Envelope& env) {
@@ -113,7 +112,7 @@ void DeliveryStage::stall(ClientQueue& q) {
     obs::emit_span("delivery-stall", owner_.server_->name(),
                    owner_.server_->net().now(),
                    {{"client", q.name},
-                    {"unacked", std::to_string(q.inflight.size())}});
+                    {"unacked", std::to_string(q.inflight)}});
   }
 }
 
@@ -129,14 +128,15 @@ void DeliveryStage::offer(NodeId client, SubscriptionId sub,
       send_immediate(q, sub, *event, bytes);
       return;
     }
-    if (!q.stalled && q.inflight.size() < config_.credits) {
+    if (!q.stalled && q.inflight < config_.credits) {
       // Digest-of-one on the reliable channel: same framing as windowed
       // delivery, so the client's ack/dedup path is uniform. One record.
-      std::vector<QueueEntry> one;
-      one.push_back(make_entry(sub, event, bytes, DeliveryMode::kImmediate));
-      const std::uint64_t entry_seq = one.front().seq;
+      const auto one = q.entries.insert(
+          q.waiting_begin(),
+          make_entry(sub, event, bytes, DeliveryMode::kImmediate));
+      const std::uint64_t entry_seq = one->seq;
       note_sent(q, sub, *event);
-      const std::uint64_t digest = ship(q, std::move(one));
+      const std::uint64_t digest = ship(q, one, std::next(one));
       put_enqueued(owner_.log(), q.node, entry_seq, sub, digest, bytes.span());
       stats_.sent_immediate += 1;
       return;
@@ -159,7 +159,7 @@ DeliveryStage::QueueEntry DeliveryStage::make_entry(
     const std::span<const std::byte> view = bytes.span();
     bytes = wire::Frame{std::vector<std::byte>(view.begin(), view.end())};
   }
-  return QueueEntry{next_entry_seq_++, sub, event->id, event, bytes, mode};
+  return QueueEntry{next_entry_seq_++, 0, sub, event, bytes, mode};
 }
 
 void DeliveryStage::enqueue(
@@ -167,24 +167,24 @@ void DeliveryStage::enqueue(
     const std::shared_ptr<const docmodel::Event>& event,
     wire::Frame& bytes, DeliveryMode mode, SimTime window) {
   if (mode != DeliveryMode::kImmediate) {
-    for (const QueueEntry& e : q.entries) {
-      if (e.mode != DeliveryMode::kImmediate && e.sub == sub &&
-          e.event_id == event->id) {
+    for (auto it = q.waiting_begin(); it != q.entries.end(); ++it) {
+      if (it->mode != DeliveryMode::kImmediate && it->sub == sub &&
+          it->event->id == event->id) {
         stats_.coalesced_merges += 1;
         return;
       }
     }
   }
-  if (config_.queue_capacity > 0 &&
-      q.entries.size() >= config_.queue_capacity) {
+  if (config_.queue_capacity > 0 && q.waiting >= config_.queue_capacity) {
     spill_one(q);
   }
   QueueEntry entry = make_entry(sub, event, bytes, mode);
   put_enqueued(owner_.log(), q.node, entry.seq, sub, 0, bytes.span());
   q.entries.push_back(std::move(entry));
+  q.waiting += 1;
   stats_.enqueued += 1;
   stats_.max_queue_depth =
-      std::max<std::uint64_t>(stats_.max_queue_depth, q.entries.size());
+      std::max<std::uint64_t>(stats_.max_queue_depth, q.waiting);
   const SimTime due = owner_.server_->net().now() + window;
   if (mode != DeliveryMode::kImmediate &&
       (!q.flush_armed || due < q.flush_due)) {
@@ -195,29 +195,30 @@ void DeliveryStage::enqueue(
 }
 
 void DeliveryStage::spill_one(ClientQueue& q) {
-  auto victim = std::find_if(q.entries.begin(), q.entries.end(),
+  auto victim = std::find_if(q.waiting_begin(), q.entries.end(),
                              [](const QueueEntry& e) {
                                return e.mode != DeliveryMode::kImmediate;
                              });
-  if (victim == q.entries.end()) victim = q.entries.begin();
+  if (victim == q.entries.end()) victim = q.waiting_begin();
   if (obs::active()) {
     obs::emit_span("delivery-spill", owner_.server_->name(),
                    owner_.server_->net().now(),
                    {{"client", q.name},
                     {"sub", std::to_string(victim->sub)},
-                    {"event", victim->event_id.str()}});
+                    {"event", victim->event->id.str()}});
   }
   owner_.log().put_u64(kJDelivSpill, victim->seq);
   q.entries.erase(victim);
+  q.waiting -= 1;
   stats_.spilled += 1;
 }
 
 wire::Envelope DeliveryStage::digest_envelope(
-    const std::vector<QueueEntry>& entries) const {
+    Entries::const_iterator first, Entries::const_iterator last) const {
   NotificationDigestBody body;
-  body.entries.reserve(entries.size());
-  for (const QueueEntry& e : entries) {
-    body.entries.push_back({e.sub, e.bytes.span()});
+  body.entries.reserve(static_cast<std::size_t>(last - first));
+  for (; first != last; ++first) {
+    body.entries.push_back({first->sub, first->bytes.span()});
   }
   wire::Writer w;
   body.encode(w);
@@ -225,11 +226,12 @@ wire::Envelope DeliveryStage::digest_envelope(
                              owner_.server_->name(), "", 0, std::move(w));
 }
 
-std::uint64_t DeliveryStage::ship(ClientQueue& q,
-                                  std::vector<QueueEntry> entries) {
-  wire::Envelope env = digest_envelope(entries);
+std::uint64_t DeliveryStage::ship(ClientQueue& q, Entries::iterator first,
+                                  Entries::iterator last) {
+  wire::Envelope env = digest_envelope(first, last);
+  const auto count = static_cast<std::size_t>(last - first);
   stats_.digests_sent += 1;
-  stats_.digest_notifications += entries.size();
+  stats_.digest_notifications += count;
   std::uint64_t digest = 0;
   if (managed()) {
     digest = channel_.send(q.name, std::move(env));
@@ -243,21 +245,26 @@ std::uint64_t DeliveryStage::ship(ClientQueue& q,
         "delivery-flush", owner_.server_->name(),
         owner_.server_->net().now(),
         {{"client", q.name},
-         {"entries", std::to_string(entries.size())},
+         {"entries", std::to_string(count)},
          {"digest", std::to_string(managed() ? digest : env.msg_id)}});
   }
-  if (managed()) q.inflight.emplace(digest, std::move(entries));
+  if (managed()) {
+    for (; first != last; ++first) first->digest = digest;
+    q.inflight += 1;
+  } else {
+    q.entries.erase(first, last);
+  }
   return digest;
 }
 
 void DeliveryStage::flush(ClientQueue& q) {
   GSALERT_PROFILE("delivery.flush");
   q.flush_armed = false;
-  if (q.entries.empty()) {
+  if (q.waiting == 0) {
     q.stalled = false;
     return;
   }
-  if (managed() && q.inflight.size() >= config_.credits) {
+  if (managed() && q.inflight >= config_.credits) {
     if (!q.stalled) stall(q);
     return;
   }
@@ -268,15 +275,34 @@ void DeliveryStage::flush(ClientQueue& q) {
       obs::emit_span("delivery-resume", owner_.server_->name(),
                      owner_.server_->net().now(),
                      {{"client", q.name},
-                      {"entries", std::to_string(q.entries.size())}});
+                      {"entries", std::to_string(q.waiting)}});
     }
   }
-  std::vector<QueueEntry> entries(std::make_move_iterator(q.entries.begin()),
-                                  std::make_move_iterator(q.entries.end()));
-  q.entries.clear();
-  for (const QueueEntry& e : entries) note_sent(q, e.sub, *e.event);
-  const std::uint64_t digest = ship(q, std::move(entries));
+  const auto first = q.waiting_begin();
+  for (auto it = first; it != q.entries.end(); ++it) {
+    note_sent(q, it->sub, *it->event);
+  }
+  q.waiting = 0;
+  const std::uint64_t digest = ship(q, first, q.entries.end());
   put_client_seq(owner_.log(), kJDelivShip, q.node, digest);
+}
+
+DeliveryStage::Entries::iterator DeliveryStage::shipped_from(
+    ClientQueue& q, std::uint64_t seq) {
+  return std::lower_bound(
+      q.entries.begin(), q.waiting_begin(), seq,
+      [](const QueueEntry& e, std::uint64_t d) { return e.digest < d; });
+}
+
+bool DeliveryStage::retire(ClientQueue& q, std::uint64_t seq) {
+  const auto shipped = q.waiting_begin();
+  const auto first = shipped_from(q, seq);
+  auto last = first;
+  while (last != shipped && last->digest == seq) ++last;
+  if (first == last) return false;
+  q.entries.erase(first, last);
+  q.inflight -= 1;
+  return true;
 }
 
 void DeliveryStage::arm_timer(SimTime due) {
@@ -285,7 +311,8 @@ void DeliveryStage::arm_timer(SimTime due) {
   timer_target_ = due;
   const SimTime now = owner_.server_->net().now();
   const SimTime delay = due > now ? due - now : SimTime::micros(1);
-  owner_.server_->net().set_timer(owner_.server_->id(), delay, kFlushToken);
+  owner_.server_->net().set_timer(owner_.server_->id(), delay,
+                                  [this] { on_flush_timer(); });
 }
 
 SimTime DeliveryStage::earliest_flush() const {
@@ -297,9 +324,7 @@ SimTime DeliveryStage::earliest_flush() const {
   return best;
 }
 
-bool DeliveryStage::on_timer(std::uint64_t token) {
-  if (channel_.on_timer(token)) return true;
-  if (token != kFlushToken) return false;
+void DeliveryStage::on_flush_timer() {
   timer_armed_ = false;
   const SimTime now = owner_.server_->net().now();
   for (auto& [name, q] : queues_) {
@@ -307,7 +332,8 @@ bool DeliveryStage::on_timer(std::uint64_t token) {
   }
   const SimTime next = earliest_flush();
   if (next.as_micros() >= 0) arm_timer(next);
-  return true;
+  // Group commit: one fsync for every ship record the flushes appended.
+  owner_.server_->commit_journal();
 }
 
 void DeliveryStage::on_ack(const std::string& peer, std::uint64_t seq) {
@@ -316,16 +342,16 @@ void DeliveryStage::on_ack(const std::string& peer, std::uint64_t seq) {
   if (it == queues_.end()) return;
   ClientQueue& q = it->second;
   // The client acks every replay too; only the first ack retires.
-  if (q.inflight.erase(seq) == 0) return;
+  if (!retire(q, seq)) return;
   put_client_seq(owner_.log(), kJDelivAck, q.node, seq);
   if (!q.stalled) return;
-  if (q.entries.empty()) {
+  if (q.waiting == 0) {
     q.stalled = false;
     return;
   }
   // Hysteresis: resume only once the window has drained to half the
   // credits, not on the first freed credit.
-  if (q.inflight.size() <= config_.credits / 2) flush(q);
+  if (q.inflight <= config_.credits / 2) flush(q);
 }
 
 void DeliveryStage::on_restart() {
@@ -333,8 +359,15 @@ void DeliveryStage::on_restart() {
   // goes back under its original seq, encoded from its entries in their
   // order (the body the client may already hold).
   for (const auto& [name, q] : queues_) {
-    for (const auto& [digest, entries] : q.inflight) {
-      channel_.restore(name, digest + 1, 0, digest_envelope(entries));
+    const auto shipped = q.waiting_begin();
+    for (auto first = q.entries.begin(); first != shipped;) {
+      const std::uint64_t digest = first->digest;
+      const auto last =
+          std::find_if(first, shipped, [digest](const QueueEntry& e) {
+            return e.digest != digest;
+          });
+      channel_.restore(name, digest + 1, 0, digest_envelope(first, last));
+      first = last;
     }
     if (q.next_digest > 1) channel_.restore(name, q.next_digest, 0);
   }
@@ -349,21 +382,24 @@ void DeliveryStage::on_restart() {
 
 void DeliveryStage::drop_subscription(SubscriptionId sub) {
   for (auto& [name, q] : queues_) {
-    std::erase_if(q.entries,
-                  [sub](const QueueEntry& e) { return e.sub == sub; });
+    const auto kept =
+        std::remove_if(q.waiting_begin(), q.entries.end(),
+                       [sub](const QueueEntry& e) { return e.sub == sub; });
+    q.waiting -= static_cast<std::size_t>(q.entries.end() - kept);
+    q.entries.erase(kept, q.entries.end());
   }
 }
 
 std::size_t DeliveryStage::queue_depth_total() const {
   std::size_t total = 0;
-  for (const auto& [name, q] : queues_) total += q.entries.size();
+  for (const auto& [name, q] : queues_) total += q.waiting;
   return total;
 }
 
 std::size_t DeliveryStage::queue_depth_max() const {
   std::size_t deepest = 0;
   for (const auto& [name, q] : queues_) {
-    deepest = std::max(deepest, q.entries.size());
+    deepest = std::max(deepest, q.waiting);
   }
   return deepest;
 }
@@ -371,13 +407,8 @@ std::size_t DeliveryStage::queue_depth_max() const {
 std::vector<std::string> DeliveryStage::pending_keys() const {
   std::vector<std::string> out;
   for (const auto& [name, q] : queues_) {
-    for (const auto& [digest, entries] : q.inflight) {
-      for (const QueueEntry& e : entries) {
-        out.push_back(pending_key(q.node, e.sub, e.event_id));
-      }
-    }
     for (const QueueEntry& e : q.entries) {
-      out.push_back(pending_key(q.node, e.sub, e.event_id));
+      out.push_back(pending_key(q.node, e.sub, e.event->id));
     }
   }
   std::sort(out.begin(), out.end());
@@ -404,18 +435,26 @@ bool DeliveryStage::restore_entry(wire::Reader& r) {
   const auto owner_sub = owner_.subs_.find(sub);
   const auto shared =
       std::make_shared<const docmodel::Event>(std::move(event).take());
-  QueueEntry entry{entry_seq, sub, shared->id, shared,
+  QueueEntry entry{entry_seq, digest, sub, shared,
                    wire::Frame{std::move(event_bytes)},
                    owner_sub != owner_.subs_.end()
                        ? owner_sub->second.policy.mode
                        : DeliveryMode::kImmediate};
   next_entry_seq_ = std::max(next_entry_seq_, entry_seq + 1);
   if (digest != 0) {
-    q->inflight[digest].push_back(std::move(entry));
+    // After every shipped entry of a digest up to this one.
+    const auto at = std::upper_bound(
+        q->entries.begin(), q->waiting_begin(), digest,
+        [](std::uint64_t d, const QueueEntry& e) { return d < e.digest; });
+    if (at == q->entries.begin() || std::prev(at)->digest != digest) {
+      q->inflight += 1;
+    }
+    q->entries.insert(at, std::move(entry));
     q->next_digest = std::max(q->next_digest, digest + 1);
     return true;
   }
   q->entries.push_back(std::move(entry));
+  q->waiting += 1;
   // Recovered backlog flushes as soon as the restart re-arms timers.
   q->flush_armed = true;
   q->flush_due = SimTime::zero();
@@ -433,10 +472,11 @@ bool DeliveryStage::replay_journal(std::uint8_t type, wire::Reader& r) {
     }
     for (auto& [name, q] : queues_) {
       const auto it = std::find_if(
-          q.entries.begin(), q.entries.end(),
+          q.waiting_begin(), q.entries.end(),
           [seq](const QueueEntry& e) { return e.seq == seq; });
       if (it != q.entries.end()) {
         q.entries.erase(it);
+        q.waiting -= 1;
         return true;
       }
     }
@@ -450,21 +490,26 @@ bool DeliveryStage::replay_journal(std::uint8_t type, wire::Reader& r) {
   ClientQueue* q = r.done() ? queue_for(client, type == kJDelivNextDigest)
                             : nullptr;
   if (q == nullptr) return false;
-  if (type == kJDelivAck) return q->inflight.erase(seq) > 0;
+  if (type == kJDelivAck) return retire(*q, seq);
   if (type == kJDelivNextDigest) {
     q->next_digest = std::max(q->next_digest, seq);
     return true;
   }
   // A flush ships every waiting entry, and never under a seq in flight.
-  if (q->entries.empty() || (seq != 0 && q->inflight.contains(seq))) {
+  const auto shipped = q->waiting_begin();
+  const auto at = shipped_from(*q, seq);
+  if (q->waiting == 0 || (seq != 0 && at != shipped && at->digest == seq)) {
     return false;
   }
-  if (seq != 0) {
-    q->inflight[seq].assign(std::make_move_iterator(q->entries.begin()),
-                            std::make_move_iterator(q->entries.end()));
-    q->next_digest = std::max(q->next_digest, seq + 1);
+  q->waiting = 0;
+  if (seq == 0) {
+    q->entries.erase(shipped, q->entries.end());
+    return true;
   }
-  q->entries.clear();
+  for (auto it = shipped; it != q->entries.end(); ++it) it->digest = seq;
+  std::rotate(at, shipped, q->entries.end());  // keep digest order
+  q->inflight += 1;
+  q->next_digest = std::max(q->next_digest, seq + 1);
   return true;
 }
 
@@ -485,13 +530,8 @@ void DeliveryStage::snapshot(
     if (q.next_digest > 1) {
       put_client_seq(out, kJDelivNextDigest, q.node, q.next_digest);
     }
-    for (const auto& [digest, entries] : q.inflight) {
-      for (const QueueEntry& e : entries) {
-        put_enqueued(out, q.node, e.seq, e.sub, digest, e.bytes.span());
-      }
-    }
     for (const QueueEntry& e : q.entries) {
-      put_enqueued(out, q.node, e.seq, e.sub, 0, e.bytes.span());
+      put_enqueued(out, q.node, e.seq, e.sub, e.digest, e.bytes.span());
     }
   }
 }

@@ -86,21 +86,18 @@ struct DeliveryStats {
 };
 
 /// One AlertingService's delivery stage. The service owns it, feeds it
-/// match hits with their subscription's policy, and forwards timers /
-/// acks / journal records; the stage reaches back through its owner
-/// (friend) for the wire, the journal, the notification observer and,
-/// when replaying a queue entry, its subscription's policy.
+/// match hits with their subscription's policy, and forwards acks and
+/// journal records. The stage and its digest channel arm their own
+/// timers; the stage reaches back through its owner (friend) for the
+/// wire, the journal, the notification observer and, when replaying a
+/// queue entry, its subscription's policy.
 class DeliveryStage {
  public:
-  /// Timer tokens (bits 58/59; ChannelSet default is 60, Endpoint 61).
-  static constexpr std::uint64_t kChannelToken = 1ULL << 58;
-  static constexpr std::uint64_t kFlushToken = 1ULL << 59;
-
   DeliveryStage(AlertingService& owner, const DeliveryConfig& config)
       : owner_(owner), config_(config) {}
 
-  /// Bind the digest channel + timers to the owner's network (idempotent;
-  /// the service calls this from its own ensure_channels).
+  /// Bind the digest channel to the owner's network (idempotent; the
+  /// service calls this from its own ensure_channels).
   void ensure_attached();
   /// Credit-managed (channel-backed) delivery?
   bool managed() const { return config_.credits > 0; }
@@ -115,8 +112,6 @@ class DeliveryStage {
              const std::shared_ptr<const docmodel::Event>& event,
              wire::Frame& bytes);
 
-  /// Flush-timer + digest-channel timer dispatch; false when not ours.
-  bool on_timer(std::uint64_t token);
   /// kNotificationAck (peer = client node name): retires digest `seq`.
   void on_ack(const std::string& peer, std::uint64_t seq);
   /// After a restart: recovered digests back on the channel, timers armed.
@@ -151,23 +146,32 @@ class DeliveryStage {
 
  private:
   struct QueueEntry {
-    std::uint64_t seq = 0;  // server-wide entry id (journal spill key)
+    std::uint64_t seq = 0;     // server-wide entry id (journal spill key)
+    std::uint64_t digest = 0;  // channel seq that shipped it; 0 = waiting
     SubscriptionId sub = 0;
-    docmodel::EventId event_id;
     std::shared_ptr<const docmodel::Event> event;  // for the observer
     wire::Frame bytes;                             // encode_event() payload
     DeliveryMode mode = DeliveryMode::kImmediate;
   };
+  using Entries = std::deque<QueueEntry>;
   struct ClientQueue {
     NodeId node;
     std::string name;
-    std::deque<QueueEntry> entries;  // waiting for a flush
-    // Shipped entries by digest (channel) seq, in digest order, until acked.
-    std::map<std::uint64_t, std::vector<QueueEntry>> inflight;
+    // Every entry until the ack of the digest that shipped it, in the
+    // enq record's shape: shipped entries first, in digest order, then
+    // the `waiting` ones in arrival order.
+    Entries entries;
+    std::size_t waiting = 0;   // the unshipped tail of `entries`
+    std::size_t inflight = 0;  // unacked digests
     std::uint64_t next_digest = 1;  // the channel's next seq to this client
     SimTime flush_due = SimTime::zero();
     bool flush_armed = false;
     bool stalled = false;  // waiting for the credit window to drain
+
+    Entries::iterator waiting_begin() { return entries.end() - waiting; }
+    Entries::const_iterator waiting_begin() const {
+      return entries.end() - waiting;
+    }
   };
 
   /// The queue of `client` (made when `create`); nullptr when none.
@@ -184,13 +188,22 @@ class DeliveryStage {
   /// Send one kNotification straight to the wire (unmanaged immediate).
   void send_immediate(ClientQueue& q, SubscriptionId sub,
                       const docmodel::Event& event, const wire::Frame& bytes);
-  /// Send `entries` as one kNotificationDigest: managed, in flight under
-  /// the returned channel seq; unmanaged, fire-and-forget (returns 0).
-  std::uint64_t ship(ClientQueue& q, std::vector<QueueEntry> entries);
-  wire::Envelope digest_envelope(const std::vector<QueueEntry>& entries) const;
+  /// Send the entries [first, last) of `q` as one kNotificationDigest:
+  /// managed, they stay queued, tagged with the returned channel seq;
+  /// unmanaged, fire-and-forget, they leave the queue (returns 0).
+  std::uint64_t ship(ClientQueue& q, Entries::iterator first,
+                     Entries::iterator last);
+  wire::Envelope digest_envelope(Entries::const_iterator first,
+                                 Entries::const_iterator last) const;
   /// Ship every waiting entry of `q` as one digest (credit permitting).
   void flush(ClientQueue& q);
+  /// The first shipped entry of `q` with a digest seq of at least `seq`.
+  static Entries::iterator shipped_from(ClientQueue& q, std::uint64_t seq);
+  /// Drop the entries digest `seq` shipped; false when it is not in flight.
+  bool retire(ClientQueue& q, std::uint64_t seq);
   void arm_timer(SimTime due);
+  /// The flush timer fired: flush every due queue, re-arm, commit.
+  void on_flush_timer();
   SimTime earliest_flush() const;
   void note_sent(const ClientQueue& q, SubscriptionId sub,
                  const docmodel::Event& event);
@@ -198,7 +211,7 @@ class DeliveryStage {
 
   AlertingService& owner_;
   DeliveryConfig config_;
-  // Keyed by client node name; on_timer flushes in this order.
+  // Keyed by client node name; on_flush_timer flushes in this order.
   std::map<std::string, ClientQueue> queues_;
   transport::ChannelSet channel_;  // managed digest delivery (volatile)
   std::uint64_t next_entry_seq_ = 1;

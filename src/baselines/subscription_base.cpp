@@ -54,15 +54,11 @@ bool SubscriptionExtensionBase::handle_envelope(NodeId from,
   }
 }
 
-void SubscriptionExtensionBase::on_timer_token(std::uint64_t token) {
-  (void)endpoint_.on_timer(token);
-}
-
 void SubscriptionExtensionBase::reliable_control(NodeId to,
                                                  wire::Envelope env) {
   if (!endpoint_.attached()) {
     endpoint_.attach(&server_->net(), server_->id(), server_->name(),
-                     kEndpointTag, 0xBA5E11E5ULL ^ server_->id().value());
+                     0xBA5E11E5ULL ^ server_->id().value());
   }
   const std::uint64_t key = env.msg_id;
   endpoint_.request(key, std::move(env), {.to = to},

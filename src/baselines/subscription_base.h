@@ -21,7 +21,9 @@ class SubscriptionExtensionBase : public gsnet::ServerExtension {
   std::size_t subscription_count() const { return subs_.size(); }
 
   bool handle_envelope(NodeId from, const wire::Envelope& env) override;
-  void on_timer_token(std::uint64_t token) override;
+  /// Control messages pending at a crash are dropped: their retransmit
+  /// timers died with it (counted as cancelled).
+  void on_recovered() override { endpoint_.cancel_all(); }
 
   /// Retransmit/timeout counters for broker control messages.
   const transport::EndpointStats& endpoint_stats() const {
@@ -51,10 +53,6 @@ class SubscriptionExtensionBase : public gsnet::ServerExtension {
   /// remain fire-and-forget — the lossiness the benches measure is the
   /// event path, not the control plane.
   void reliable_control(NodeId to, wire::Envelope env);
-
-  /// Endpoint tag (Endpoint::kTagShift) for control-message timers;
-  /// distinct from the host server's (1) and its GDS client's (2).
-  static constexpr std::uint8_t kEndpointTag = 3;
 
   std::map<SubscriptionId, Sub> subs_;
   SubscriptionId next_sub_ = 1;

@@ -11,16 +11,7 @@ void GdsClient::attach(sim::Network* net, NodeId self, std::string self_name,
   self_ = self;
   self_name_ = std::move(self_name);
   gds_node_ = gds_node;
-  endpoint_.attach(net_, self_, self_name_, kEndpointTag,
-                   0x9D5C11E47ULL ^ self_.value());
-}
-
-bool GdsClient::on_timer(std::uint64_t token) {
-  if (token == kRefreshTimer) {
-    on_refresh_timer();
-    return true;
-  }
-  return endpoint_.on_timer(token);
+  endpoint_.attach(net_, self_, self_name_, 0x9D5C11E47ULL ^ self_.value());
 }
 
 void GdsClient::send_register() {
@@ -35,14 +26,12 @@ void GdsClient::send_register() {
 
 void GdsClient::start() {
   if (!attached()) return;
-  send_register();
-  net_->set_timer(self_, kRefreshInterval, kRefreshTimer);
+  on_refresh_timer();
 }
 
 void GdsClient::on_refresh_timer() {
-  if (!attached()) return;
   send_register();
-  net_->set_timer(self_, kRefreshInterval, kRefreshTimer);
+  net_->set_timer(self_, kRefreshInterval, [this] { on_refresh_timer(); });
 }
 
 void GdsClient::unregister() {

@@ -21,12 +21,6 @@ namespace gsalert::gds {
 
 class GdsClient {
  public:
-  /// Timer token the owner must route to on_timer().
-  static constexpr std::uint64_t kRefreshTimer = 0x6D5FE5;
-  /// Endpoint tag for resolve timers (see transport::Endpoint::kTagShift);
-  /// distinct from the owning server's own endpoint tag.
-  static constexpr std::uint8_t kEndpointTag = 2;
-
   GdsClient() = default;
 
   /// Attach to the owner node and its GDS node. Call before Network::start.
@@ -38,13 +32,12 @@ class GdsClient {
 
   /// Register now and arm the periodic refresh.
   void start();
-  /// Re-register after the owner restarts.
-  void restart() { start(); }
-  /// Called by the owner when the refresh timer fires.
-  void on_refresh_timer();
-  /// Timer dispatch: refresh + resolve retransmit/deadline timers.
-  /// Returns false for tokens that are not ours.
-  bool on_timer(std::uint64_t token);
+  /// After the owner restarts: drop the resolves pending at the crash
+  /// (their timers died with it; callbacks do not fire), then start().
+  void restart() {
+    endpoint_.cancel_all();
+    start();
+  }
 
   void unregister();
 
@@ -86,6 +79,8 @@ class GdsClient {
       .deadline = SimTime::seconds(3), .max_retransmits = 2};
 
   void send_register();
+  /// The refresh timer fired: register again and re-arm.
+  void on_refresh_timer();
 
   sim::Network* net_ = nullptr;
   NodeId self_;

@@ -11,8 +11,6 @@
 namespace gsalert::gds {
 
 namespace {
-constexpr std::uint64_t kHeartbeatTimer = 1;
-
 // Journal record types (payloads in the comments). Snapshots are the
 // same records; types 12 to 14 appear only there.
 constexpr std::uint8_t kJRegister = 1;     // server str, node u32
@@ -164,8 +162,13 @@ void GdsServer::on_start() {
   if (parent_.valid()) {
     send_child_hello(/*full=*/true, subtree_names(), {});
   }
-  network().set_timer(id(), config_.heartbeat_interval, kHeartbeatTimer);
+  arm_heartbeat();
   commit_journal();
+}
+
+void GdsServer::arm_heartbeat() {
+  network().set_timer(id(), config_.heartbeat_interval,
+                      [this] { on_heartbeat(); });
 }
 
 void GdsServer::clear_state() {
@@ -260,8 +263,7 @@ void GdsServer::on_packet(NodeId from, const sim::Packet& packet) {
   commit_journal();
 }
 
-void GdsServer::on_timer(std::uint64_t token) {
-  if (token != kHeartbeatTimer) return;
+void GdsServer::on_heartbeat() {
   if (parent_.valid()) {
     if (heartbeat_outstanding_) {
       ++heartbeat_misses_;
@@ -290,7 +292,8 @@ void GdsServer::on_timer(std::uint64_t token) {
                    {{"count", std::to_string(parked_.stats().expired -
                                              expired_before)}});
   }
-  network().set_timer(id(), config_.heartbeat_interval, kHeartbeatTimer);
+  arm_heartbeat();
+  // Expiring parked custody and a reparent append journal records.
   commit_journal();
 }
 

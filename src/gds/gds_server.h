@@ -106,7 +106,6 @@ class GdsServer : public sim::Node {
   void on_recover() override;
   void on_rejoin() override;
   void on_packet(NodeId from, const sim::Packet& packet) override;
-  void on_timer(std::uint64_t token) override;
 
   /// Observer invoked for every broadcast delivery to a locally registered
   /// server (not relays or multicasts). Invariant checkers use it to
@@ -127,7 +126,6 @@ class GdsServer : public sim::Node {
   /// Export stats under `gds.*{node=<name>}` (see docs/OBSERVABILITY.md).
   void collect_metrics(obs::MetricsRegistry& registry) const;
   std::size_t registered_count() const { return local_servers_.size(); }
-  std::size_t known_names() const { return name_routes_.size(); }
   bool knows_name(const std::string& name) const;
   /// Locally registered server names, sorted (durability checker).
   std::vector<std::string> registered_names() const;
@@ -190,6 +188,11 @@ class GdsServer : public sim::Node {
   void advertise_up(std::vector<std::string> adds,
                     std::vector<std::string> removes);
   void reparent();
+  void arm_heartbeat();
+  /// Heartbeat tick: heartbeat the parent (re-parenting after too many
+  /// misses), probe ancestors, prune dead children, expire parked
+  /// custody, re-arm.
+  void on_heartbeat();
   /// Send one kGdsRttProbe round-robin over the non-parent proper
   /// ancestors (adaptive mode, once per heartbeat tick).
   void probe_ancestor_rtt();

@@ -170,13 +170,6 @@ const retrieval::Engine* GreenstoneServer::engine(
   return it == collections_.end() ? nullptr : &it->second.engine;
 }
 
-std::vector<std::string> GreenstoneServer::collection_names() const {
-  std::vector<std::string> out;
-  out.reserve(collections_.size());
-  for (const auto& [n, entry] : collections_) out.push_back(n);
-  return out;
-}
-
 // --- events ----------------------------------------------------------------------
 
 docmodel::Event GreenstoneServer::make_event(
@@ -225,7 +218,7 @@ void GreenstoneServer::ensure_endpoint() {
   // Network::start only schedules on_start; a resolve issued before the
   // scheduler runs (test setup code does this) must self-attach.
   if (!endpoint_.attached()) {
-    endpoint_.attach(&network(), id(), name(), kEndpointTag,
+    endpoint_.attach(&network(), id(), name(),
                      0x65E47BADC0FFEEULL ^ id().value());
   }
 }
@@ -295,23 +288,6 @@ void GreenstoneServer::on_recover() {
 void GreenstoneServer::on_rejoin() {
   if (gds_.attached()) gds_.restart();
   if (extension_) extension_->on_restarted();
-}
-
-void GreenstoneServer::on_timer(std::uint64_t token) {
-  if (gds_.on_timer(token)) {
-    commit_journal();
-    return;
-  }
-  if (endpoint_.on_timer(token)) {
-    commit_journal();
-    return;
-  }
-  if (mediator_.on_timer(token)) {
-    commit_journal();
-    return;
-  }
-  if (extension_) extension_->on_timer_token(token);
-  commit_journal();
 }
 
 void GreenstoneServer::on_packet(NodeId from, const sim::Packet& packet) {

@@ -68,7 +68,6 @@ class GreenstoneServer : public sim::Node {
   // --- local queries ------------------------------------------------------
   const docmodel::Collection* collection(const std::string& name) const;
   const retrieval::Engine* engine(const std::string& name) const;
-  std::vector<std::string> collection_names() const;
 
   /// Resolve a collection's full document set, following sub-collection
   /// links across hosts (asynchronous; callback fires when every branch
@@ -135,7 +134,6 @@ class GreenstoneServer : public sim::Node {
   void on_recover() override;
   void on_rejoin() override;
   void on_packet(NodeId from, const sim::Packet& packet) override;
-  void on_timer(std::uint64_t token) override;
 
  private:
   struct Entry {
@@ -154,10 +152,6 @@ class GreenstoneServer : public sim::Node {
                              const docmodel::Collection& coll,
                              std::vector<docmodel::Document> docs);
   void emit(const docmodel::Event& event);
-
-  /// Endpoint tag for our request timers (the embedded GdsClient uses
-  /// tag 2 on the same node, so resolve timers stay distinguishable).
-  static constexpr std::uint8_t kEndpointTag = 1;
 
   ServerConfig config_;
   std::map<std::string, Entry> collections_;

@@ -18,25 +18,12 @@ void QueryMediator::attach(GreenstoneServer* server) {
 void QueryMediator::ensure_endpoint() {
   if (endpoint_.attached() || server_ == nullptr) return;
   endpoint_.attach(&server_->net(), server_->id(), server_->name(),
-                   kEndpointTag, 0x4D5ED1A70ULL ^ server_->id().value());
+                   0x4D5ED1A70ULL ^ server_->id().value());
 }
 
 void QueryMediator::define_virtual(std::string name,
                                    std::vector<CollectionRef> members) {
   virtuals_[std::move(name)] = std::move(members);
-}
-
-const std::vector<CollectionRef>* QueryMediator::virtual_members(
-    const std::string& name) const {
-  const auto it = virtuals_.find(name);
-  return it == virtuals_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> QueryMediator::virtual_names() const {
-  std::vector<std::string> names;
-  names.reserve(virtuals_.size());
-  for (const auto& [name, members] : virtuals_) names.push_back(name);
-  return names;
 }
 
 void QueryMediator::query(const std::string& vname,

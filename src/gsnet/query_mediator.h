@@ -60,9 +60,6 @@ class QueryMediator {
 
   /// Register or replace a virtual collection's member list.
   void define_virtual(std::string name, std::vector<CollectionRef> members);
-  const std::vector<CollectionRef>* virtual_members(
-      const std::string& name) const;
-  std::vector<std::string> virtual_names() const;
 
   /// Scatter `query_text` to every member of virtual collection `vname`.
   /// `done` fires once, after every member answered or timed out.
@@ -73,11 +70,10 @@ class QueryMediator {
                      const std::string& query_text,
                      std::function<void(MediatedQueryResult)> done);
 
-  /// Owner hooks: packet dispatch and endpoint timers route through the
-  /// hosting GreenstoneServer.
+  /// Owner hooks: packet dispatch routes through the hosting
+  /// GreenstoneServer.
   void handle_query(NodeId from, const wire::Envelope& env);
   void handle_reply(const wire::Envelope& env);
-  bool on_timer(std::uint64_t token) { return endpoint_.on_timer(token); }
   /// Pending scatters are volatile: dropped on crash (callers re-query).
   void cancel_all() { endpoint_.cancel_all(); }
 
@@ -89,9 +85,6 @@ class QueryMediator {
   void collect_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  /// Endpoint tag on the hosting node: the server's own endpoint is 1,
-  /// its GDS client 2; the mediator's timers use 3.
-  static constexpr std::uint8_t kEndpointTag = 3;
   /// Per-peer answer deadline: a member that misses it is dropped from
   /// the merge (with retransmits inside the window) and the query result
   /// is marked partial rather than failed.

@@ -12,8 +12,7 @@ void Receptionist::ensure_endpoint() {
   // Network::start only schedules on_start; requests issued before the
   // scheduler runs (test setup code does this) must self-attach.
   if (!endpoint_.attached()) {
-    endpoint_.attach(&network(), id(), name(), kEndpointTag,
-                     0x2ECE971051ULL ^ id().value());
+    endpoint_.attach(&network(), id(), name(), 0x2ECE971051ULL ^ id().value());
   }
 }
 
@@ -119,10 +118,6 @@ void Receptionist::on_packet(NodeId /*from*/, const sim::Packet& packet) {
     if (!body.ok()) return;
     endpoint_.complete(body.value().request_id, env);
   }
-}
-
-void Receptionist::on_timer(std::uint64_t token) {
-  endpoint_.on_timer(token);
 }
 
 }  // namespace gsalert::gsnet

@@ -43,11 +43,11 @@ class Receptionist : public sim::Node {
   }
 
   void on_start() override;
+  /// Requests pending at a crash are dropped: their timers died with it.
+  void on_recover() override { endpoint_.cancel_all(); }
   void on_packet(NodeId from, const sim::Packet& packet) override;
-  void on_timer(std::uint64_t token) override;
 
  private:
-  static constexpr std::uint8_t kEndpointTag = 1;
   /// Deadline of one user-facing request, retransmits included.
   static constexpr SimTime kRequestTimeout = SimTime::seconds(5);
 

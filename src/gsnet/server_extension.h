@@ -66,7 +66,6 @@ class ServerExtension {
 
   virtual void on_started() {}
   virtual void on_restarted() {}
-  virtual void on_timer_token(std::uint64_t /*token*/) {}
 
   /// --- durability (server write-ahead journal) --------------------------
   /// The extension journals its own records (types 64..254) through
@@ -74,7 +73,9 @@ class ServerExtension {
   /// commit and the snapshot cadence. Restart phase 1 calls on_recovered
   /// (wipe journaled state, re-attach channels) before the server replays
   /// the snapshot's and the log's records through replay_journal; phase 2
-  /// still calls on_restarted to re-announce and re-arm timers.
+  /// still calls on_restarted to re-announce and re-arm timers (the crash
+  /// killed every earlier one). The server commits after each packet; an
+  /// extension's own timer handler commits the records it appends.
   virtual void on_recovered() {}
   /// Emit full durable state into a journal snapshot, as the same records
   /// the extension appends live.

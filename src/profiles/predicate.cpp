@@ -9,28 +9,6 @@
 
 namespace gsalert::profiles {
 
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kEq:
-      return "=";
-    case Op::kNeq:
-      return "!=";
-    case Op::kWildcard:
-      return "=~";
-    case Op::kNotWildcard:
-      return "!~";
-    case Op::kIn:
-      return "IN";
-    case Op::kNotIn:
-      return "NOT IN";
-    case Op::kQuery:
-      return "~";
-    case Op::kNotQuery:
-      return "NOT ~";
-  }
-  return "?";
-}
-
 bool is_negative_op(Op op) {
   return op == Op::kNeq || op == Op::kNotWildcard || op == Op::kNotIn ||
          op == Op::kNotQuery;

@@ -24,8 +24,6 @@ enum class Op : std::uint8_t {
   kNotQuery,
 };
 
-const char* op_name(Op op);
-
 /// True for the operators produced by De Morgan push-down; the
 /// predicate-sharing table caches only positive forms and flips the
 /// cached answer for these (both macro- and doc-level negatives are

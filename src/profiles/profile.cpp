@@ -14,10 +14,4 @@ bool Profile::matches(const EventContext& ctx) const {
                      [&](const Conjunction& c) { return c.eval(ctx); });
 }
 
-std::size_t Profile::predicate_count() const {
-  std::size_t n = 0;
-  for (const auto& c : dnf) n += c.preds.size();
-  return n;
-}
-
 }  // namespace gsalert::profiles

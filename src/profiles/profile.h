@@ -30,8 +30,6 @@ struct Profile {
   /// Naive full evaluation (the baseline the index is benchmarked
   /// against in experiment E9).
   bool matches(const EventContext& ctx) const;
-
-  std::size_t predicate_count() const;
 };
 
 }  // namespace gsalert::profiles

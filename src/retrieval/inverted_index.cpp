@@ -42,12 +42,6 @@ void InvertedIndex::build(const docmodel::DataSet& data,
   }
 }
 
-std::size_t InvertedIndex::term_count() const {
-  std::size_t n = 0;
-  for (const auto& [attr, terms] : postings_) n += terms.size();
-  return n;
-}
-
 PostingList intersect(const PostingList& a, const PostingList& b) {
   PostingList out;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),

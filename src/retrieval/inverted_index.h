@@ -35,7 +35,6 @@ class InvertedIndex {
   /// All documents in the index (the universe for NOT).
   const PostingList& universe() const { return universe_; }
 
-  std::size_t term_count() const;
   std::size_t doc_count() const { return universe_.size(); }
 
  private:

@@ -36,6 +36,7 @@ void Network::register_node(std::string name, std::unique_ptr<Node> node) {
   }
   nodes_.push_back(std::move(node));
   up_.push_back(true);
+  incarnations_.push_back(0);
   node_stats_.emplace_back();
 }
 
@@ -73,15 +74,6 @@ std::size_t Network::region_of(NodeId node) const {
   return topology_->region_of(node.value() - 1, nodes_.size());
 }
 
-std::vector<NodeId> Network::nodes_in_region(std::size_t region) const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const NodeId id{static_cast<std::uint32_t>(i + 1)};
-    if (region_of(id) == region) out.push_back(id);
-  }
-  return out;
-}
-
 const PathConfig& Network::path_for(NodeId a, NodeId b) const {
   const auto it = path_overrides_.find(pair_key(a, b));
   if (it != path_overrides_.end()) return it->second;
@@ -114,6 +106,7 @@ void Network::crash(NodeId node) {
   assert(node.value() >= 1 && node.value() <= nodes_.size());
   if (crash_observer_) crash_observer_(node);
   up_[node.value() - 1] = false;
+  incarnations_[node.value() - 1] += 1;
   const auto it = storages_.find(node.value());
   if (it != storages_.end()) it->second->on_crash(rng_, storage_faults_);
 }
@@ -290,13 +283,6 @@ void Network::deliver(NodeId from, NodeId to, Packet p) {
   receiver.received += 1;
   receiver.bytes_received += p.size();
   nodes_[to.value() - 1]->on_packet(from, p);
-}
-
-void Network::set_timer(NodeId node, SimTime delay, std::uint64_t token) {
-  scheduler_.schedule_after(delay, [this, node, token] {
-    if (!is_up(node)) return;
-    nodes_[node.value() - 1]->on_timer(token);
-  });
 }
 
 void Network::schedule_control(SimTime delay, std::function<void()> action) {

@@ -131,8 +131,6 @@ class Network {
   }
   /// Region of a node under the installed topology (0 without one).
   std::size_t region_of(NodeId node) const;
-  /// Every node in `region` under the installed topology, in id order.
-  std::vector<NodeId> nodes_in_region(std::size_t region) const;
 
   /// Resolved path characteristics for a pair (override, then topology
   /// matrix, then default) — what send() will actually use.
@@ -144,7 +142,8 @@ class Network {
 
   /// --- Failure injection ------------------------------------------------
   /// Crash: node stops sending/receiving; in-flight packets to it drop,
-  /// its storage (if any) loses pending writes per the fault knobs.
+  /// its storage (if any) loses pending writes per the fault knobs, and
+  /// its timers die (the node's next incarnation starts here).
   void crash(NodeId node);
   /// Restart a crashed node (on_restart is invoked).
   void restart(NodeId node);
@@ -195,9 +194,23 @@ class Network {
   /// as best-effort information only, matching the GDS delivery contract.
   bool send(NodeId from, NodeId to, Packet packet);
 
-  /// Arrange for node's on_timer(token) to fire after `delay` (skipped if
-  /// the node is down at fire time).
-  void set_timer(NodeId node, SimTime delay, std::uint64_t token);
+  /// Run `f` after `delay` if `node` is up then and has not crashed since:
+  /// a timer dies with the incarnation that set it. `f` is its owner's
+  /// handler, a closure over the owner and a key (never over an element
+  /// of a container the owner may clear); it must fit SmallAction's
+  /// inline buffer beside the node id and incarnation.
+  template <typename F>
+  void set_timer(NodeId node, SimTime delay, F&& f) {
+    auto timer = [this, node, life = incarnations_[node.value() - 1],
+                  f = std::forward<F>(f)]() mutable {
+      if (up_[node.value() - 1] && incarnations_[node.value() - 1] == life) {
+        f();
+      }
+    };
+    static_assert(sizeof(timer) <= SmallAction::kInlineBytes,
+                  "timer closure would spill to the heap");
+    scheduler_.schedule_after(delay, std::move(timer));
+  }
 
   /// --- Introspection ------------------------------------------------------
   Node* node(NodeId id) const;
@@ -235,6 +248,7 @@ class Network {
   Rng rng_;
   std::vector<std::unique_ptr<Node>> nodes_;  // index = id - 1
   std::vector<bool> up_;
+  std::vector<std::uint32_t> incarnations_;  // bumped by crash()
   std::vector<NodeStats> node_stats_;
   std::unordered_map<std::string, NodeId> by_name_;
   std::unordered_map<std::uint64_t, PathConfig> path_overrides_;

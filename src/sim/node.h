@@ -41,17 +41,18 @@ class Node {
   virtual void on_start() {}
 
   /// A packet arrived from `from` (delivery already paid latency/loss).
+  /// A timer needs no hook: its owner hands Network::set_timer the
+  /// closure that handles it.
   virtual void on_packet(NodeId from, const Packet& packet) = 0;
-
-  /// A timer set via Network::set_timer fired.
-  virtual void on_timer(std::uint64_t /*token*/) {}
 
   /// The node was restarted after a crash. The default sequences the two
   /// phases every stateful node shares: first recover durable state
   /// (reopen the journal, replay), then rejoin the network (hellos,
-  /// timers, retransmits). Stateless test doubles may still override
-  /// on_restart wholesale; production nodes override the phases so the
-  /// restart path is uniform across node types.
+  /// timers, retransmits). Every timer set before the crash is gone, so
+  /// a pending request is either dropped at recover or re-armed at
+  /// rejoin. Stateless test doubles may still override on_restart
+  /// wholesale; production nodes override the phases so the restart
+  /// path is uniform across node types.
   virtual void on_restart() {
     on_recover();
     on_rejoin();

@@ -86,7 +86,7 @@ void ChannelSet::arm(SimTime due) {
   timer_target_ = due;
   const SimTime now = net_->now();
   const SimTime delay = due > now ? due - now : SimTime::micros(1);
-  net_->set_timer(self_, delay, timer_token_);
+  net_->set_timer(self_, delay, [this] { on_retry_timer(); });
 }
 
 std::uint64_t ChannelSet::send(const std::string& peer, wire::Envelope env) {
@@ -169,8 +169,7 @@ ChannelSet::Incoming ChannelSet::on_data_apply(PeerState& state,
   return incoming;
 }
 
-bool ChannelSet::on_timer(std::uint64_t token) {
-  if (token != timer_token_) return false;
+void ChannelSet::on_retry_timer() {
   armed_ = false;
   const SimTime now = net_->now();
   for (auto& [peer, state] : peers_) {
@@ -196,7 +195,6 @@ bool ChannelSet::on_timer(std::uint64_t token) {
   }
   const SimTime next = earliest_due();
   if (next.as_micros() >= 0) arm(next);
-  return true;
 }
 
 void ChannelSet::set_journal(std::function<journal::RecordSink()> log,

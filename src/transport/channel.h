@@ -49,13 +49,11 @@ struct ChannelStats {
 };
 
 /// All reliable channels of one node, keyed by peer name. One retry
-/// timer serves every channel; per-entry deadlines follow the
-/// ChannelPolicy's backoff + deterministic jitter so co-parked senders
-/// desynchronize after a partition heals.
+/// timer serves every channel (the set arms it itself); per-entry
+/// deadlines follow the ChannelPolicy's backoff + deterministic jitter so
+/// co-parked senders desynchronize after a partition heals.
 class ChannelSet {
  public:
-  /// Timer token (bit 60; distinct from Endpoint's bit 61).
-  static constexpr std::uint64_t kTimerToken = 1ULL << 60;
   /// Cap on out-of-order envelopes buffered per peer. An arrival beyond
   /// it is refused unacked; the sender retransmits it.
   static constexpr std::size_t kReorderCap = 64;
@@ -68,10 +66,6 @@ class ChannelSet {
   void attach(sim::Network* net, NodeId self, std::string self_name,
               TransmitFn transmit, std::uint64_t jitter_seed);
   bool attached() const { return net_ != nullptr; }
-  /// Override the retry-timer token (default kTimerToken). Needed when a
-  /// node owns more than one ChannelSet: each must dispatch its own
-  /// timer. Set before the first send().
-  void set_timer_token(std::uint64_t token) { timer_token_ = token; }
 
   /// --- Durability ---------------------------------------------------------
   /// Journal every durable-state mutation through `log` as records of
@@ -121,9 +115,6 @@ class ChannelSet {
   /// unacked, and the sender keeps retransmitting it.
   Incoming on_data(const wire::Envelope& env);
 
-  /// Handle a timer token; false when not ours.
-  bool on_timer(std::uint64_t token);
-
   /// Re-arm the retry timer after a node restart (state is durable,
   /// pre-crash timers are gone).
   void on_restart();
@@ -152,6 +143,8 @@ class ChannelSet {
   void stamp_and_transmit(const std::string& peer, PeerState& state,
                           std::uint64_t seq, Unacked& entry);
   void arm(SimTime due);
+  /// The retry timer fired: retransmit every due entry, re-arm.
+  void on_retry_timer();
   SimTime earliest_due() const;
 
   sim::Network* net_ = nullptr;
@@ -164,7 +157,6 @@ class ChannelSet {
   static constexpr ChannelPolicy kPolicy{};
   Rng rng_{0};
   std::map<std::string, PeerState> peers_;
-  std::uint64_t timer_token_ = kTimerToken;
   bool armed_ = false;
   SimTime timer_target_;
   ChannelStats stats_;

@@ -7,11 +7,10 @@
 namespace gsalert::transport {
 
 void Endpoint::attach(sim::Network* net, NodeId self, std::string self_name,
-                      std::uint8_t tag, std::uint64_t jitter_seed) {
+                      std::uint64_t jitter_seed) {
   net_ = net;
   self_ = self;
   self_name_ = std::move(self_name);
-  tag_bits_ = (static_cast<std::uint64_t>(tag) & 0x3) << kTagShift;
   rng_ = Rng{jitter_seed};
 }
 
@@ -25,8 +24,9 @@ void Endpoint::transmit(const Pending& entry) {
 
 void Endpoint::arm(std::uint64_t key, Pending& entry, SimTime delay) {
   entry.timer_seq = next_timer_++;
-  timers_[entry.timer_seq] = key;
-  net_->set_timer(self_, delay, kTimerBit | tag_bits_ | entry.timer_seq);
+  net_->set_timer(self_, delay, [this, key, seq = entry.timer_seq] {
+    on_request_timer(key, seq);
+  });
 }
 
 void Endpoint::request(std::uint64_t key, wire::Envelope env,
@@ -56,25 +56,15 @@ bool Endpoint::complete(std::uint64_t key, const wire::Envelope& reply) {
     return false;
   }
   ReplyCallback cb = std::move(it->second.cb);
-  timers_.erase(it->second.timer_seq);
   pending_.erase(it);
   stats_.replies += 1;
   if (cb) cb(&reply);
   return true;
 }
 
-bool Endpoint::on_timer(std::uint64_t token) {
-  constexpr std::uint64_t kTagMask = 0x3ULL << kTagShift;
-  if (!net_ || (token & (kTimerBit | kTagMask)) != (kTimerBit | tag_bits_)) {
-    return false;
-  }
-  const std::uint64_t seq = token & ((1ULL << kTagShift) - 1);
-  const auto timer_it = timers_.find(seq);
-  if (timer_it == timers_.end()) return true;  // stale: request completed
-  const std::uint64_t key = timer_it->second;
-  timers_.erase(timer_it);
+void Endpoint::on_request_timer(std::uint64_t key, std::uint64_t seq) {
   const auto it = pending_.find(key);
-  if (it == pending_.end() || it->second.timer_seq != seq) return true;
+  if (it == pending_.end() || it->second.timer_seq != seq) return;  // stale
   Pending& entry = it->second;
   const SimTime now = net_->now();
   const RetryPolicy& policy = entry.options.policy;
@@ -92,7 +82,7 @@ bool Endpoint::on_timer(std::uint64_t token) {
     pending_.erase(it);
     stats_.timeouts += 1;
     if (cb) cb(nullptr);
-    return true;
+    return;
   }
 
   if (entry.retransmits < policy.max_retransmits) {
@@ -116,13 +106,11 @@ bool Endpoint::on_timer(std::uint64_t token) {
     next = std::min(next, jittered(entry.rto, policy.jitter, rng_));
   }
   arm(key, entry, next);
-  return true;
 }
 
 void Endpoint::cancel_all() {
   stats_.cancelled += pending_.size();
   pending_.clear();
-  timers_.clear();
 }
 
 }  // namespace gsalert::transport

@@ -7,8 +7,9 @@
 // component attached to one). The owner still receives all packets; when
 // it decodes a reply it calls `complete(key, env)` with the request's
 // correlation key, and the Endpoint routes the reply to the stored
-// callback. Timers arrive through the owner's `on_timer`, which must
-// forward unrecognized tokens to `Endpoint::on_timer`.
+// callback. The Endpoint arms its own retransmit/deadline timers: each
+// closure carries the request key and its timer sequence, so only a
+// request's latest timer acts, and none outlives the node's incarnation.
 //
 // Retransmits re-`pack()` the stored envelope: headers are re-encoded
 // per attempt but the body `wire::Frame` is aliased, never copied —
@@ -38,13 +39,6 @@ struct EndpointStats {
 
 class Endpoint {
  public:
-  /// Timer tokens: bit 61 marks transport-endpoint timers; `tag` (2 bits
-  /// at 56..57) separates endpoints co-hosted on one node (a Greenstone
-  /// server owns its own endpoint, its GDS client's, and possibly a
-  /// baseline extension's); the low bits are a per-endpoint sequence.
-  static constexpr std::uint64_t kTimerBit = 1ULL << 61;
-  static constexpr std::uint64_t kTagShift = 56;
-
   /// Reply callback: the matched reply envelope, or nullptr when the
   /// deadline passed. Fires exactly once per request.
   using ReplyCallback = std::function<void(const wire::Envelope* reply)>;
@@ -57,11 +51,10 @@ class Endpoint {
     SendFn send;   // optional custom transmit (e.g. via GDS relay)
   };
 
-  /// Bind to the network. `tag` must be unique among endpoints sharing
-  /// one node's timer stream; `jitter_seed` keys the deterministic
-  /// backoff jitter (derive it from the node id so replays match).
+  /// Bind to the network. `jitter_seed` keys the deterministic backoff
+  /// jitter (derive it from the node id so replays match).
   void attach(sim::Network* net, NodeId self, std::string self_name,
-              std::uint8_t tag, std::uint64_t jitter_seed);
+              std::uint64_t jitter_seed);
   bool attached() const { return net_ != nullptr; }
 
   /// Send `env` and register `cb` under `key` (the request id the reply
@@ -75,11 +68,9 @@ class Endpoint {
   /// — duplicate reply, or the deadline already fired.
   bool complete(std::uint64_t key, const wire::Envelope& reply);
 
-  /// Handle a timer token. Returns false when the token is not ours.
-  bool on_timer(std::uint64_t token);
-
-  /// Drop every pending request without firing callbacks (volatile
-  /// restart semantics, matching the old pending_.clear()).
+  /// Drop every pending request without firing callbacks. An owner
+  /// calls it when it recovers from a crash: the requests' timers died
+  /// with the crash, so nothing would ever retransmit or time them out.
   void cancel_all();
 
   std::size_t pending_count() const { return pending_.size(); }
@@ -100,14 +91,15 @@ class Endpoint {
 
   void transmit(const Pending& entry);
   void arm(std::uint64_t key, Pending& entry, SimTime delay);
+  /// Timer `seq` of request `key` fired: retransmit or time out, unless
+  /// the request completed or a later timer replaced this one.
+  void on_request_timer(std::uint64_t key, std::uint64_t seq);
 
   sim::Network* net_ = nullptr;
   NodeId self_;
   std::string self_name_;
-  std::uint64_t tag_bits_ = 0;
   Rng rng_{0};
   std::map<std::uint64_t, Pending> pending_;   // key -> in-flight request
-  std::map<std::uint64_t, std::uint64_t> timers_;  // timer_seq -> key
   std::uint64_t next_timer_ = 1;
   EndpointStats stats_;
 };

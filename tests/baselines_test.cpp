@@ -98,6 +98,26 @@ TEST(CentralizedTest, CancelRemovesFromCentralIndex) {
   EXPECT_TRUE(w.clients[1]->notifications().empty());
 }
 
+// A broker control message lost to a short outage is retransmitted by
+// the extension's own endpoint timer, beside the host server's query
+// mediator, whose endpoint runs on the same node.
+TEST(CentralizedTest, LostControlMessageIsRetransmitted) {
+  CentralWorld w{1};
+  const NodeId host = w.servers[0]->id();
+  const NodeId central = w.central->id();
+  w.net.block_pair(host, central);
+  w.net.schedule_control(SimTime::millis(300),
+                         [&] { w.net.unblock_pair(host, central); });
+  w.clients[0]->subscribe("host = h0");
+  w.settle(SimTime::seconds(10));
+  EXPECT_EQ(w.central->profile_count(), 1u);
+  const transport::EndpointStats& control = w.ext[0]->endpoint_stats();
+  EXPECT_EQ(control.requests, 1u);
+  EXPECT_EQ(control.retransmits, 1u);
+  EXPECT_EQ(control.replies, 1u);
+  EXPECT_EQ(control.timeouts, 0u);
+}
+
 TEST(CentralizedTest, CentralFailureIsTotalOutage) {
   CentralWorld w;
   w.clients[1]->subscribe("host = h0");

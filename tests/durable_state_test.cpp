@@ -108,7 +108,6 @@ class Member : public sim::Node {
       client_.handle_resolve_reply(env.value());
     }
   }
-  void on_timer(std::uint64_t token) override { (void)client_.on_timer(token); }
   gds::GdsClient& client() { return client_; }
 
  private:

@@ -873,6 +873,67 @@ TEST_P(JournalFuzz, DeliveryReplayRefusesDamagedRecords) {
   }
 }
 
+// Shipped entries stay in their client's queue, in digest order, until
+// their digest's ack: an ack retires exactly its digest's entries,
+// whatever order acks come back in, and a second ack retires nothing. A
+// ship record under a seq below one in flight keeps the order too.
+TEST(DeliveryReplayTest, AcksRetireTheirOwnDigestInAnyOrder) {
+  constexpr std::uint8_t kEnq = 76;
+  constexpr std::uint8_t kShip = 78;
+  constexpr std::uint8_t kAck = 79;
+  constexpr std::uint8_t kEntryCounter = 84;
+  constexpr SubscriptionId kSub = 7;
+  Rng rng{0xAC4};
+  std::vector<std::vector<std::byte>> events;
+  for (int i = 0; i < 4; ++i) {
+    events.push_back(alerting::encode_event(random_event(rng)));
+  }
+  const auto enq = [&](NodeId client, std::uint64_t seq,
+                       std::uint64_t digest) {
+    wire::Writer w;
+    w.u32(client.value());
+    w.u64(seq);
+    w.u64(kSub);
+    w.u64(digest);
+    w.bytes(events[seq - 1]);
+    return std::move(w).take();
+  };
+  const auto client_seq = [](NodeId client, std::uint64_t seq) {
+    wire::Writer w;
+    w.u32(client.value());
+    w.u64(seq);
+    return std::move(w).take();
+  };
+
+  DeliveryReplayWorld world;
+  const NodeId c = world.client(0);
+  ASSERT_TRUE(world.replay(kEnq, enq(c, 1, 1)));
+  ASSERT_TRUE(world.replay(kEnq, enq(c, 2, 2)));
+  ASSERT_TRUE(world.replay(kEnq, enq(c, 3, 2)));
+  ASSERT_TRUE(world.replay(kEnq, enq(c, 4, 0)));
+  ASSERT_TRUE(world.replay(kAck, client_seq(c, 2)));
+  EXPECT_FALSE(world.replay(kAck, client_seq(c, 2)));
+  ASSERT_TRUE(world.replay(kShip, client_seq(c, 3)));
+  ASSERT_TRUE(world.replay(kAck, client_seq(c, 1)));
+  DeliveryReplayWorld expected;
+  ASSERT_TRUE(expected.replay(kEnq, enq(c, 4, 3)));
+  EXPECT_EQ(world.durable(), expected.durable());
+
+  DeliveryReplayWorld low;
+  ASSERT_TRUE(low.replay(kEnq, enq(c, 1, 5)));
+  ASSERT_TRUE(low.replay(kEnq, enq(c, 2, 0)));
+  ASSERT_TRUE(low.replay(kShip, client_seq(c, 3)));
+  EXPECT_FALSE(low.replay(kShip, client_seq(c, 3)));  // nothing waiting
+  ASSERT_TRUE(low.replay(kAck, client_seq(c, 3)));
+  DeliveryReplayWorld low_expected;
+  ASSERT_TRUE(low_expected.replay(kEnq, enq(c, 1, 5)));
+  wire::Writer counter;
+  counter.u64(3);
+  const std::vector<std::byte> next_entry = std::move(counter).take();
+  ASSERT_TRUE(low_expected.replay(kEntryCounter, next_entry));
+  EXPECT_EQ(low.durable(), low_expected.durable());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, JournalFuzz,
                          ::testing::Values(FuzzParam{13}, FuzzParam{137},
                                            FuzzParam{1379}, FuzzParam{13797}),

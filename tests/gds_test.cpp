@@ -49,9 +49,6 @@ class FakeServer : public sim::Node {
       }
     }
   }
-  void on_timer(std::uint64_t token) override {
-    if (token == GdsClient::kRefreshTimer) client_.on_refresh_timer();
-  }
 
   GdsClient& client() { return client_; }
 

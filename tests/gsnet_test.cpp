@@ -10,6 +10,7 @@
 #include "docmodel/collection.h"
 #include "docmodel/document.h"
 #include "docmodel/event.h"
+#include "gds/tree_builder.h"
 #include "gsnet/greenstone_server.h"
 #include "gsnet/receptionist.h"
 #include "gsnet/server_extension.h"
@@ -574,6 +575,50 @@ TEST(ServerLifecycleTest, RestartKeepsCollectionsClearsPending) {
   EXPECT_EQ(rec->restarts, 1);
   ASSERT_NE(server->collection("A"), nullptr);  // durable
   EXPECT_EQ(server->collection("A")->data.size(), 1u);
+}
+
+// A timer dies with the incarnation that set it, so a crash-restart
+// leaves a node the timers it had: the restart re-arms one register
+// refresh chain per server and one heartbeat chain per GDS node, and the
+// chains armed before the crash never fire.
+TEST(ServerLifecycleTest, CrashRestartKeepsTimerRates) {
+  sim::Network net{7};
+  const gds::GdsTree tree = gds::build_figure2_tree(net);
+  const NodeId leaf = tree.nodes[2]->id();  // gds-3, stratum 3
+  auto* server = net.make_node<GreenstoneServer>("H");
+  server->attach_gds(leaf);
+  net.start();
+  net.run_until(SimTime::seconds(5));
+
+  // Per 20 s of idling: packets the server sends (register refreshes)
+  // and packets the leaf receives (those refreshes, heartbeat acks).
+  struct Rates {
+    std::uint64_t refreshes = 0;
+    std::uint64_t leaf_received = 0;
+    bool operator==(const Rates&) const = default;
+  };
+  const auto idle_window = [&] {
+    const sim::NodeStats server_before = net.node_stats(server->id());
+    const sim::NodeStats leaf_before = net.node_stats(leaf);
+    net.run_until(net.now() + SimTime::seconds(20));
+    return Rates{net.node_stats(server->id()).sent - server_before.sent,
+                 net.node_stats(leaf).received - leaf_before.received};
+  };
+  const Rates before = idle_window();
+  EXPECT_EQ(before.refreshes, 10u);
+  EXPECT_GT(before.leaf_received, before.refreshes);
+  for (int crashes = 1; crashes <= 3; ++crashes) {
+    net.crash(server->id());
+    net.crash(leaf);
+    net.run_until(net.now() + SimTime::millis(300));
+    net.restart(server->id());
+    net.restart(leaf);
+    net.run_until(net.now() + SimTime::seconds(5));
+    const Rates after = idle_window();
+    EXPECT_EQ(after.refreshes, before.refreshes) << crashes << " crashes";
+    EXPECT_EQ(after.leaf_received, before.leaf_received)
+        << crashes << " crashes";
+  }
 }
 
 }  // namespace

@@ -537,9 +537,6 @@ class RelayServer : public sim::Node {
       ++delivered;
     }
   }
-  void on_timer(std::uint64_t token) override {
-    if (token == gds::GdsClient::kRefreshTimer) client_.on_refresh_timer();
-  }
   gds::GdsClient& client() { return client_; }
   int delivered = 0;
 

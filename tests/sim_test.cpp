@@ -160,13 +160,11 @@ class Recorder : public Node {
     sizes.push_back(packet.size());
     receive_times.push_back(network().now());
   }
-  void on_timer(std::uint64_t token) override { timers.push_back(token); }
   void on_restart() override { ++restarts; }
 
   std::vector<NodeId> senders;
   std::vector<std::size_t> sizes;
   std::vector<SimTime> receive_times;
-  std::vector<std::uint64_t> timers;
   int restarts = 0;
 };
 
@@ -347,12 +345,27 @@ TEST(NetworkTest, TimersFireUnlessCrashed) {
   auto* a = net.make_node<Recorder>("a");
   auto* b = net.make_node<Recorder>("b");
   net.start();
-  net.set_timer(a->id(), SimTime::millis(5), 11);
-  net.set_timer(b->id(), SimTime::millis(5), 22);
+  std::vector<int> fired;
+  net.set_timer(a->id(), SimTime::millis(5), [&] { fired.push_back(11); });
+  net.set_timer(b->id(), SimTime::millis(5), [&] { fired.push_back(22); });
   net.crash(b->id());
   net.run();
-  EXPECT_EQ(a->timers, (std::vector<std::uint64_t>{11}));
-  EXPECT_TRUE(b->timers.empty());
+  EXPECT_EQ(fired, (std::vector<int>{11}));
+
+  // A timer dies with the incarnation that set it: b is back up when its
+  // pre-crash timer falls due, yet only the timer set after the restart
+  // fires.
+  net.restart(b->id());
+  net.run();
+  fired.clear();
+  net.set_timer(b->id(), SimTime::millis(10), [&] { fired.push_back(33); });
+  net.run_until(net.now() + SimTime::millis(2));
+  net.crash(b->id());
+  net.restart(b->id());
+  net.set_timer(b->id(), SimTime::millis(10), [&] { fired.push_back(44); });
+  net.run();
+  EXPECT_EQ(fired, (std::vector<int>{44}));
+  EXPECT_EQ(b->restarts, 2);
 }
 
 TEST(NetworkTest, StatsCountBytes) {

@@ -45,9 +45,6 @@ class RequesterNode : public sim::Node {
     if (!decoded.ok()) return;
     (void)endpoint_.complete(decoded.value().msg_id, decoded.value());
   }
-  void on_timer(std::uint64_t token) override {
-    (void)endpoint_.on_timer(token);
-  }
 
   Endpoint& endpoint() { return endpoint_; }
   int callbacks() const { return callbacks_; }
@@ -56,8 +53,7 @@ class RequesterNode : public sim::Node {
  private:
   void ensure() {
     if (!endpoint_.attached()) {
-      endpoint_.attach(&network(), id(), name(), /*tag=*/1,
-                       0x7E57ULL ^ id().value());
+      endpoint_.attach(&network(), id(), name(), 0x7E57ULL ^ id().value());
     }
   }
 
@@ -147,9 +143,6 @@ class ChannelNode : public sim::Node {
       ack(from, d);
       delivered_.push_back(d.msg_id);
     }
-  }
-  void on_timer(std::uint64_t token) override {
-    (void)channels_.on_timer(token);
   }
 
   ChannelSet& channels() { return channels_; }
