@@ -180,13 +180,10 @@ void AlertingService::attach(gsnet::GreenstoneServer& server) {
 void AlertingService::on_started() { ensure_channels(); }
 
 void AlertingService::on_recovered() {
-  // A pending batch is in-memory build state and did not survive the
-  // crash. Everything else the journal covers is wiped, then the server's
-  // recovery feeds the snapshot's and the log's records back in through
+  // Everything the journal covers is wiped, then the server's recovery
+  // feeds the snapshot's and the log's records back in through
   // replay_journal. Channels must be attached before replay restores
   // their unacked entries.
-  batch_.clear();
-  build_depth_ = 0;
   subs_.clear();
   index_ = profiles::ProfileIndex{};
   aux_in_.clear();
@@ -299,66 +296,27 @@ void AlertingService::forward_to_supers(const docmodel::Event& event) {
 
 void AlertingService::publish(const docmodel::Event& event) {
   if (!server_->gds().attached()) return;  // solitary server, no directory
-  batch_.push_back(
-      PendingEvent{obs::current_context(), encode_event(event)});
   stats_.events_published += 1;
-  // Outside a build bracket the flush is immediate — semantics (and crash
-  // behaviour) identical to the unbatched path. Inside a build, events
-  // accumulate until build-complete or the batch fills.
-  if (build_depth_ == 0 || batch_.size() >= kMaxBatchEvents) {
-    flush_batch();
-  }
+  server_->gds().broadcast(
+      static_cast<std::uint16_t>(wire::MessageType::kEventAnnounce),
+      encode_event(event));
 }
 
-void AlertingService::flush_batch() {
-  if (batch_.empty()) return;
-  if (batch_.size() == 1) {
-    // A lone event needs no batch framing: ship it as a plain announce
-    // under the trace context it was published with.
-    const obs::TraceScope scope{batch_.front().ctx};
-    server_->gds().broadcast(
-        static_cast<std::uint16_t>(wire::MessageType::kEventAnnounce),
-        std::move(batch_.front().bytes));
-  } else {
-    EventBatchBody body;
-    body.entries.reserve(batch_.size());
-    for (const PendingEvent& pending : batch_) {
-      body.entries.push_back(EventBatchBody::Entry{
-          pending.ctx.trace_id, pending.ctx.span_id, pending.ctx.hop,
-          pending.bytes});
-    }
-    wire::Writer w;
-    body.encode(w);
-    // One envelope, one tree traversal. The flood travels under the first
-    // event's trace; each entry carries its own context for the receiver.
-    const obs::TraceScope scope{batch_.front().ctx};
-    server_->gds().broadcast(
-        static_cast<std::uint16_t>(wire::MessageType::kEventBatch),
-        std::move(w).take());
-    stats_.batches_sent += 1;
-    stats_.batched_events += body.entries.size();
-  }
-  batch_.clear();
-}
-
-void AlertingService::on_build_begin() { build_depth_ += 1; }
-
-void AlertingService::on_build_complete() {
-  if (build_depth_ > 0) build_depth_ -= 1;
-  if (build_depth_ == 0) flush_batch();
-}
-
-void AlertingService::process_event(const docmodel::Event& event,
-                                    bool broadcast) {
+bool AlertingService::accept(const docmodel::Event& event) {
   if (!seen_events_.insert(event.id.origin, event.id.seq, log())) {
     stats_.duplicate_events += 1;
     if (obs::active()) {
       obs::emit_span("event-dup-drop", server_->name(),
                      server_->net().now(), {{"event", event.id.str()}});
     }
-    return;
+    return false;
   }
   stats_.events_received += 1;
+  return true;
+}
+
+void AlertingService::process_event(const docmodel::Event& event) {
+  if (!accept(event)) return;
   // Root of the event's trace for local builds; for renamed events the
   // rename span is already active and this nests beneath it.
   obs::SpanArgs publish_args;
@@ -376,15 +334,17 @@ void AlertingService::process_event(const docmodel::Event& event,
                     : obs::current_context()};
   filter_and_notify(event);
   forward_to_supers(event);
-  if (broadcast) publish(event);
+  publish(event);
 }
 
 void AlertingService::on_local_event(const docmodel::Event& event) {
-  process_event(event, /*broadcast=*/true);
+  process_event(event);
+  // Durable on return, like the other local entry points: a caller
+  // outside any server event (a control action) has no later commit.
+  server_->commit_journal();
 }
 
-void AlertingService::on_gds_message(const std::string& /*origin_server*/,
-                                     std::uint16_t payload_type,
+void AlertingService::on_gds_message(std::uint16_t payload_type,
                                      const wire::Frame& payload) {
   switch (static_cast<wire::MessageType>(payload_type)) {
     // Aux-profile and forward traffic relayed anonymously through the
@@ -408,20 +368,6 @@ void AlertingService::on_gds_message(const std::string& /*origin_server*/,
     case wire::MessageType::kEventAnnounce:
       receive_flooded_event(payload);
       return;
-    case wire::MessageType::kEventBatch: {
-      auto batch = EventBatchBody::decode(payload);
-      if (!batch.ok()) return;
-      for (const EventBatchBody::Entry& entry : batch.value().entries) {
-        // Re-establish the context the event was published under so its
-        // delivery (and any notify spans) attribute to the right trace.
-        const obs::TraceScope entry_scope{obs::TraceContext{
-            entry.trace_id, entry.span_id, entry.hop}};
-        receive_flooded_event(payload.slice(
-            static_cast<std::size_t>(entry.event.data() - payload.data()),
-            entry.event.size()));
-      }
-      return;
-    }
     default:
       return;
   }
@@ -441,18 +387,10 @@ void AlertingService::receive_flooded_event(const wire::Frame& bytes) {
   const docmodel::Event& event = *shared;
   // Flooded events are filtered against local profiles only; forwarding
   // and re-broadcast happened at (or via) the event's own host.
-  if (!seen_events_.insert(event.id.origin, event.id.seq, log())) {
-    stats_.duplicate_events += 1;
-    if (obs::active()) {
-      obs::emit_span("event-dup-drop", server_->name(),
-                     server_->net().now(), {{"event", event.id.str()}});
-    }
-    return;
-  }
-  stats_.events_received += 1;
+  if (!accept(event)) return;
   // The received bytes are the notification body: encode_event of the
-  // decoded event, so nothing is re-encoded. Immediate sends forward the
-  // slice itself; the delivery stage copies it only to queue a hit.
+  // decoded event, so nothing is re-encoded. Sends and queue entries keep
+  // the received slice itself.
   filter_and_notify(event, std::move(shared), bytes);
 }
 
@@ -716,7 +654,7 @@ void AlertingService::apply_event_forward(const wire::Envelope& env) {
                             {"renamed-event", renamed.id.str()},
                             {"via", join_via(renamed.via)}})
           : obs::current_context()};
-  process_event(renamed, /*broadcast=*/true);
+  process_event(renamed);
 }
 
 // --- durability / migration -----------------------------------------------------------
@@ -962,9 +900,6 @@ void AlertingService::collect_metrics(obs::MetricsRegistry& registry) const {
   registry.counter("alerting.renames", labels) = stats_.renames;
   registry.counter("alerting.rename_loops_cut", labels) =
       stats_.rename_loops_cut;
-  registry.counter("alerting.batches_sent", labels) = stats_.batches_sent;
-  registry.counter("alerting.batched_events", labels) =
-      stats_.batched_events;
   registry.gauge("alerting.subscriptions", labels) =
       static_cast<double>(subs_.size());
   registry.gauge("alerting.outbox", labels) =

@@ -31,7 +31,6 @@
 #include "common/types.h"
 #include "gsnet/greenstone_server.h"
 #include "gsnet/server_extension.h"
-#include "obs/trace.h"
 #include "profiles/index.h"
 #include "profiles/parser.h"
 #include "transport/channel.h"
@@ -57,19 +56,10 @@ struct AlertingStats {
   std::uint64_t aux_forwards = 0;         // events forwarded sub -> super
   std::uint64_t renames = 0;              // events renamed at a super host
   std::uint64_t rename_loops_cut = 0;
-  std::uint64_t batches_sent = 0;         // kEventBatch floods (2+ events)
-  std::uint64_t batched_events = 0;       // events shipped inside batches
 };
 
 class AlertingService : public gsnet::ServerExtension {
  public:
-  /// Events raised by one collection (re)build are coalesced into a
-  /// single kEventBatch flood instead of one kEventAnnounce per event.
-  /// Flushing is synchronous (at build completion or once the batch holds
-  /// this many events), so crash semantics match an unbatched flood — no
-  /// timer, no loss window.
-  static constexpr std::size_t kMaxBatchEvents = 16;
-
   explicit AlertingService(AlertingConfig config = {});
 
   // --- direct (in-process) subscription API, used by local tooling ------
@@ -150,12 +140,11 @@ class AlertingService : public gsnet::ServerExtension {
   // --- gsnet::ServerExtension -------------------------------------------------
   void attach(gsnet::GreenstoneServer& server) override;
   bool handle_envelope(NodeId from, const wire::Envelope& env) override;
-  void on_gds_message(const std::string& origin_server,
-                      std::uint16_t payload_type,
+  void on_gds_message(std::uint16_t payload_type,
                       const wire::Frame& payload) override;
+  /// Process and flood a local event; its journal records are committed
+  /// when this returns.
   void on_local_event(const docmodel::Event& event) override;
-  void on_build_begin() override;
-  void on_build_complete() override;
   void on_collection_configured(const docmodel::Collection& coll) override;
   void on_collection_removed(const CollectionRef& ref) override;
   void on_started() override;
@@ -187,21 +176,18 @@ class AlertingService : public gsnet::ServerExtension {
   /// Forward the event to every super-collection host whose auxiliary
   /// profile matches its physical collection.
   void forward_to_supers(const docmodel::Event& event);
-  /// Broadcast the event to all servers through the GDS. With batching
-  /// enabled and a build in progress, the event is appended to the pending
-  /// batch instead; otherwise it is flushed immediately.
+  /// Flood the event to all servers through the GDS as one
+  /// kEventAnnounce.
   void publish(const docmodel::Event& event);
-  /// Send the pending batch: a single event goes out as a plain
-  /// kEventAnnounce under its original trace context, several as one
-  /// kEventBatch flood.
-  void flush_batch();
-  /// Handle an event that arrived via GDS flooding (plain or batched) as
-  /// its encoded bytes: decode once, dedup, count, filter against local
-  /// profiles.
+  /// The one acceptance step for every event: false (counted, and traced
+  /// as event-dup-drop) when the event window already holds it.
+  bool accept(const docmodel::Event& event);
+  /// Handle an event that arrived via GDS flooding as its encoded bytes:
+  /// decode once, accept, filter against local profiles.
   void receive_flooded_event(const wire::Frame& bytes);
-  /// Process an event that this server is seeing for the first time
-  /// (local build or arriving forward), end to end.
-  void process_event(const docmodel::Event& event, bool broadcast);
+  /// Process an event raised here (local build or renamed forward) end to
+  /// end: accept, filter, forward to supers, flood.
+  void process_event(const docmodel::Event& event);
 
   void handle_subscribe(NodeId from, const wire::Envelope& env);
   void handle_cancel(const wire::Envelope& env);
@@ -266,16 +252,6 @@ class AlertingService : public gsnet::ServerExtension {
   // Per-subscriber delivery stage (declared after config_, which it
   // reads at construction).
   DeliveryStage delivery_{*this, config_.delivery};
-
-  // Events published during the current build, waiting to be flushed as
-  // one batch. Each entry remembers the trace context that was active at
-  // publish time so receivers can attribute deliveries per event.
-  struct PendingEvent {
-    obs::TraceContext ctx;
-    std::vector<std::byte> bytes;  // encode_event() payload
-  };
-  std::vector<PendingEvent> batch_;
-  int build_depth_ = 0;
 
   transport::DedupWindow seen_events_;
   // (event id, super) pairs already renamed here — quenches duplicate

@@ -119,7 +119,7 @@ void DeliveryStage::stall(ClientQueue& q) {
 void DeliveryStage::offer(NodeId client, SubscriptionId sub,
                           DeliveryPolicy policy,
                           const std::shared_ptr<const docmodel::Event>& event,
-                          wire::Frame& bytes) {
+                          const wire::Frame& bytes) {
   GSALERT_PROFILE("delivery.offer");
   ensure_attached();
   ClientQueue& q = *queue_for(client, /*create=*/true);
@@ -132,8 +132,8 @@ void DeliveryStage::offer(NodeId client, SubscriptionId sub,
       // Digest-of-one on the reliable channel: same framing as windowed
       // delivery, so the client's ack/dedup path is uniform. One record.
       const auto one = q.entries.insert(
-          q.waiting_begin(),
-          make_entry(sub, event, bytes, DeliveryMode::kImmediate));
+          q.waiting_begin(), QueueEntry{next_entry_seq_++, 0, sub, event,
+                                        bytes, DeliveryMode::kImmediate});
       const std::uint64_t entry_seq = one->seq;
       note_sent(q, sub, *event);
       const std::uint64_t digest = ship(q, one, std::next(one));
@@ -150,22 +150,10 @@ void DeliveryStage::offer(NodeId client, SubscriptionId sub,
                                         : config_.default_window);
 }
 
-DeliveryStage::QueueEntry DeliveryStage::make_entry(
-    SubscriptionId sub, const std::shared_ptr<const docmodel::Event>& event,
-    wire::Frame& bytes, DeliveryMode mode) {
-  // A flooded event's bytes are a slice of the GDS deliver frame, which
-  // also holds the envelope and the rest of its batch.
-  if (bytes.partial()) {
-    const std::span<const std::byte> view = bytes.span();
-    bytes = wire::Frame{std::vector<std::byte>(view.begin(), view.end())};
-  }
-  return QueueEntry{next_entry_seq_++, 0, sub, event, bytes, mode};
-}
-
 void DeliveryStage::enqueue(
     ClientQueue& q, SubscriptionId sub,
     const std::shared_ptr<const docmodel::Event>& event,
-    wire::Frame& bytes, DeliveryMode mode, SimTime window) {
+    const wire::Frame& bytes, DeliveryMode mode, SimTime window) {
   if (mode != DeliveryMode::kImmediate) {
     for (auto it = q.waiting_begin(); it != q.entries.end(); ++it) {
       if (it->mode != DeliveryMode::kImmediate && it->sub == sub &&
@@ -178,9 +166,9 @@ void DeliveryStage::enqueue(
   if (config_.queue_capacity > 0 && q.waiting >= config_.queue_capacity) {
     spill_one(q);
   }
-  QueueEntry entry = make_entry(sub, event, bytes, mode);
-  put_enqueued(owner_.log(), q.node, entry.seq, sub, 0, bytes.span());
-  q.entries.push_back(std::move(entry));
+  const std::uint64_t entry_seq = next_entry_seq_++;
+  put_enqueued(owner_.log(), q.node, entry_seq, sub, 0, bytes.span());
+  q.entries.push_back(QueueEntry{entry_seq, 0, sub, event, bytes, mode});
   q.waiting += 1;
   stats_.enqueued += 1;
   stats_.max_queue_depth =
@@ -311,8 +299,10 @@ void DeliveryStage::arm_timer(SimTime due) {
   timer_target_ = due;
   const SimTime now = owner_.server_->net().now();
   const SimTime delay = due > now ? due - now : SimTime::micros(1);
-  owner_.server_->net().set_timer(owner_.server_->id(), delay,
-                                  [this] { on_flush_timer(); });
+  // A timer superseded by an earlier one, or disarmed, does nothing.
+  owner_.server_->net().set_timer(owner_.server_->id(), delay, [this, due] {
+    if (timer_armed_ && timer_target_ == due) on_flush_timer();
+  });
 }
 
 SimTime DeliveryStage::earliest_flush() const {

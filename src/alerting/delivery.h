@@ -104,13 +104,11 @@ class DeliveryStage {
 
   /// One match hit for subscription `sub`, delivered under its `policy`.
   /// `event` is shared across the fan-out for observers; `bytes` is the
-  /// encode-once event payload frame. A queued hit must not pin a larger
-  /// frame: when `bytes` is a slice (a flooded event inside its GDS
-  /// deliver frame), queueing replaces it with a copy of just its bytes,
-  /// which the caller's later hits for the event then share.
+  /// encode-once event payload frame, which a queued hit keeps as it is
+  /// (a flooded event's is a slice of its GDS deliver body).
   void offer(NodeId client, SubscriptionId sub, DeliveryPolicy policy,
              const std::shared_ptr<const docmodel::Event>& event,
-             wire::Frame& bytes);
+             const wire::Frame& bytes);
 
   /// kNotificationAck (peer = client node name): retires digest `seq`.
   void on_ack(const std::string& peer, std::uint64_t seq);
@@ -177,13 +175,9 @@ class DeliveryStage {
   /// The queue of `client` (made when `create`); nullptr when none.
   ClientQueue* queue_for(NodeId client, bool create);
   void stall(ClientQueue& q);
-  /// A queue entry for one hit; copies a sliced `bytes` first (see offer).
-  QueueEntry make_entry(SubscriptionId sub,
-                        const std::shared_ptr<const docmodel::Event>& event,
-                        wire::Frame& bytes, DeliveryMode mode);
   void enqueue(ClientQueue& q, SubscriptionId sub,
                const std::shared_ptr<const docmodel::Event>& event,
-               wire::Frame& bytes, DeliveryMode mode, SimTime window);
+               const wire::Frame& bytes, DeliveryMode mode, SimTime window);
   void spill_one(ClientQueue& q);
   /// Send one kNotification straight to the wire (unmanaged immediate).
   void send_immediate(ClientQueue& q, SubscriptionId sub,

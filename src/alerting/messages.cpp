@@ -142,32 +142,4 @@ Result<docmodel::Event> decode_event(std::span<const std::byte> payload) {
   return event;
 }
 
-void EventBatchBody::encode(wire::Writer& w) const {
-  std::size_t estimate = 4;  // entry count
-  for (const Entry& e : entries) estimate += 8 + 8 + 2 + 4 + e.event.size();
-  w.reserve(estimate);
-  w.seq(entries, [](wire::Writer& w2, const Entry& e) {
-    w2.u64(e.trace_id);
-    w2.u64(e.span_id);
-    w2.u16(e.hop);
-    w2.bytes(e.event);
-  });
-}
-
-Result<EventBatchBody> EventBatchBody::decode(
-    std::span<const std::byte> body) {
-  wire::Reader r{body};
-  EventBatchBody out;
-  out.entries = r.seq<Entry>([](wire::Reader& r2) {
-    Entry e;
-    e.trace_id = r2.u64();
-    e.span_id = r2.u64();
-    e.hop = r2.u16();
-    e.event = r2.view_bytes();
-    return e;
-  });
-  if (!r.done()) return malformed("EventBatchBody");
-  return out;
-}
-
 }  // namespace gsalert::alerting

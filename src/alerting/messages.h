@@ -101,25 +101,4 @@ struct EventForwardBody {
 std::vector<std::byte> encode_event(const docmodel::Event& event);
 Result<docmodel::Event> decode_event(std::span<const std::byte> payload);
 
-/// Several event announcements raised by one collection (re)build and
-/// coalesced into a single GDS flood (one envelope, one tree traversal).
-/// Each entry keeps the trace context that was current when its event was
-/// published, so receivers can attribute every delivery to the right span.
-///
-/// Entry bytes are views, never copies, as in NotificationDigestBody: the
-/// sender's point at its pending encodes, and decode()'s point into the
-/// received payload, which must outlive the body.
-struct EventBatchBody {
-  struct Entry {
-    std::uint64_t trace_id = 0;
-    std::uint64_t span_id = 0;
-    std::uint16_t hop = 0;
-    std::span<const std::byte> event;  // encode_event() bytes
-  };
-  std::vector<Entry> entries;
-
-  void encode(wire::Writer& w) const;
-  static Result<EventBatchBody> decode(std::span<const std::byte> body);
-};
-
 }  // namespace gsalert::alerting

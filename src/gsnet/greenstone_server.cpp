@@ -70,10 +70,6 @@ Status GreenstoneServer::rebuild_collection(const std::string& coll_name,
   entry.collection.data = std::move(data);
   entry.collection.build_version += 1;
   entry.engine.build(entry.collection);
-  // One rebuild can raise up to three events; the bracket lets the
-  // alerting extension coalesce their floods into a single batch that is
-  // flushed synchronously before this call returns.
-  if (extension_) extension_->on_build_begin();
   emit(make_event(docmodel::EventType::kCollectionRebuilt, entry.collection,
                   std::move(fresh)));
   if (!modified.empty()) {
@@ -84,7 +80,6 @@ Status GreenstoneServer::rebuild_collection(const std::string& coll_name,
     emit(make_event(docmodel::EventType::kDocumentsRemoved,
                     entry.collection, std::move(removed)));
   }
-  if (extension_) extension_->on_build_complete();
   commit_journal();
   return Status::ok();
 }
@@ -341,7 +336,7 @@ void GreenstoneServer::dispatch_packet(NodeId from, const sim::Packet& packet) {
       if (body.ok() && extension_) {
         const std::span<const std::byte> payload = body.value().payload;
         extension_->on_gds_message(
-            body.value().origin_server, body.value().payload_type,
+            body.value().payload_type,
             env.body.slice(
                 static_cast<std::size_t>(payload.data() - env.body.data()),
                 payload.size()));

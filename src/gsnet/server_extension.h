@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.h"
 #include "docmodel/collection.h"
@@ -37,26 +36,18 @@ class ServerExtension {
   /// A message delivered through the GDS (broadcast, multicast or relay).
   /// The payload is a slice of the delivery packet's shared, immutable
   /// body frame. The extension may retain it (copying a Frame bumps a
-  /// refcount), but a retained slice keeps the whole deliver frame alive:
-  /// the envelope and, for a batch, every other event in it. The alerting
-  /// service sends a flooded event's received bytes on to its clients as
-  /// the notification body, and copies just the event's bytes before
-  /// queueing them for longer.
-  virtual void on_gds_message(const std::string& /*origin_server*/,
-                              std::uint16_t /*payload_type*/,
+  /// refcount); a retained slice keeps the deliver body alive, which is
+  /// the payload plus the broadcast framing (origin name, seq, type). The
+  /// alerting service sends and queues a flooded event's received bytes
+  /// as the notification body.
+  virtual void on_gds_message(std::uint16_t /*payload_type*/,
                               const wire::Frame& /*payload*/) {}
 
   /// A local collection (re)build produced an event. Runs synchronously as
   /// the paper's "additional step in the build process" — its cost is what
-  /// experiment E4 measures.
+  /// experiment E4 measures. A rebuild raising several events calls it
+  /// once per event.
   virtual void on_local_event(const docmodel::Event& /*event*/) {}
-
-  /// Bracket around a (re)build that may emit several events (the paper's
-  /// batch-at-build-time model): on_local_event calls between begin and
-  /// complete belong to one build, so the alerting layer can coalesce
-  /// their floods into one batch and flush synchronously at complete.
-  virtual void on_build_begin() {}
-  virtual void on_build_complete() {}
 
   /// A collection was added or its configuration changed (sub-collection
   /// links added/removed). The alerting layer diffs against its own

@@ -86,7 +86,10 @@ void ChannelSet::arm(SimTime due) {
   timer_target_ = due;
   const SimTime now = net_->now();
   const SimTime delay = due > now ? due - now : SimTime::micros(1);
-  net_->set_timer(self_, delay, [this] { on_retry_timer(); });
+  // A timer superseded by an earlier one, or disarmed, does nothing.
+  net_->set_timer(self_, delay, [this, due] {
+    if (armed_ && timer_target_ == due) on_retry_timer();
+  });
 }
 
 std::uint64_t ChannelSet::send(const std::string& peer, wire::Envelope env) {

@@ -46,10 +46,6 @@ class Frame {
   /// How many Frames alias this buffer (1 = sole owner, 0 = empty).
   long use_count() const { return data_.use_count(); }
 
-  /// True when this frame views only part of its buffer: holding it
-  /// keeps the whole buffer alive.
-  bool partial() const { return data_ && len_ < data_->size(); }
-
   /// A sub-view sharing the same underlying buffer (clamped to bounds).
   Frame slice(std::size_t off, std::size_t n) const {
     Frame out;

@@ -51,7 +51,6 @@ enum class MessageType : std::uint16_t {
 
   // --- Alerting event payload (wrapped in GDS broadcast / forwards) ------
   kEventAnnounce = 90,
-  kEventBatch = 91,         // several announcements coalesced in one flood
 
   // --- Baseline protocols -------------------------------------------------
   kCentralPublish = 100,    // B1: event -> central server

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,6 +14,8 @@
 #include "gsnet/greenstone_server.h"
 #include "journal/journal.h"
 #include "obs/metrics_registry.h"
+#include "obs/trace.h"
+#include "obs/tracer.h"
 #include "sim/network.h"
 #include "wire/codec.h"
 #include "wire/envelope.h"
@@ -218,94 +221,68 @@ TEST(FederatedAlertingTest, EventsCarryOnlyFreshDocsOnRebuild) {
   EXPECT_EQ(w.clients[2]->notifications()[0].event.docs.size(), 1u);
 }
 
-// --- event batching: one flood per build --------------------------------
+// --- one flood per event -------------------------------------------------
 
-TEST(BatchingTest, EmptyBuildBracketSendsNothing) {
+// A rebuild that changes doc 1, adds doc 3 and drops doc 2 raises three
+// events (rebuilt/fresh, documents-modified, documents-removed). Each is
+// its own kEventAnnounce flood: every GDS node sees three broadcasts,
+// every remote subscriber hears each event once, and each event's GDS
+// deliveries hang off that event's own trace.
+TEST(FloodPerEventTest, RebuildFloodsEachEventUnderItsOwnTrace) {
   World w;
-  const std::uint64_t sent_before = w.net.stats().sent;
-  // A build that raises no events must not flood anything. Flushing is
-  // synchronous, so any send would be visible immediately (no settle —
-  // that would run unrelated heartbeat chatter).
-  w.alerting[0]->on_build_begin();
-  w.alerting[0]->on_build_complete();
-  EXPECT_EQ(w.net.stats().sent, sent_before);
-  EXPECT_EQ(w.alerting[0]->stats().events_published, 0u);
-  EXPECT_EQ(w.alerting[0]->stats().batches_sent, 0u);
-}
-
-TEST(BatchingTest, SingleEventBuildGoesAsPlainAnnounce) {
-  World w;
-  w.clients[2]->subscribe("host = hamilton");
-  w.settle();
-  ASSERT_TRUE(w.servers[0]->add_collection(
-      config("A"), DataSet{{doc(1, "T", "c")}}));
-  // Rebuild with only fresh docs raises exactly one event.
-  ASSERT_TRUE(w.servers[0]->rebuild_collection(
-      "A", DataSet{{doc(1, "T", "c"), doc(2, "T2", "c")}}));
-  w.settle(SimTime::seconds(1));
-  EXPECT_EQ(w.clients[2]->notifications().size(), 2u);
-  // A lone event never pays batch framing.
-  EXPECT_EQ(w.alerting[0]->stats().batches_sent, 0u);
-  EXPECT_EQ(w.alerting[0]->stats().batched_events, 0u);
-  EXPECT_EQ(w.alerting[0]->stats().events_published, 2u);
-}
-
-TEST(BatchingTest, RebuildWithThreeEventsCoalescesIntoOneFlood) {
-  World w;
-  w.clients[2]->subscribe("host = hamilton");
+  for (std::size_t i = 1; i < w.clients.size(); ++i) {
+    w.clients[i]->subscribe("host = hamilton");
+  }
   w.settle();
   ASSERT_TRUE(w.servers[0]->add_collection(
       config("A"), DataSet{{doc(1, "T", "c"), doc(2, "T2", "c")}}));
   w.settle(SimTime::seconds(1));
-  ASSERT_EQ(w.clients[2]->notifications().size(), 1u);
-  // Change doc 1, add doc 3, drop doc 2: three events in one build
-  // (rebuilt/fresh, documents-modified, documents-removed).
-  ASSERT_TRUE(w.servers[0]->rebuild_collection(
-      "A", DataSet{{doc(1, "T changed", "c"), doc(3, "T3", "c")}}));
-  w.settle(SimTime::seconds(1));
-  // All three events arrive, in one kEventBatch flood.
-  EXPECT_EQ(w.clients[2]->notifications().size(), 4u);
-  EXPECT_EQ(w.alerting[0]->stats().batches_sent, 1u);
-  EXPECT_EQ(w.alerting[0]->stats().batched_events, 3u);
-  EXPECT_EQ(w.alerting[0]->stats().events_published, 4u);
-  // The remote side dedups and counts each batched event individually.
-  EXPECT_EQ(w.alerting[2]->stats().events_received, 4u);
-  EXPECT_EQ(w.alerting[2]->stats().duplicate_events, 0u);
-}
-
-TEST(BatchingTest, BatchFlushesAtMaxAndCarriesRemainder) {
-  constexpr std::size_t kMax = AlertingService::kMaxBatchEvents;
-  World w{4};
-  w.clients[2]->subscribe("host = hamilton");
-  w.settle();
-  ASSERT_TRUE(w.servers[0]->add_collection(config("A"), DataSet{}));
-  w.settle(SimTime::seconds(1));
-  const std::uint64_t base =
-      static_cast<std::uint64_t>(w.clients[2]->notifications().size());
-  // max+1 events inside one bracket: the batch flushes at max, the
-  // remainder goes out at build-complete as a plain announce.
-  auto event_for = [&](std::uint64_t seq) {
-    docmodel::Event e;
-    e.id = docmodel::EventId{"Hamilton", 1000 + seq};
-    e.type = EventType::kCollectionRebuilt;
-    e.collection = CollectionRef{"Hamilton", "A"};
-    e.physical_origin = e.collection;
-    return e;
-  };
-  w.alerting[0]->on_build_begin();
-  for (std::uint64_t seq = 1; seq <= kMax; ++seq) {
-    w.alerting[0]->on_local_event(event_for(seq));
+  std::vector<std::uint64_t> seen_before;
+  for (const gds::GdsServer* node : w.tree.nodes) {
+    seen_before.push_back(node->stats().broadcasts_seen);
   }
-  // Batch hit kMaxBatchEvents: flushed immediately, mid-build.
-  EXPECT_EQ(w.alerting[0]->stats().batches_sent, 1u);
-  EXPECT_EQ(w.alerting[0]->stats().batched_events, kMax);
-  w.alerting[0]->on_local_event(event_for(kMax + 1));
-  w.alerting[0]->on_build_complete();
-  w.settle(SimTime::seconds(1));
-  // The remainder was a singleton: announced plainly, not batch-framed.
-  EXPECT_EQ(w.alerting[0]->stats().batches_sent, 1u);
-  EXPECT_EQ(w.alerting[0]->stats().batched_events, kMax);
-  EXPECT_EQ(w.clients[2]->notifications().size(), base + kMax + 1);
+  for (BodyRecordingClient* client : w.clients) client->clear_notifications();
+
+  obs::Tracer tracer;
+  obs::reset_ids();
+  {
+    const obs::ScopedSink sink{&tracer};
+    ASSERT_TRUE(w.servers[0]->rebuild_collection(
+        "A", DataSet{{doc(1, "T changed", "c"), doc(3, "T3", "c")}}));
+    w.settle(SimTime::seconds(1));
+  }
+
+  EXPECT_EQ(w.alerting[0]->stats().events_published, 4u);
+  for (std::size_t n = 0; n < w.tree.nodes.size(); ++n) {
+    EXPECT_EQ(w.tree.nodes[n]->stats().broadcasts_seen - seen_before[n], 3u)
+        << w.tree.nodes[n]->name();
+  }
+  for (std::size_t i = 1; i < w.clients.size(); ++i) {
+    std::set<std::string> events;
+    for (const auto& n : w.clients[i]->notifications()) {
+      EXPECT_TRUE(events.insert(n.event.id.str()).second)
+          << w.clients[i]->name() << " heard " << n.event.id.str() << " twice";
+    }
+    EXPECT_EQ(events.size(), 3u) << w.clients[i]->name();
+    EXPECT_EQ(w.alerting[i]->stats().events_received, 4u);
+    EXPECT_EQ(w.alerting[i]->stats().duplicate_events, 0u);
+  }
+  // One publish span (a trace root) per event, and each trace holds one
+  // gds-deliver per receiving server.
+  std::set<std::uint64_t> traces;
+  for (const obs::Span& span : tracer.spans()) {
+    if (span.name == "publish" && span.node == "Hamilton") {
+      traces.insert(span.trace_id);
+    }
+  }
+  ASSERT_EQ(traces.size(), 3u);
+  for (const std::uint64_t trace : traces) {
+    std::size_t delivers = 0;
+    for (const obs::Span& span : tracer.spans()) {
+      if (span.name == "gds-deliver" && span.trace_id == trace) ++delivers;
+    }
+    EXPECT_EQ(delivers, w.servers.size() - 1) << "trace " << trace;
+  }
 }
 
 // --- distributed collections: the Figure 3 hybrid flow -----------------------------
@@ -375,20 +352,19 @@ TEST(HybridAlertingTest, BothSubAndSuperSubscribersNotifiedDistinctly) {
   EXPECT_EQ(w.clients[2]->notifications().size(), 2u);
 }
 
-TEST(HybridAlertingTest, RenameCascadeWorksOnBatchedEvents) {
+TEST(HybridAlertingTest, RenameCascadeWorksOnEachEventOfARebuild) {
   Figure3World w;
   w.clients[2]->subscribe("ref = hamilton.d");
   w.settle();
+  const std::uint64_t published = w.alerting[1]->stats().events_published;
   // Change doc 5 and add doc 6: the rebuild of E raises two events
-  // (rebuilt/fresh + documents-modified) that travel as ONE batch flood.
+  // (rebuilt/fresh + documents-modified), each flooded on its own...
   ASSERT_TRUE(w.servers[1]->rebuild_collection(
       "E", DataSet{{doc(5, "Changed E doc", "x"), doc(6, "New E doc", "z")}}));
   w.settle(SimTime::seconds(2));
-  // London coalesced the two events into one flood...
-  EXPECT_EQ(w.alerting[1]->stats().batches_sent, 1u);
-  EXPECT_EQ(w.alerting[1]->stats().batched_events, 2u);
-  // ...but forwarded each to Hamilton individually, where each was
-  // renamed to Hamilton.D and re-broadcast — the cascade is per event.
+  EXPECT_EQ(w.alerting[1]->stats().events_published - published, 2u);
+  // ...and forwarded to Hamilton individually, where each was renamed to
+  // Hamilton.D and re-broadcast — the cascade is per event.
   EXPECT_EQ(w.alerting[1]->stats().aux_forwards, 2u);
   EXPECT_EQ(w.alerting[0]->stats().renames, 2u);
   ASSERT_EQ(w.clients[2]->notifications().size(), 2u);
@@ -732,11 +708,11 @@ TEST(DedupGapTest, MissedFloodsAreCountedAtTheCutServerOnly) {
 }
 
 // Encode once: a receiving server sends on the flooded bytes it received
-// (a kEventAnnounce payload or a kEventBatch entry) as the notification
-// body, so every body a client gets is encode_event of the event it
-// decodes to, receivers encode nothing and the origin encodes once per
-// event with hits. With managed delivery, a queued entry's journal record
-// (type 76) carries the same bytes.
+// (a kEventAnnounce payload) as the notification body, so every body a
+// client gets is encode_event of the event it decodes to, receivers
+// encode nothing and the origin encodes once per event with hits. With
+// managed delivery, a queued entry's journal record (type 76) carries the
+// same bytes.
 TEST(EncodeOnceTest, ReceiversSendOnTheFloodedBytes) {
   constexpr std::uint8_t kJDelivEnq = 76;
   for (const std::size_t credits : {std::size_t{0}, std::size_t{4}}) {
@@ -757,8 +733,7 @@ TEST(EncodeOnceTest, ReceiversSendOnTheFloodedBytes) {
       ASSERT_TRUE(w.alerting[2]->set_delivery_policy(
           at_host2, {DeliveryMode::kCoalesce, SimTime::millis(50)}));
     }
-    // One event (a kEventAnnounce flood), then a rebuild raising three
-    // (one kEventBatch flood).
+    // One event, then a rebuild raising three: four kEventAnnounce floods.
     ASSERT_TRUE(w.servers[0]->add_collection(
         config("A"), DataSet{{doc(1, "Digital Alerting", "Hinze"),
                               doc(2, "T2", "c")}}));
@@ -766,7 +741,7 @@ TEST(EncodeOnceTest, ReceiversSendOnTheFloodedBytes) {
     ASSERT_TRUE(w.servers[0]->rebuild_collection(
         "A", DataSet{{doc(1, "T changed", "c"), doc(3, "T3", "c")}}));
     w.settle(SimTime::seconds(1));
-    ASSERT_EQ(w.alerting[0]->stats().batches_sent, 1u);
+    ASSERT_EQ(w.tree.root()->stats().broadcasts_seen, 4u);
 
     for (const BodyRecordingClient* client : w.clients) {
       EXPECT_EQ(client->notifications().size(), 4u) << client->name();

@@ -1,7 +1,9 @@
 // Delivery-stage tests: encode-once fan-out, credit backpressure with
-// watermark hysteresis, coalesce/digest windows, spill policy, digest
-// replay dedup at the client, in-flight digests across a server crash,
-// and the digest-vs-immediate equivalence property (docs/DELIVERY.md).
+// watermark hysteresis, coalesce/digest windows, queued hits keeping the
+// received slice, spill policy, digest replay dedup at the client,
+// in-flight digests and a just-published local event across a server
+// crash, and the digest-vs-immediate equivalence property
+// (docs/DELIVERY.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +21,9 @@
 #include "docmodel/document.h"
 #include "gds/tree_builder.h"
 #include "gsnet/greenstone_server.h"
+#include "journal/journal.h"
 #include "sim/network.h"
+#include "wire/codec.h"
 #include "wire/envelope.h"
 #include "wire/frame.h"
 
@@ -156,15 +160,24 @@ TEST(DeliveryCoalesceTest, WindowBatchesBurstIntoOneDigest) {
 }
 
 // A flooded event's bytes reach the stage as a slice of the GDS deliver
-// frame. An immediate send forwards the slice as it is; a queued hit
-// copies just the event once, so the queue never keeps the deliver frame
-// (envelope, other batch entries) alive, and later hits share the copy.
-TEST(DeliveryCoalesceTest, QueuedSliceDoesNotPinItsDeliverFrame) {
-  World w{3};
+// body. Every hit keeps that slice: each queue entry (a managed
+// digest-of-one or a coalescing hit) adds one reference to the deliver
+// buffer and copies nothing, its enq record carries exactly the event's
+// bytes, and once every digest is acked the queue lets the buffer go.
+TEST(DeliveryCoalesceTest, QueuedHitsKeepTheReceivedSlice) {
+  constexpr std::uint8_t kJDelivEnq = 76;
+  AlertingConfig config;
+  config.delivery.credits = 4;
+  World w{3, config};
   std::vector<SubscriptionId> subs;
   for (std::size_t i = 0; i < w.clients.size(); ++i) {
     subs.push_back(w.subscribe(i, "host = london"));
     ASSERT_NE(subs.back(), 0u);
+  }
+  const DeliveryPolicy coalesce{DeliveryMode::kCoalesce,
+                                SimTime::millis(100)};
+  for (std::size_t i = 1; i < subs.size(); ++i) {
+    ASSERT_TRUE(w.alerting->set_delivery_policy(subs[i], coalesce));
   }
   auto event = std::make_shared<docmodel::Event>();
   event->id = {"London", 7};
@@ -177,25 +190,40 @@ TEST(DeliveryCoalesceTest, QueuedSliceDoesNotPinItsDeliverFrame) {
   std::copy(encoded.begin(), encoded.end(), packet.begin() + 16);
   const wire::Frame deliver{std::move(packet)};
 
-  wire::Frame sent = deliver.slice(16, encoded.size());
-  w.alerting->delivery().offer(w.clients[0]->id(), subs[0], {}, event, sent);
-  EXPECT_TRUE(sent.partial()) << "an immediate send copied the slice";
-
-  const DeliveryPolicy coalesce{DeliveryMode::kCoalesce,
-                                SimTime::millis(100)};
-  wire::Frame queued = deliver.slice(16, encoded.size());
-  for (std::size_t i = 1; i < w.clients.size(); ++i) {
-    w.alerting->delivery().offer(w.clients[i]->id(), subs[i], coalesce, event,
-                                 queued);
+  // Client 0 takes an immediate digest-of-one, clients 1 and 2 queue
+  // behind their coalesce window: three entries, three references.
+  for (std::size_t i = 0; i < w.clients.size(); ++i) {
+    w.alerting->delivery().offer(
+        w.clients[i]->id(), subs[i], i == 0 ? DeliveryPolicy{} : coalesce,
+        event, deliver.slice(16, encoded.size()));
+    EXPECT_EQ(deliver.use_count(), static_cast<long>(i) + 2) << i;
   }
-  EXPECT_FALSE(queued.partial());
-  EXPECT_EQ(queued.span().size(), encoded.size());
-  // The local copy plus the two queue entries: one copy, shared.
-  EXPECT_EQ(queued.use_count(), 3);
+  EXPECT_EQ(w.alerting->delivery().inflight(), 1u);
   EXPECT_EQ(w.alerting->delivery().queue_depth_total(), 2u);
+  w.server->commit_journal();
 
-  sent = wire::Frame{};
+  std::size_t enqueued = 0;
+  journal::scan_records(
+      w.net.storage(w.server->id()).read("node.log"),
+      [&](std::uint8_t type, std::span<const std::byte> payload,
+          std::uint64_t) {
+        if (type != kJDelivEnq) return;
+        wire::Reader r{payload};
+        (void)r.u32();  // client node
+        (void)r.u64();  // entry seq
+        (void)r.u64();  // subscription
+        (void)r.u64();  // digest seq
+        const std::span<const std::byte> bytes = r.view_bytes();
+        EXPECT_TRUE(r.done());
+        EXPECT_EQ(std::vector<std::byte>(bytes.begin(), bytes.end()),
+                  encoded);
+        ++enqueued;
+      });
+  EXPECT_EQ(enqueued, 3u);
+
   w.settle(SimTime::seconds(1));
+  EXPECT_EQ(w.alerting->delivery().inflight(), 0u);
+  EXPECT_EQ(w.alerting->delivery().queue_depth_total(), 0u);
   EXPECT_EQ(deliver.use_count(), 1) << "something still holds the frame";
   for (Client* client : w.clients) {
     ASSERT_EQ(client->notifications().size(), 1u);
@@ -363,6 +391,47 @@ TEST(DeliveryCrashTest, InFlightDigestsSurviveACrashWithTheSameBytes) {
   EXPECT_EQ(alerting->delivery().queue_depth_total(), 0u);
   EXPECT_EQ(alerting->delivery().inflight(), 0u);
   EXPECT_TRUE(alerting->delivery().pending_keys().empty());
+}
+
+// A local event raised from a control action (outside any server event)
+// is durable once on_local_event returns: a crash at the same instant
+// keeps its seen and enq records, so the restarted server still delivers
+// the queued notification, once.
+TEST(DeliveryCrashTest, LocalEventIsDurableWhenOnLocalEventReturns) {
+  AlertingConfig config;
+  config.delivery.credits = 4;
+  World w{1, config};
+  ASSERT_TRUE(w.server->add_collection(coll_config("A"),
+                                       DataSet{{doc(1, "T")}}));
+  w.settle();
+  const SubscriptionId sub = w.subscribe(0, "host = hamilton");
+  ASSERT_NE(sub, 0u);
+  ASSERT_TRUE(w.alerting->set_delivery_policy(
+      sub, DeliveryPolicy{DeliveryMode::kCoalesce, SimTime::millis(100)}));
+
+  docmodel::Event event;
+  event.id = {"Hamilton", 1000};
+  event.type = docmodel::EventType::kCollectionRebuilt;
+  event.collection = {"Hamilton", "A"};
+  event.physical_origin = event.collection;
+  event.build_version = 2;
+  event.docs = {doc(2, "T")};
+  w.net.schedule_control(SimTime::millis(10), [&] {
+    w.server->extension()->on_local_event(event);
+  });
+  w.net.schedule_control(SimTime::millis(10),
+                         [&] { w.net.crash(w.server->id()); });
+  w.settle(SimTime::millis(50));
+  EXPECT_TRUE(w.clients[0]->notifications().empty());
+  w.net.restart(w.server->id());
+  w.settle(SimTime::seconds(2));
+
+  ASSERT_EQ(w.clients[0]->notifications().size(), 1u);
+  EXPECT_EQ(w.clients[0]->notifications()[0].event.id, event.id);
+  EXPECT_EQ(w.clients[0]->notifications()[0].subscription_id, sub);
+  transport::DedupWindow window = w.alerting->event_window();
+  EXPECT_FALSE(window.insert("Hamilton", 1000)) << "seen record lost";
+  EXPECT_EQ(w.alerting->delivery().inflight(), 0u);
 }
 
 // --- property: digest mode == immediate mode modulo dedup -------------------

@@ -81,7 +81,6 @@ void run_all_decoders(const std::vector<std::byte>& bytes) {
   (void)wire::unpack(sim::Packet{bytes});  // junk lands in the header
   (void)wire::unpack(std::span<const std::byte>(bytes));
   (void)gds::BroadcastView::peek(bytes);
-  (void)alerting::EventBatchBody::decode(bytes);
   (void)alerting::NotificationDigestBody::decode(bytes);
   (void)gds::RegisterBody::decode(bytes);
   (void)gds::BroadcastBody::decode(bytes);

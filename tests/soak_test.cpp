@@ -69,8 +69,8 @@ TEST_P(ChurnSoak, InvariantsHoldUnderChurn) {
 // across a long churn run — a log is truncated once it reaches
 // max(threshold, that node's snapshot size), so it can only exceed that
 // trigger by whatever one event's commit appends on top. 2 KiB is
-// generous slack for the burstiest commit (a full event batch of
-// channel-send records) and still fails at once if compaction stops
+// generous slack for the burstiest commit (a burst of channel-send
+// records) and still fails at once if compaction stops
 // firing (the logs then overshoot by more than 4 KiB). The 256 B floor
 // sits below most nodes' snapshots (bounded dedup windows keep them
 // under 1 KiB), so the snapshot-sized part of the trigger is what this
