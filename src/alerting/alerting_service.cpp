@@ -123,7 +123,7 @@ Result<SubscriptionId> AlertingService::subscribe_local(
   if (Status s = index_.add(std::move(parsed).take()); !s.is_ok()) {
     return s.error();
   }
-  subs_[id] = Subscription{.client = client, .profile_text = profile_text};
+  install_sub(id, {.client = client, .profile_text = profile_text});
   put_sub(log(), id, client, profile_text);
   if (server_) server_->commit_journal();
   return id;
@@ -131,23 +131,23 @@ Result<SubscriptionId> AlertingService::subscribe_local(
 
 Status AlertingService::set_delivery_policy(SubscriptionId id,
                                             DeliveryPolicy policy) {
-  const auto it = subs_.find(id);
-  if (it == subs_.end()) {
+  Subscription* sub = find_sub(id);
+  if (sub == nullptr) {
     return Status{ErrorCode::kNotFound, "unknown subscription"};
   }
-  it->second.policy_set = true;
-  it->second.policy = policy;
+  sub->policy_set = true;
+  sub->policy = policy;
   put_policy(log(), id, policy);
   if (server_) server_->commit_journal();
   return Status::ok();
 }
 
 Status AlertingService::cancel_local(SubscriptionId id) {
-  const auto it = subs_.find(id);
-  if (it == subs_.end()) {
+  Subscription* sub = find_sub(id);
+  if (sub == nullptr) {
     return Status{ErrorCode::kNotFound, "unknown subscription"};
   }
-  subs_.erase(it);
+  *sub = Subscription{};
   // Queued-but-unsent notifications for the subscription die with it
   // (dangling-profile guarantee extends through the delivery queue).
   delivery_.drop_subscription(id);
@@ -165,10 +165,20 @@ std::vector<CollectionRef> AlertingService::aux_profiles_for(
 
 std::vector<SubscriptionId> AlertingService::subscription_ids() const {
   std::vector<SubscriptionId> out;
-  out.reserve(subs_.size());
-  for (const auto& [id, sub] : subs_) out.push_back(id);
-  std::sort(out.begin(), out.end());
+  for (const auto& [id, sub] : subs_by_id()) out.push_back(id);
   return out;
+}
+
+AlertingService::Subscription* AlertingService::find_sub(SubscriptionId id) {
+  const auto slot = index_.slot_of(id);
+  return slot == profiles::ProfileIndex::kNoProfileSlot ? nullptr
+                                                        : &subs_[slot];
+}
+
+void AlertingService::install_sub(SubscriptionId id, Subscription sub) {
+  const auto slot = index_.slot_of(id);
+  if (slot >= subs_.size()) subs_.resize(slot + 1);
+  subs_[slot] = std::move(sub);
 }
 
 // --- extension lifecycle ---------------------------------------------------
@@ -207,7 +217,8 @@ void AlertingService::on_restarted() {
 
 void AlertingService::filter_and_notify(
     const docmodel::Event& event,
-    std::shared_ptr<const docmodel::Event> shared_event, wire::Frame body) {
+    std::shared_ptr<const docmodel::Event> shared_event,
+    const wire::Frame& body) {
   GSALERT_PROFILE("alerting.filter_and_notify");
   profiles::EventContext ctx = profiles::EventContext::from(event);
   // §5: at the event's own host, query predicates run against the
@@ -217,28 +228,24 @@ void AlertingService::filter_and_notify(
   if (event.via.empty() && event.collection.host == server_->name()) {
     ctx.set_engine(server_->engine(event.collection.name));
   }
-  std::vector<profiles::ProfileId> hits;
+  std::vector<profiles::ProfileIndex::Slot> hits;
   {
     const obs::StageTimer match_timer{match_cpu_us_};
-    hits = index_.match(ctx, &match_stats_);
+    hits = index_.match_slots(ctx, &match_stats_);
   }
   stats_.filter_matches += hits.size();
   // Encode once, fan out many: the event body is one refcounted frame
   // aliased across every matching subscriber; the subscription id rides
-  // the per-subscriber header (msg_id), so N matches cost at most one
-  // body encode (gated in tests/perf_budget.txt). A flooded event brings
-  // its received bytes and costs none. Otherwise both are built lazily —
-  // an event whose hits all point at vanished subscriptions encodes
-  // nothing.
-  for (profiles::ProfileId id : hits) {
-    const auto it = subs_.find(id);
-    if (it == subs_.end()) continue;
-    const Subscription& sub = it->second;
+  // the per-subscriber header (msg_id), so N matches share one body
+  // (gated in tests/perf_budget.txt). A flooded event's body is its
+  // received bytes; a local one's is the encoding its flood carries too,
+  // counted as a notify body encode when it has a hit. The shared copy of
+  // a local event is made on its first hit.
+  for (const profiles::ProfileIndex::Slot slot : hits) {
+    const Subscription& sub = subs_[slot];
+    const SubscriptionId id = index_.profile_at(slot);
     if (!shared_event) {
       shared_event = std::make_shared<const docmodel::Event>(event);
-    }
-    if (body.empty()) {
-      body = wire::Frame{encode_event(event)};
       stats_.notify_body_encodes += 1;
     }
     const obs::TraceScope notify_scope{
@@ -294,12 +301,11 @@ void AlertingService::forward_to_supers(const docmodel::Event& event) {
   }
 }
 
-void AlertingService::publish(const docmodel::Event& event) {
+void AlertingService::publish(const wire::Frame& bytes) {
   if (!server_->gds().attached()) return;  // solitary server, no directory
   stats_.events_published += 1;
   server_->gds().broadcast(
-      static_cast<std::uint16_t>(wire::MessageType::kEventAnnounce),
-      encode_event(event));
+      static_cast<std::uint16_t>(wire::MessageType::kEventAnnounce), bytes);
 }
 
 bool AlertingService::accept(const docmodel::Event& event) {
@@ -332,9 +338,11 @@ void AlertingService::process_event(const docmodel::Event& event) {
                                      server_->net().now(),
                                      std::move(publish_args))
                     : obs::current_context()};
-  filter_and_notify(event);
+  // One encoding serves the notification body and the flood.
+  const wire::Frame bytes{encode_event(event)};
+  filter_and_notify(event, nullptr, bytes);
   forward_to_supers(event);
-  publish(event);
+  publish(bytes);
 }
 
 void AlertingService::on_local_event(const docmodel::Event& event) {
@@ -661,8 +669,11 @@ void AlertingService::apply_event_forward(const wire::Envelope& env) {
 
 AlertingService::SubsById AlertingService::subs_by_id() const {
   SubsById subs;
-  subs.reserve(subs_.size());
-  for (const auto& [id, sub] : subs_) subs.emplace_back(id, &sub);
+  subs.reserve(index_.profile_count());
+  for (std::size_t slot = 0; slot < subs_.size(); ++slot) {
+    const auto id = index_.profile_at(static_cast<std::uint32_t>(slot));
+    if (id != 0) subs.emplace_back(id, &subs_[slot]);
+  }
   std::sort(subs.begin(), subs.end());  // by id: ids are unique
   return subs;
 }
@@ -711,7 +722,7 @@ Status AlertingService::restore_state(
     return Status{ErrorCode::kDecodeFailure, "malformed profile snapshot"};
   }
   next_sub_ = std::max(next_sub_, candidate.next_sub_);
-  subs_ = std::move(candidate.subs_);
+  subs_ = std::move(candidate.subs_);  // slot-indexed: moves with index_
   index_ = std::move(candidate.index_);
   aux_in_ = std::move(candidate.aux_in_);
   aux_out_ = std::move(candidate.aux_out_);
@@ -732,7 +743,7 @@ bool AlertingService::restore_subscription(SubscriptionId id, NodeId client,
   if (!parsed.ok()) return false;  // journal predates a grammar change
   parsed.value().id = id;
   if (!index_.add(std::move(parsed).take()).is_ok()) return false;
-  subs_[id] = Subscription{.client = client, .profile_text = std::move(text)};
+  install_sub(id, {.client = client, .profile_text = std::move(text)});
   if (id >= next_sub_) next_sub_ = id + 1;
   return true;
 }
@@ -766,7 +777,10 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
     case kJSubCancel: {
       const SubscriptionId id = r.u64();
       if (!r.ok()) return false;
-      if (subs_.erase(id) > 0) (void)index_.remove(id);
+      if (Subscription* sub = find_sub(id)) {
+        *sub = Subscription{};
+        (void)index_.remove(id);
+      }
       // Enq records for the cancelled sub replay before this record;
       // re-dropping here keeps the recovered queues cancel-consistent.
       delivery_.drop_subscription(id);
@@ -779,9 +793,9 @@ bool AlertingService::replay_journal(std::uint8_t type, wire::Reader& r) {
           SimTime::micros(static_cast<std::int64_t>(r.u64()));
       if (!r.ok()) return false;
       // A record naming no live subscription applies nothing.
-      if (const auto it = subs_.find(id); it != subs_.end()) {
-        it->second.policy_set = true;
-        it->second.policy = DeliveryPolicy{mode, window};
+      if (Subscription* sub = find_sub(id)) {
+        sub->policy_set = true;
+        sub->policy = DeliveryPolicy{mode, window};
       }
       return true;
     }
@@ -901,7 +915,7 @@ void AlertingService::collect_metrics(obs::MetricsRegistry& registry) const {
   registry.counter("alerting.rename_loops_cut", labels) =
       stats_.rename_loops_cut;
   registry.gauge("alerting.subscriptions", labels) =
-      static_cast<double>(subs_.size());
+      static_cast<double>(index_.profile_count());
   registry.gauge("alerting.outbox", labels) =
       static_cast<double>(channels_.unacked_total());
   registry.gauge("alerting.event_gaps", labels) =

@@ -21,7 +21,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,7 +50,10 @@ struct AlertingStats {
   std::uint64_t events_received = 0;      // events seen (local + GDS)
   std::uint64_t duplicate_events = 0;     // suppressed by the event window
   std::uint64_t notifications_sent = 0;
-  std::uint64_t notify_body_encodes = 0;  // one per event with >= 1 hit
+  // Local events with >= 1 hit: their one encoding, which the flood
+  // carries too, is the notification body (flooded events reuse the
+  // received bytes).
+  std::uint64_t notify_body_encodes = 0;
   std::uint64_t filter_matches = 0;       // profile hits across all events
   std::uint64_t aux_forwards = 0;         // events forwarded sub -> super
   std::uint64_t renames = 0;              // events renamed at a super host
@@ -68,7 +70,7 @@ class AlertingService : public gsnet::ServerExtension {
                                          const std::string& profile_text);
   Status cancel_local(SubscriptionId id);
 
-  std::size_t subscription_count() const { return subs_.size(); }
+  std::size_t subscription_count() const { return index_.profile_count(); }
   const AlertingStats& stats() const { return stats_; }
   /// Matcher instrumentation accumulated across every filtered event
   /// (eq probes, predicate/query cache hits, residual evaluations).
@@ -156,29 +158,32 @@ class AlertingService : public gsnet::ServerExtension {
  private:
   friend class DeliveryStage;  // wire, journal, stats, observer, policies
 
+  /// One row of the slot-indexed subscription table; its id is the
+  /// index's profile in the same slot.
   struct Subscription {
     NodeId client;
     /// Whether set_delivery_policy set `policy`. An unset policy is the
     /// immediate default and has no journal record; a set one, even an
     /// immediate one, is journaled and snapshotted. (A flag rather than
-    /// std::optional: it fits in padding, a 16-byte smaller map node.)
+    /// std::optional: it fits in padding, a 16-byte smaller row.)
     bool policy_set = false;
     DeliveryPolicy policy;
     std::string profile_text;
   };
 
   /// Filter an event against local profiles and notify matching clients.
-  /// A flooded event passes its shared decode and received bytes; a local
-  /// or renamed one passes neither, and both are made on its first hit.
+  /// `body` is the event's encoding, the notification body. A flooded
+  /// event passes its shared decode and its received bytes; a local or
+  /// renamed one passes no decode, and its copy is made on its first hit.
   void filter_and_notify(const docmodel::Event& event,
-                         std::shared_ptr<const docmodel::Event> shared = {},
-                         wire::Frame body = {});
+                         std::shared_ptr<const docmodel::Event> shared,
+                         const wire::Frame& body);
   /// Forward the event to every super-collection host whose auxiliary
   /// profile matches its physical collection.
   void forward_to_supers(const docmodel::Event& event);
-  /// Flood the event to all servers through the GDS as one
+  /// Flood an event's encoding to all servers through the GDS as one
   /// kEventAnnounce.
-  void publish(const docmodel::Event& event);
+  void publish(const wire::Frame& bytes);
   /// The one acceptance step for every event: false (counted, and traced
   /// as event-dup-drop) when the event window already holds it.
   bool accept(const docmodel::Event& event);
@@ -186,7 +191,7 @@ class AlertingService : public gsnet::ServerExtension {
   /// decode once, accept, filter against local profiles.
   void receive_flooded_event(const wire::Frame& bytes);
   /// Process an event raised here (local build or renamed forward) end to
-  /// end: accept, filter, forward to supers, flood.
+  /// end: accept, encode once, filter, forward to supers, flood.
   void process_event(const docmodel::Event& event);
 
   void handle_subscribe(NodeId from, const wire::Envelope& env);
@@ -222,9 +227,13 @@ class AlertingService : public gsnet::ServerExtension {
   }
   /// Journal the full replacement value of aux_out_[coll].
   void journal_aux_out(const std::string& coll);
+  /// The live subscription `id`, or nullptr.
+  Subscription* find_sub(SubscriptionId id);
+  /// Store a subscription the index has just added under `id`.
+  void install_sub(SubscriptionId id, Subscription sub);
   using SubsById = std::vector<std::pair<SubscriptionId, const Subscription*>>;
-  /// Live subscriptions in id order: subs_ is hashed, and snapshots and
-  /// migration images must be deterministic.
+  /// Live subscriptions in id order: subs_ is in slot order, and
+  /// snapshots and migration images must be deterministic.
   SubsById subs_by_id() const;
   /// The profile database as records (subscriptions, aux registries, then
   /// the sub counter): a migration image and the head of every snapshot.
@@ -236,9 +245,9 @@ class AlertingService : public gsnet::ServerExtension {
 
   AlertingConfig config_;
   profiles::ProfileIndex index_;
-  // Hashed: filter_and_notify does one lookup per hit. Writers that must
-  // be deterministic (snapshots, migration images) sort the ids.
-  std::unordered_map<SubscriptionId, Subscription> subs_;
+  // Indexed by the index's profile slot, so a hit costs one array index;
+  // a free slot holds an empty row. The index's id map is the only one.
+  std::vector<Subscription> subs_;
   SubscriptionId next_sub_ = 1;
 
   // Downstream side: sub-collection name -> super-collections observing it.

@@ -422,14 +422,13 @@ bool DeliveryStage::restore_entry(wire::Reader& r) {
   if (q == nullptr) return false;
   // Policy records replay before queue entries (snapshot order, and in the
   // log a policy precedes the hits it shaped).
-  const auto owner_sub = owner_.subs_.find(sub);
+  const AlertingService::Subscription* owner_sub = owner_.find_sub(sub);
   const auto shared =
       std::make_shared<const docmodel::Event>(std::move(event).take());
   QueueEntry entry{entry_seq, digest, sub, shared,
                    wire::Frame{std::move(event_bytes)},
-                   owner_sub != owner_.subs_.end()
-                       ? owner_sub->second.policy.mode
-                       : DeliveryMode::kImmediate};
+                   owner_sub != nullptr ? owner_sub->policy.mode
+                                        : DeliveryMode::kImmediate};
   next_entry_seq_ = std::max(next_entry_seq_, entry_seq + 1);
   if (digest != 0) {
     // After every shipped entry of a digest up to this one.

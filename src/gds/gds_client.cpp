@@ -46,21 +46,16 @@ void GdsClient::unregister() {
 }
 
 std::uint64_t GdsClient::broadcast(std::uint16_t payload_type,
-                                   std::vector<std::byte> payload) {
+                                   std::span<const std::byte> payload) {
   assert(attached());
-  BroadcastBody body;
-  body.origin_server = self_name_;
-  body.seq = next_broadcast_seq_++;
-  body.payload_type = payload_type;
-  body.payload = std::move(payload);
+  const std::uint64_t seq = next_broadcast_seq_++;
   wire::Writer w;
-  w.reserve(body.wire_size());
-  body.encode(w);
+  w.reserve(BroadcastBody::wire_size(self_name_, payload.size()));
+  BroadcastBody::encode(w, self_name_, seq, payload_type, payload);
   wire::Envelope env = wire::make_envelope(
-      wire::MessageType::kGdsBroadcast, self_name_, "", body.seq,
-      std::move(w));
+      wire::MessageType::kGdsBroadcast, self_name_, "", seq, std::move(w));
   net_->send(self_, gds_node_, env.pack());
-  return body.seq;
+  return seq;
 }
 
 void GdsClient::relay(const std::string& dst, std::uint16_t payload_type,

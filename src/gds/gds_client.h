@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@ class GdsClient {
   /// Broadcasts are numbered densely from their own counter, so a hole
   /// in a GDS node's per-origin window is a lost broadcast.
   std::uint64_t broadcast(std::uint16_t payload_type,
-                          std::vector<std::byte> payload);
+                          std::span<const std::byte> payload);
 
   /// Point-to-point relay by name through the tree.
   void relay(const std::string& dst, std::uint16_t payload_type,

@@ -19,15 +19,26 @@ Result<RegisterBody> RegisterBody::decode(std::span<const std::byte> body) {
 }
 
 void BroadcastBody::encode(wire::Writer& w) const {
+  encode(w, origin_server, seq, payload_type, payload);
+}
+
+std::size_t BroadcastBody::wire_size() const {
+  return wire_size(origin_server, payload.size());
+}
+
+void BroadcastBody::encode(wire::Writer& w, std::string_view origin_server,
+                           std::uint64_t seq, std::uint16_t payload_type,
+                           std::span<const std::byte> payload) {
   w.str(origin_server);
   w.u64(seq);
   w.u16(payload_type);
   w.bytes(payload);
 }
 
-std::size_t BroadcastBody::wire_size() const {
+std::size_t BroadcastBody::wire_size(std::string_view origin_server,
+                                     std::size_t payload_size) {
   // str(4+n) + u64 + u16 + bytes(4+n)
-  return 4 + origin_server.size() + 8 + 2 + 4 + payload.size();
+  return 4 + origin_server.size() + 8 + 2 + 4 + payload_size;
 }
 
 Result<BroadcastView> BroadcastView::peek(std::span<const std::byte> body) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
@@ -34,6 +35,13 @@ struct BroadcastBody {
   /// Exact encoded size (for Writer::reserve).
   std::size_t wire_size() const;
   static Result<BroadcastBody> decode(std::span<const std::byte> body);
+  /// The body's one encoder, over a payload held elsewhere: a broadcast
+  /// writes its payload once, straight from the sender's buffer.
+  static void encode(wire::Writer& w, std::string_view origin_server,
+                     std::uint64_t seq, std::uint16_t payload_type,
+                     std::span<const std::byte> payload);
+  static std::size_t wire_size(std::string_view origin_server,
+                               std::size_t payload_size);
 };
 
 /// Zero-copy view of an encoded BroadcastBody: the routing fields are

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string_view>
 #include <utility>
 
 #include "obs/profiler.h"
@@ -14,6 +15,22 @@ namespace {
 // origin_ref equal host and ref unless the event was renamed.
 constexpr std::array<std::size_t, kMacroCount> kUsuallySameAs = {0, 1, 2,
                                                                  3, 0, 2};
+
+// Access-key rank per macro slot, most specific first: a ref names one
+// collection, a collection name recurs on a few hosts, a host serves many
+// collections, and an event type is shared by everything. A conjunction
+// is filed under its best-ranked equality key. The rank is fixed, not
+// drawn from cluster sizes, so replay and restore rebuild the same
+// clusters whatever order profiles arrive in.
+constexpr std::array<std::uint8_t, kMacroCount> kAccessRank = {
+    /*host=*/3, /*collection=*/2, /*ref=*/0,
+    /*type=*/5, /*origin_host=*/4, /*origin_ref=*/1};
+
+std::uint8_t access_rank(std::string_view attribute) {
+  const auto it = std::find(kMacroAttributes.begin(), kMacroAttributes.end(),
+                            attribute);
+  return kAccessRank[static_cast<std::size_t>(it - kMacroAttributes.begin())];
+}
 
 /// splitmix64 finalizer: packed symbol pairs are near-sequential, so they
 /// need real mixing before masking into a power-of-two table.
@@ -209,9 +226,10 @@ Status ProfileIndex::add(const Profile& profile) {
     entry.slot = slot_free_list_.back();
     slot_free_list_.pop_back();
   } else {
-    entry.slot = static_cast<std::uint32_t>(owner_epoch_.size());
-    owner_epoch_.push_back(0);
+    entry.slot = static_cast<Slot>(profile_slots_.size());
+    profile_slots_.emplace_back();
   }
+  profile_slots_[entry.slot].id = profile.id;
   for (const Conjunction& conj : profile.dnf) {
     ConjIdx idx;
     if (!free_list_.empty()) {
@@ -221,28 +239,34 @@ Status ProfileIndex::add(const Profile& profile) {
     } else {
       idx = static_cast<ConjIdx>(conjunctions_.size());
       conjunctions_.emplace_back();
-      hit_count_.push_back(0);
-      hit_epoch_.push_back(0);
     }
     ConjEntry& ce = conjunctions_[idx];
-    ce.owner = profile.id;
     ce.owner_slot = entry.slot;
-    ce.alive = true;
+    // The first equality with the best rank is the access key; a key it
+    // displaces joins the others.
+    std::uint8_t best_rank = kMacroCount;
     for (const Predicate& pred : conj.preds) {
       if (pred.is_hashable_eq()) {
         const std::uint32_t attr_sym = interner_.intern(pred.attribute);
         const std::uint32_t value_sym = interner_.intern(pred.value);
-        const std::uint64_t key = pack_key(attr_sym, value_sym);
-        posting_add(bucket_for_insert(key), idx);
-        ce.eq_keys.push_back(key);
-        ce.eq_count += 1;
+        std::uint64_t key = pack_key(attr_sym, value_sym);
+        if (const std::uint8_t rank = access_rank(pred.attribute);
+            rank < best_rank) {
+          best_rank = rank;
+          std::swap(key, ce.access_key);
+        }
+        if (key != kNoKey) ce.other_keys.push_back(key);
       } else {
         const PredId pid = intern_predicate(pred);
         ce.residual.push_back((pid << 1) |
                               (is_negative_op(pred.op) ? 1u : 0u));
       }
     }
-    if (ce.eq_count == 0) zero_eq_.push_back(idx);
+    if (ce.access_key == kNoKey) {
+      zero_eq_.push_back(idx);
+    } else {
+      posting_add(bucket_for_insert(ce.access_key), idx);
+    }
     entry.conjunctions.push_back(idx);
     ++live_conjunctions_;
   }
@@ -252,9 +276,12 @@ Status ProfileIndex::add(const Profile& profile) {
 
 void ProfileIndex::unlink_conjunction(ConjIdx idx) {
   ConjEntry& ce = conjunctions_[idx];
-  for (const std::uint64_t key : ce.eq_keys) posting_remove(key, idx);
+  if (ce.access_key == kNoKey) {
+    std::erase(zero_eq_, idx);
+  } else {
+    posting_remove(ce.access_key, idx);
+  }
   for (const std::uint32_t ref : ce.residual) release_predicate(ref >> 1);
-  if (ce.eq_count == 0) std::erase(zero_eq_, idx);
   ce = ConjEntry{};
   free_list_.push_back(idx);
   --live_conjunctions_;
@@ -267,19 +294,25 @@ Status ProfileIndex::remove(ProfileId id) {
                   "profile " + std::to_string(id) + " not indexed"};
   }
   for (ConjIdx idx : it->second.conjunctions) unlink_conjunction(idx);
+  profile_slots_[it->second.slot].id = 0;
   slot_free_list_.push_back(it->second.slot);
   by_profile_.erase(it);
   maybe_compact_arena();
   return Status::ok();
 }
 
-std::vector<ProfileId> ProfileIndex::match(const EventContext& ctx,
-                                           MatchStats* stats) const {
+ProfileIndex::Slot ProfileIndex::slot_of(ProfileId id) const {
+  const auto it = by_profile_.find(id);
+  return it == by_profile_.end() ? kNoProfileSlot : it->second.slot;
+}
+
+std::vector<ProfileIndex::Slot> ProfileIndex::match_slots(
+    const EventContext& ctx, MatchStats* stats) const {
   GSALERT_PROFILE("profiles.match");
   ++epoch_;
   std::vector<ConjIdx> candidates;
 
-  // Phase 1 — equality hash joins. The event's macro attributes are
+  // Phase 1 — access-cluster probes. The event's macro attributes are
   // translated to packed symbol keys first, each distinct value looked up
   // once (all string hashing lives in that step); each probe below is
   // one integer hash into the flat table. A pair whose attribute or value
@@ -305,19 +338,20 @@ std::vector<ProfileId> ProfileIndex::match(const EventContext& ctx,
     if (value_syms[i] == StringInterner::kNoSymbol) continue;
     keys[n_keys++] = pack_key(macro_attr_syms_[i], value_syms[i]);
   }
+  const auto event_has = [&](std::uint64_t key) {
+    return std::find(keys.begin(), keys.begin() + n_keys, key) !=
+           keys.begin() + n_keys;
+  };
   const std::uint64_t hashes_before = interner_.hash_count();
   for (std::size_t k = 0; k < n_keys; ++k) {
     const std::size_t slot_idx = find_slot(keys[k]);
     if (slot_idx == kNoSlot) continue;
     const Bucket& b = buckets_[slots_[slot_idx].bucket];
+    if (stats != nullptr) stats->eq_probe_hits += b.len;
     for (std::uint32_t i = 0; i < b.len; ++i) {
       const ConjIdx idx = arena_[b.offset + i];
-      if (stats != nullptr) stats->eq_probe_hits += 1;
-      if (hit_epoch_[idx] != epoch_) {
-        hit_epoch_[idx] = epoch_;
-        hit_count_[idx] = 0;
-      }
-      if (++hit_count_[idx] == conjunctions_[idx].eq_count) {
+      const std::vector<std::uint64_t>& others = conjunctions_[idx].other_keys;
+      if (std::all_of(others.begin(), others.end(), event_has)) {
         candidates.push_back(idx);
       }
     }
@@ -329,10 +363,9 @@ std::vector<ProfileId> ProfileIndex::match(const EventContext& ctx,
   // distinct shared predicate is evaluated at most once per event, and
   // negative users read their positive twin's answer flipped.
   const std::uint64_t query_hits_before = ctx.query_cache_hits();
-  std::vector<ProfileId> matched;
+  std::vector<Slot> matched;
   for (ConjIdx idx : candidates) {
     const ConjEntry& ce = conjunctions_[idx];
-    if (!ce.alive) continue;
     if (stats != nullptr) stats->candidates += 1;
     bool all = true;
     for (const std::uint32_t ref : ce.residual) {
@@ -356,12 +389,11 @@ std::vector<ProfileId> ProfileIndex::match(const EventContext& ctx,
         break;
       }
     }
-    // Epoch-stamped per-profile dedup (same trick as hit_epoch_): a
-    // profile with several matching conjunctions is reported once, in
-    // first-match order, with no sort+unique pass over the result.
-    if (all && owner_epoch_[ce.owner_slot] != epoch_) {
-      owner_epoch_[ce.owner_slot] = epoch_;
-      matched.push_back(ce.owner);
+    // Epoch-stamped per-profile dedup: a profile with several matching
+    // conjunctions is reported once, in first-match order.
+    if (all && profile_slots_[ce.owner_slot].epoch != epoch_) {
+      profile_slots_[ce.owner_slot].epoch = epoch_;
+      matched.push_back(ce.owner_slot);
     }
   }
   if (stats != nullptr) {
@@ -370,6 +402,15 @@ std::vector<ProfileId> ProfileIndex::match(const EventContext& ctx,
     stats->eq_probe_string_hashes += interner_.hash_count() - hashes_before;
   }
   return matched;
+}
+
+std::vector<ProfileId> ProfileIndex::match(const EventContext& ctx,
+                                           MatchStats* stats) const {
+  const std::vector<Slot> slots = match_slots(ctx, stats);
+  std::vector<ProfileId> ids;
+  ids.reserve(slots.size());
+  for (const Slot slot : slots) ids.push_back(profile_at(slot));
+  return ids;
 }
 
 }  // namespace gsalert::profiles

@@ -781,6 +781,48 @@ TEST(EncodeOnceTest, ReceiversSendOnTheFloodedBytes) {
   }
 }
 
+// A local event is encoded once at its origin: the same bytes are its
+// notification body and its flood payload. With a coalescing subscription
+// the hit is queued, not sent, so an event with a hit constructs exactly
+// the writers of one without: its encoding, the broadcast body and the
+// broadcast's packet header.
+TEST(EncodeOnceTest, OriginEncodesALocalEventOnce) {
+  AlertingConfig cfg;
+  cfg.delivery.credits = 4;
+  World w{2, cfg};
+  SubscriptionId sub = 0;
+  w.clients[0]->subscribe("ref = hamilton.a", [&](Result<SubscriptionId> r) {
+    if (r.ok()) sub = r.value();
+  });
+  w.settle();
+  ASSERT_NE(sub, 0u);
+  ASSERT_TRUE(w.alerting[0]->set_delivery_policy(
+      sub, {DeliveryMode::kCoalesce, SimTime::millis(50)}));
+  const auto writers_for = [&](const std::string& coll, std::uint64_t seq) {
+    docmodel::Event event;
+    event.id = {"Hamilton", seq};
+    event.type = docmodel::EventType::kCollectionRebuilt;
+    event.collection = {"Hamilton", coll};
+    event.physical_origin = event.collection;
+    event.docs = {doc(1, "Digital Alerting", "Hinze")};
+    wire::reset_writer_stats();
+    w.servers[0]->extension()->on_local_event(event);
+    return wire::writer_stats().writers;
+  };
+  const std::uint64_t without_hit = writers_for("B", 1001);
+  const std::uint64_t with_hit = writers_for("A", 1002);
+  EXPECT_EQ(without_hit, 3u);
+  EXPECT_EQ(with_hit, without_hit) << "the hit encoded the event again";
+  EXPECT_EQ(w.alerting[0]->stats().events_published, 2u);
+  EXPECT_EQ(w.alerting[0]->stats().notify_body_encodes, 1u);
+  w.settle(SimTime::seconds(1));
+  ASSERT_EQ(w.clients[0]->bodies.size(), 1u);
+  auto event = decode_event(w.clients[0]->bodies[0]);
+  ASSERT_TRUE(event.ok());
+  EXPECT_EQ(event.value().id.seq, 1002u);
+  EXPECT_EQ(w.clients[1]->notifications().size(), 0u);
+}
+
 // A long-running node keeps bounded state. Flooding 4N events leaves each
 // GDS node's and server's snapshot size, and its dedup window's origin
 // count, where N events left them — to within one window of seen records

@@ -20,6 +20,7 @@
 #include "alerting/alerting_service.h"
 #include "alerting/client.h"
 #include "common/histogram.h"
+#include "common/rng.h"
 #include "docmodel/event.h"
 #include "gds/gds_client.h"
 #include "gds/tree_builder.h"
@@ -35,6 +36,7 @@
 #include "support/counting_allocator.h"
 #include "wire/codec.h"
 #include "wire/envelope.h"
+#include "workload/generators.h"
 #include "workload/scenario.h"
 
 namespace gsalert {
@@ -241,6 +243,58 @@ TEST(PerfSmokeTest, FilterMatchingStaysWithinBudget) {
   EXPECT_LE(max_evals, budget.at("max_residual_evals_per_event"))
       << "per-event residual work exceeds the distinct-predicate budget — "
          "did predicate sharing or memoization regress?";
+}
+
+// Storm-shaped matcher budget: SubscriptionGen subscriptions, Zipf over
+// the collections, 20% of them rebuild watches ("ref = X AND type =
+// collection_rebuilt"), and a rebuild of each of the hottest collections.
+// The access-cluster postings the events walk, per 100 candidates, is a
+// deterministic count: a rebuild walks its collection's cluster, and a
+// rebuild watch must not make it walk every other collection's too.
+TEST(PerfSmokeTest, StormMatchWalksOnlyCandidates) {
+  const auto budget = load_budget(GSALERT_PERF_BUDGET_FILE);
+  for (const char* key :
+       {"storm_subscriptions", "storm_collections", "storm_rebuilds",
+        "max_storm_eq_probe_hits_per_100_candidates"}) {
+    ASSERT_TRUE(budget.count(key)) << "budget file missing key: " << key;
+  }
+  std::vector<CollectionRef> collections;
+  for (std::uint64_t i = 0; i < budget.at("storm_collections"); ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    collections.push_back({"hamilton", name});
+  }
+  Rng rng{7};
+  workload::SubscriptionGen gen{rng, collections};
+  profiles::ProfileIndex index;
+  for (std::uint64_t id = 1; id <= budget.at("storm_subscriptions"); ++id) {
+    auto parsed = profiles::parse_profile(gen.make_subscription());
+    ASSERT_TRUE(parsed.ok());
+    parsed.value().id = id;
+    ASSERT_TRUE(index.add(std::move(parsed).take()));
+  }
+  profiles::MatchStats stats;
+  std::uint64_t hits = 0;
+  for (std::uint64_t rank = 0; rank < budget.at("storm_rebuilds"); ++rank) {
+    docmodel::Event event;
+    event.id = {"Hamilton", rank + 1};
+    event.type = docmodel::EventType::kCollectionRebuilt;
+    event.collection = collections[rank];
+    event.physical_origin = event.collection;
+    hits += index.match(profiles::EventContext::from(event), &stats).size();
+  }
+  ASSERT_GT(stats.candidates, 0u);
+  EXPECT_EQ(hits, stats.candidates);  // no residuals: every candidate hits
+  const std::uint64_t per_100 = stats.eq_probe_hits * 100 / stats.candidates;
+  std::printf(
+      "perf-smoke storm matcher: %llu postings walked for %llu candidates "
+      "(%llu per 100)\n",
+      static_cast<unsigned long long>(stats.eq_probe_hits),
+      static_cast<unsigned long long>(stats.candidates),
+      static_cast<unsigned long long>(per_100));
+  EXPECT_LE(per_100, budget.at("max_storm_eq_probe_hits_per_100_candidates"))
+      << "a rebuild walks postings of conjunctions it cannot match — is "
+         "every equality key posted again instead of one access key?";
 }
 
 // Transport steady-state budget: on a healthy (zero-loss) network the

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdlib>
 #include <map>
@@ -297,6 +298,13 @@ TEST(PredicateEvalTest, EngineBackedQueryAgreesWithDocScan) {
 
 // ---------- index -----------------------------------------------------------------
 
+// match() reports profiles unique but in first-match order (the epoch
+// dedup removed the sort pass); oracle comparisons are set-based.
+std::vector<ProfileId> sorted(std::vector<ProfileId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 TEST(ProfileIndexTest, AddMatchRemove) {
   ProfileIndex index;
   auto p1 = parse_profile("host = hamilton");
@@ -392,6 +400,46 @@ TEST(ProfileIndexTest, ContradictoryEqualitiesNeverMatch) {
   EXPECT_TRUE(index.match(EventContext::from(sample_event())).empty());
 }
 
+TEST(ProfileIndexTest, ConjunctionIsFiledUnderItsMostSpecificKey) {
+  ProfileIndex index;
+  ProfileId id = 0;
+  const auto add = [&](const std::string& text) {
+    auto p = parse_profile(text);
+    p.value().id = ++id;
+    ASSERT_TRUE(index.add(std::move(p).take()));
+  };
+  // The ref = hamilton.d cluster: three ref watches and two rebuild
+  // watches of the event's collection, interleaved.
+  add("ref = hamilton.d");
+  add("ref = hamilton.d AND type = collection_rebuilt");
+  add("ref = hamilton.d");
+  add("type = collection_rebuilt AND ref = hamilton.d");
+  add("ref = hamilton.d");
+  // Rebuild watches of 40 other collections: filed under their refs, so
+  // the event walks none of them.
+  for (int i = 0; i < 40; ++i) {
+    add("type = collection_rebuilt AND ref = london.c" + std::to_string(i));
+  }
+  MatchStats stats;
+  const std::vector<ProfileId> hits =
+      index.match(EventContext::from(sample_event()), &stats);
+  // The cluster in insertion order, whatever order its keys were written.
+  EXPECT_EQ(hits, (std::vector<ProfileId>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(stats.eq_probe_hits, 5u);  // the ref = hamilton.d cluster only
+  EXPECT_EQ(stats.candidates, 5u);
+
+  // A type-only watch is filed under type, so the event walks that
+  // cluster too, and the other keys of a conjunction are checked.
+  add("type = collection_rebuilt");
+  add("ref = hamilton.d AND type = collection_built");
+  add("host = hamilton AND origin_ref = london.e AND type = collection_rebuilt");
+  MatchStats more;
+  EXPECT_EQ(sorted(index.match(EventContext::from(sample_event()), &more)),
+            (std::vector<ProfileId>{1, 2, 3, 4, 5, 46, 48}));
+  EXPECT_EQ(more.eq_probe_hits, 8u);  // ref cluster 6, origin_ref 1, type 1
+  EXPECT_EQ(more.candidates, 7u);
+}
+
 TEST(ProfileIndexTest, RemovalUnlinksSharedBuckets) {
   ProfileIndex index;
   for (ProfileId id = 1; id <= 3; ++id) {
@@ -416,13 +464,6 @@ TEST(ProfileIndexTest, SlotReuseAfterRemoval) {
   ASSERT_TRUE(index.add(std::move(p2).take()));
   // The reused slot must not leak the old predicate set.
   EXPECT_TRUE(index.match(EventContext::from(sample_event())).empty());
-}
-
-// match() reports profiles unique but in first-match order (the epoch
-// dedup removed the sort pass); oracle comparisons are set-based.
-std::vector<ProfileId> sorted(std::vector<ProfileId> ids) {
-  std::sort(ids.begin(), ids.end());
-  return ids;
 }
 
 // ---------- predicate sharing + per-event memoization -------------------------
@@ -781,18 +822,37 @@ std::string random_profile_text(Rng& rng) {
                                                  "smith", "lee"};
   static const std::vector<std::string> terms{"alerting", "retrieval",
                                               "music", "library"};
-  auto pred = [&rng]() -> std::string {
-    switch (rng.uniform_int(0, 9)) {
+  auto host = [&rng] { return hosts[rng.index(hosts.size())]; };
+  auto ref = [&rng, &host] {
+    return host() + "." + colls[rng.index(colls.size())];
+  };
+  // An equality on macro attribute `attr` (kMacroAttributes order).
+  auto macro_eq = [&](std::size_t attr) -> std::string {
+    switch (attr) {
       case 0:
-        return "host = " + hosts[rng.index(hosts.size())];
+        return "host = " + host();
       case 1:
         return "collection = " + colls[rng.index(colls.size())];
       case 2:
+        return "ref = " + ref();
+      case 3:
         return "type = " + types[rng.index(types.size())];
+      case 4:
+        return "origin_host = " + host();
+      default:
+        return "origin_ref = " + ref();
+    }
+  };
+  auto pred = [&]() -> std::string {
+    switch (rng.uniform_int(0, 10)) {
+      case 0:
+      case 1:
+      case 2:
+        return macro_eq(rng.index(kMacroCount));
       case 3:
         return "creator = " + creators[rng.index(creators.size())];
       case 4:
-        return "host = " + hosts[rng.index(hosts.size())].substr(0, 3) + "*";
+        return "host = " + host().substr(0, 3) + "*";
       case 5:
         return "collection IN [" + colls[rng.index(colls.size())] + ", " +
                colls[rng.index(colls.size())] + "]";
@@ -809,16 +869,38 @@ std::string random_profile_text(Rng& rng) {
       case 8:
         return "title = " + terms[rng.index(terms.size())].substr(0, 3) +
                "*";
+      case 9:
+        return "origin_ref != " + ref();
       default:
         return "doc_id IN [" + std::to_string(rng.uniform_int(100, 110)) +
                "]";
     }
   };
-  std::string text = pred();
+  // 2-3 equalities on different macro attributes, so the access key and
+  // the other keys both decide; sometimes one of them is repeated, or
+  // contradicted by a second value for the same attribute.
+  auto eq_conjunction = [&]() -> std::string {
+    std::array<std::size_t, kMacroCount> attrs{0, 1, 2, 3, 4, 5};
+    std::shuffle(attrs.begin(), attrs.end(), rng.engine());
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 3));
+    std::vector<std::string> preds;
+    for (std::size_t i = 0; i < n; ++i) preds.push_back(macro_eq(attrs[i]));
+    const double twist = rng.uniform();
+    if (twist < 0.2) {
+      preds.push_back(preds[rng.index(n)]);  // repeated
+    } else if (twist < 0.4) {
+      preds.push_back(macro_eq(attrs[rng.index(n)]));  // maybe contradictory
+    }
+    std::shuffle(preds.begin(), preds.end(), rng.engine());
+    std::string text = preds[0];
+    for (std::size_t i = 1; i < preds.size(); ++i) text += " AND " + preds[i];
+    return text;
+  };
+  std::string text = rng.chance(0.3) ? eq_conjunction() : pred();
   const int extra = static_cast<int>(rng.uniform_int(0, 3));
   for (int i = 0; i < extra; ++i) {
     const char* conn = rng.chance(0.5) ? " AND " : " OR ";
-    std::string next = pred();
+    std::string next = rng.chance(0.2) ? "(" + eq_conjunction() + ")" : pred();
     if (rng.chance(0.2)) next = "NOT " + next;
     if (rng.chance(0.25)) {
       next = "(" + next + (rng.chance(0.5) ? " OR " : " AND ") + pred() +
@@ -854,6 +936,13 @@ Event random_event(Rng& rng) {
   e.collection = {hosts[rng.index(hosts.size())],
                   colls[rng.index(colls.size())]};
   e.physical_origin = e.collection;
+  if (rng.chance(0.3)) {
+    // Renamed at a super-collection host: the origin attributes name the
+    // physical source, often on another host.
+    e.physical_origin = {hosts[rng.index(hosts.size())],
+                         colls[rng.index(colls.size())]};
+    e.via = {e.physical_origin.str()};
+  }
   static const std::vector<std::string> terms{"alerting", "retrieval",
                                               "music", "library"};
   const int ndocs = static_cast<int>(rng.uniform_int(0, 3));
